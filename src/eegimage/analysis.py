@@ -21,18 +21,16 @@ from .metrics import EvalReport, confusion_to_csv, roc_to_csv, wilcoxon_rank_sum
 from .model import (
     ABLATION_VARIANTS,
     ModelConfig,
-    conv2d_backward,
-    conv2d_forward,
+    ModelParams,
+    backbone_backward,
+    backbone_forward,
     forward_batch,
     init_params,
     kl_div_rows,
-    silu,
-    silu_backward,
-    softmax,
     variant_config,
 )
 from .plots import ablation_svg, confusion_svg, roc_svg, tsne_svg
-from .train import Dataset, StageConfig, run_cv
+from .train import Adam, Dataset, StageConfig, run_cv
 from .tsne import tsne_to_csv
 
 
@@ -68,23 +66,12 @@ def grating_dataset(n: int, size: int, n_classes: int, channels: int,
     return np.clip(x, 0.0, 255.0), y
 
 
-def _pretext_forward(x, conv_w, conv_b, head_w, head_b, stride, want_cache=False):
-    h = x
-    caches, preacts = [], []
-    for w, b in zip(conv_w, conv_b):
-        z, cc = conv2d_forward(h, w, b, stride)
-        h = silu(z)
-        caches.append(cc)
-        preacts.append(z)
-    feat = h.mean(axis=(1, 2))
-    probs = softmax(feat @ head_w + head_b)
-    if not want_cache:
-        return probs, feat
-    return probs, feat, (caches, preacts, h.shape, feat)
-
-
 def pretrain_backbone(cfg: ModelConfig, seed: int, pretext: PretextConfig | None = None):
     """Train the conv stack on the grating pretext and hand back its weights.
+
+    The network is the model's own conv stack with full-width pooling, no
+    dropout and an n_orientations-way head, trained in float64 on one-hot
+    targets weighted 1/batch with :class:`train.Adam`.
 
     Returns (conv_w, conv_b, held_out_accuracy). Raises if accuracy lands
     under pretext.min_accuracy, which indicates a broken training loop rather
@@ -100,63 +87,33 @@ def pretrain_backbone(cfg: ModelConfig, seed: int, pretext: PretextConfig | None
     x_te, y_te = x_all[px.n_train :], y_all[px.n_train :]
 
     proto = init_params(cfg, seed=seed + 17)
-    conv_w = [w.astype(np.float64) for w in proto.conv_w]
-    conv_b = [b.astype(np.float64) for b in proto.conv_b]
-    head_w = np.zeros((cfg.backbone_channels[-1], n_cls))
-    head_b = np.zeros(n_cls)
-
-    names = [f"w{i}" for i in range(len(conv_w))] + [f"b{i}" for i in range(len(conv_b))]
-    names += ["hw", "hb"]
-
-    def get(n):
-        if n == "hw":
-            return head_w
-        if n == "hb":
-            return head_b
-        i = int(n[1:])
-        return conv_w[i] if n[0] == "w" else conv_b[i]
-
-    m = {n: np.zeros_like(get(n)) for n in names}
-    v = {n: np.zeros_like(get(n)) for n in names}
+    # the backbone of a fresh model under a grating head instead of its own
+    net = ModelParams({
+        **{n: a.astype(np.float64) for n, a in proto.named_arrays() if n != "embedding"},
+        "dense_w": np.zeros((cfg.backbone_channels[-1], n_cls)),
+        "dense_b": np.zeros(n_cls),
+    })
+    adam = Adam(net)
     onehot = np.eye(n_cls)
-    t = 0
     for _ in range(px.epochs):
         order = rng.permutation(px.n_train)
         for s in range(0, px.n_train, px.batch_size):
             sel = order[s : s + px.batch_size]
-            xb, yb = x_tr[sel], onehot[y_tr[sel]]
-            probs, _, (caches, preacts, _, feat) = _pretext_forward(
-                xb, conv_w, conv_b, head_w, head_b, cfg.conv_stride, want_cache=True
+            _, _, cache = backbone_forward(x_tr[sel], net, cfg.conv_stride, want_cache=True)
+            _, grads, _ = backbone_backward(
+                onehot[y_tr[sel]], np.full(sel.size, 1.0 / sel.size), net, cache
             )
-            dlogits = (probs - yb) / len(sel)
-            g = {"hw": feat.T @ dlogits, "hb": dlogits.sum(axis=0)}
-            dfeat = dlogits @ head_w.T
-            _, hh, wwid, _ = preacts[-1].shape  # post-silu spatial == preact spatial
-            dh = np.broadcast_to(
-                (dfeat / (hh * wwid))[:, None, None, :], preacts[-1].shape
-            ).copy()
-            for i in reversed(range(len(conv_w))):
-                dz = silu_backward(dh, preacts[i])
-                dh, dw, db = conv2d_backward(dz, caches[i])
-                g[f"w{i}"] = dw
-                g[f"b{i}"] = db
-            t += 1
-            bc1 = 1.0 - 0.9**t
-            bc2 = 1.0 - 0.999**t
-            for n in names:
-                arr = get(n)
-                m[n] = 0.9 * m[n] + 0.1 * g[n]
-                v[n] = 0.999 * v[n] + 0.001 * g[n] * g[n]
-                arr -= px.lr * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + 1e-8)
+            adam.step(net, grads, px.lr)
 
-    probs_te, _ = _pretext_forward(x_te, conv_w, conv_b, head_w, head_b, cfg.conv_stride)
+    probs_te, _ = backbone_forward(x_te, net, cfg.conv_stride)
     acc = float((probs_te.argmax(axis=1) == y_te).mean())
     if acc < px.min_accuracy:
         raise RuntimeError(
             f"pretext accuracy {acc:.3f} below {px.min_accuracy}; training loop broken"
         )
     dt = cfg.np_dtype
-    return [w.astype(dt) for w in conv_w], [b.astype(dt) for b in conv_b], acc
+    layers = net.conv_layers()
+    return [w.astype(dt) for w, _ in layers], [b.astype(dt) for _, b in layers], acc
 
 
 @dataclass

@@ -12,8 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import EegSegment
-
 N_CHAINS = 4
 CHAIN_LEN = 4
 # chain-major channel order: LT, RT, LP, RP
@@ -47,10 +45,6 @@ def mask_window_array(
     out = x.copy()
     out[np.asarray(channels, dtype=int)[:, None], np.arange(start, start + length)] = 0.0
     return out
-
-
-def mask_window(seg: EegSegment, start: int, length: int, channels: Sequence[int]) -> EegSegment:
-    return seg.with_samples(mask_window_array(seg.samples, start, length, channels))
 
 
 def invert(x: np.ndarray) -> np.ndarray:
@@ -94,6 +88,3 @@ def apply_array(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> 
         x = swap_lr(x)
     return x
 
-
-def apply(seg: EegSegment, cfg: AugmentConfig, rng: np.random.Generator) -> EegSegment:
-    return seg.with_samples(apply_array(seg.samples, cfg, rng).astype(seg.samples.dtype))

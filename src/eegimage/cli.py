@@ -59,9 +59,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", type=Path, default=None, help="output directory")
     p.add_argument("--config", type=Path, default=None,
                    help="JSON config file; flags override its values")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker budget; batched math is already deterministic, "
-                        "so this only caps any future fan-out")
     p.add_argument("-v", "--verbosity", action="count", default=0,
                    help="-v info, -vv debug")
 
@@ -256,8 +253,7 @@ def cmd_evaluate(args) -> int:
     run_dir = Path(args.run_dir)
     out = Path(args.out_dir or run_dir / "eval")
     manifest = load_manifest(data / "manifest.csv")
-    with open(run_dir / "cv_summary.json") as f:
-        summary = json.load(f)
+    summary = _read_summary(run_dir)
     k, seed = summary["k"], summary["seed"]
     ids, probs = load_predictions(run_dir / "oof_predictions.csv")
     if ids != [e.segment_id for e in manifest.entries]:
@@ -327,8 +323,7 @@ def cmd_tsne(args) -> int:
     out = Path(args.out_dir or run_dir / "eval")
     manifest = load_manifest(data / "manifest.csv")
     param_sets = _load_fold_models(run_dir)
-    filt = FilterSpec(fs=read_signal(manifest.segment_path(manifest.entries[0])).fs)
-    ds = load_dataset(manifest, filt)
+    ds = load_dataset(manifest, _recorded_filter(run_dir))
     emb = extract_embeddings(param_sets, clip_scale_array(ds.x_uv),
                              use_probs=bool(cfg_d["use_probs"]))
     cfg = TsneConfig(perplexity=cfg_d["perplexity"], iterations=cfg_d["iterations"],
@@ -339,6 +334,16 @@ def cmd_tsne(args) -> int:
                                 ds.segment_ids), comment=comment)
     print(f"t-SNE coordinates for {len(ds)} segments in {out}")
     return 0
+
+
+def _read_summary(run_dir: Path) -> dict:
+    with open(run_dir / "cv_summary.json") as f:
+        return json.load(f)
+
+
+def _recorded_filter(run_dir: Path) -> FilterSpec:
+    """The bandpass the run was trained with, so serving filters alike."""
+    return FilterSpec(**_read_summary(run_dir)["filter"])
 
 
 def _load_fold_models(run_dir: Path):
@@ -352,7 +357,7 @@ def _load_fold_models(run_dir: Path):
     return sets
 
 
-PREDICT_DEFAULTS = dict(seed=0, filter_mode="zero_phase")
+PREDICT_DEFAULTS = dict(seed=0)
 
 
 def cmd_predict(args) -> int:
@@ -362,13 +367,9 @@ def cmd_predict(args) -> int:
     out_path = Path(args.out or "predictions.csv")
     manifest = load_manifest(data / "manifest.csv")
     param_sets = _load_fold_models(run_dir)
-    fs = read_signal(manifest.segment_path(manifest.entries[0])).fs
-    filt = FilterSpec(fs=fs, mode=cfg_d["filter_mode"])
-    ds = load_dataset(manifest, filt)
+    ds = load_dataset(manifest, _recorded_filter(run_dir))
     probs = ensemble_predict(param_sets, clip_scale_array(ds.x_uv))
-    with open(run_dir / "cv_summary.json") as f:
-        summary = json.load(f)
-    comment = f"config_hash={summary['config_hash']} seed={cfg_d['seed']}"
+    comment = f"config_hash={_read_summary(run_dir)['config_hash']} seed={cfg_d['seed']}"
     export_predictions(out_path, ds.segment_ids, probs, header_comment=comment)
     print(f"wrote {len(ds)} ensemble predictions to {out_path}")
     return 0
@@ -469,7 +470,7 @@ def main(argv=None) -> int:
     _setup_logging(args.verbosity)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, RuntimeError) as e:
+    except (OSError, ValueError, KeyError, RuntimeError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -217,9 +217,6 @@ class DatasetManifest:
     def soft_labels(self) -> np.ndarray:
         return np.stack([soft_label(e.votes_array()) for e in self.entries])
 
-    def subset_of(self, tag: str) -> "DatasetManifest":
-        return DatasetManifest([e for e in self.entries if e.subset == tag], root=self.root)
-
     def segment_path(self, entry: ManifestEntry) -> Path:
         p = Path(entry.path)
         if not p.is_absolute() and self.root is not None:
@@ -355,22 +352,6 @@ def summarize(manifest: DatasetManifest) -> list[CohortSummary]:
             )
         )
     return columns
-
-
-def format_summary(columns: list[CohortSummary]) -> str:
-    lines = ["{:<10}".format("class") + "".join(f"{c.label:>24}" for c in columns)]
-    lines.append(
-        "{:<10}".format("patients") + "".join(f"{c.n_patients:>24}" for c in columns)
-    )
-    lines.append(
-        "{:<10}".format("segments") + "".join(f"{c.n_segments:>24}" for c in columns)
-    )
-    for i, name in enumerate(CLASS_NAMES):
-        cells = [
-            f"{c.class_counts[i]:>14} ({c.class_percent[i]:5.1f}%)" for c in columns
-        ]
-        lines.append("{:<10}".format(name) + "".join(f"{s:>24}" for s in cells))
-    return "\n".join(lines)
 
 
 # --- per-segment signal files: 8-line text header + raw float32 samples ---

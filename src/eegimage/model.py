@@ -3,7 +3,9 @@ convolutional backbone, central temporal selection, pooling and a softmax
 head, with exact hand-written reverse-mode gradients.
 
 Everything is plain numpy. Forward in eval mode is a pure function; training
-code gets gradients from :func:`loss_and_grads` and owns the parameters.
+code gets gradients from :func:`backward_batch` and owns the parameters. The
+image-level pair :func:`backbone_forward`/:func:`backbone_backward` (conv
+stack, pooling, softmax head) also trains the backbone on its pretext.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import json
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator
-
 import numpy as np
 from scipy.special import expit
 
@@ -130,65 +130,64 @@ def fixed_embedding(cfg: ModelConfig) -> np.ndarray:
     return emb
 
 
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every network array, in checkpoint order."""
+    shapes = {"embedding": (cfg.groups, cfg.kernels_per_group, cfg.kernel_len)}
+    cin, kk = cfg.groups, cfg.conv_kernel
+    for i, cout in enumerate(cfg.backbone_channels):
+        shapes[f"conv{i}_w"] = (kk, kk, cin, cout)
+        shapes[f"conv{i}_b"] = (cout,)
+        cin = cout
+    shapes["dense_w"] = (cin, cfg.n_classes)
+    shapes["dense_b"] = (cfg.n_classes,)
+    return shapes
+
+
 @dataclass
 class ModelParams:
-    embedding: np.ndarray  # (groups, K, L), float64, rows on the simplex
-    conv_w: list[np.ndarray]  # per stage (kh, kw, cin, cout)
-    conv_b: list[np.ndarray]
-    dense_w: np.ndarray  # (feat_dim, n_classes)
-    dense_b: np.ndarray
+    """Named arrays in checkpoint order: embedding (groups, K, L; float64,
+    rows on the simplex), conv{i}_w (kh, kw, cin, cout) and conv{i}_b per
+    backbone stage, dense_w (feat_dim, n_classes) and dense_b. Gradients,
+    optimizer state and the pretraining network (no embedding) use the same
+    store."""
 
-    def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield "embedding", self.embedding
-        for i, (w, b) in enumerate(zip(self.conv_w, self.conv_b)):
-            yield f"conv{i}_w", w
-            yield f"conv{i}_b", b
-        yield "dense_w", self.dense_w
-        yield "dense_b", self.dense_b
+    arrays: dict[str, np.ndarray]
+
+    @property
+    def embedding(self) -> np.ndarray:
+        return self.arrays["embedding"]
+
+    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
+        return list(self.arrays.items())
+
+    def conv_layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) of each backbone stage, in order."""
+        layers = []
+        while f"conv{len(layers)}_w" in self.arrays:
+            i = len(layers)
+            layers.append((self.arrays[f"conv{i}_w"], self.arrays[f"conv{i}_b"]))
+        return layers
 
     def trainable_names(self, cfg: ModelConfig) -> list[str]:
-        names = [n for n, _ in self.named_arrays()]
+        names = list(self.arrays)
         if not cfg.learnable_embedding:
             names.remove("embedding")
         return names
 
     def get(self, name: str) -> np.ndarray:
-        return dict(self.named_arrays())[name]
+        return self.arrays[name]
 
     def set(self, name: str, value: np.ndarray) -> None:
-        if name == "embedding":
-            self.embedding = value
-        elif name == "dense_w":
-            self.dense_w = value
-        elif name == "dense_b":
-            self.dense_b = value
-        elif name.startswith("conv"):
-            idx = int(name[4:].split("_")[0])
-            if name.endswith("_w"):
-                self.conv_w[idx] = value
-            else:
-                self.conv_b[idx] = value
-        else:
+        if name not in self.arrays:
             raise KeyError(name)
+        self.arrays[name] = value
 
     def zeros_like(self) -> "ModelParams":
         """Gradient buffer with shapes mirroring the parameters exactly."""
-        return ModelParams(
-            embedding=np.zeros_like(self.embedding),
-            conv_w=[np.zeros_like(w) for w in self.conv_w],
-            conv_b=[np.zeros_like(b) for b in self.conv_b],
-            dense_w=np.zeros_like(self.dense_w),
-            dense_b=np.zeros_like(self.dense_b),
-        )
+        return ModelParams({n: np.zeros_like(a) for n, a in self.arrays.items()})
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            embedding=self.embedding.copy(),
-            conv_w=[w.copy() for w in self.conv_w],
-            conv_b=[b.copy() for b in self.conv_b],
-            dense_w=self.dense_w.copy(),
-            dense_b=self.dense_b.copy(),
-        )
+        return ModelParams({n: a.copy() for n, a in self.arrays.items()})
 
     def ravel(self, cfg: ModelConfig) -> np.ndarray:
         return np.concatenate(
@@ -213,7 +212,6 @@ def init_params(
     cfg: ModelConfig,
     seed: int,
     backbone: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
-    feat_dim: int | None = None,
 ) -> ModelParams:
     """Fresh parameters; pass pretrained (conv_w, conv_b) to transfer a
     backbone.
@@ -224,37 +222,28 @@ def init_params(
     """
     rng = np.random.default_rng(seed)
     dt = cfg.np_dtype
-    if cfg.learnable_embedding:
-        emb = init_embedding(cfg, seed)
-    else:
-        emb = fixed_embedding(cfg)
-    conv_w, conv_b = [], []
-    cin = cfg.groups
-    kk = cfg.conv_kernel
-    for i, cout in enumerate(cfg.backbone_channels):
-        fan_in = kk * kk * cin
-        w = (rng.standard_normal((kk, kk, cin, cout)) * np.sqrt(2.0 / fan_in)).astype(dt)
+    shapes = param_shapes(cfg)
+    emb = init_embedding(cfg, seed) if cfg.learnable_embedding else fixed_embedding(cfg)
+    arrays = {"embedding": emb}
+    for i in range(len(cfg.backbone_channels)):
+        kk, _, cin, cout = shapes[f"conv{i}_w"]
+        w = (rng.standard_normal((kk, kk, cin, cout)) * np.sqrt(2.0 / (kk * kk * cin))).astype(dt)
         if i == 0:
             b = (-cfg.input_mean * w.sum(axis=(0, 1, 2))).astype(dt)
         else:
             b = np.zeros(cout, dtype=dt)
-        conv_w.append(w)
-        conv_b.append(b)
-        cin = cout
+        arrays[f"conv{i}_w"], arrays[f"conv{i}_b"] = w, b
     if backbone is not None:
         pw, pb = backbone
-        if len(pw) != len(conv_w) or any(a.shape != b.shape for a, b in zip(pw, conv_w)):
+        if len(pw) != len(cfg.backbone_channels) or any(
+            w.shape != shapes[f"conv{i}_w"] for i, w in enumerate(pw)
+        ):
             raise ValueError("pretrained backbone shapes do not match config")
-        conv_w = [w.astype(dt).copy() for w in pw]
-        conv_b = [b.astype(dt).copy() for b in pb]
-    fd = feat_dim if feat_dim is not None else cfg.backbone_channels[-1]
-    return ModelParams(
-        embedding=emb,
-        conv_w=conv_w,
-        conv_b=conv_b,
-        dense_w=np.zeros((fd, cfg.n_classes), dtype=dt),
-        dense_b=np.zeros(cfg.n_classes, dtype=dt),
-    )
+        for i, (w, b) in enumerate(zip(pw, pb)):
+            arrays[f"conv{i}_w"], arrays[f"conv{i}_b"] = w.astype(dt), b.astype(dt)
+    arrays["dense_w"] = np.zeros(shapes["dense_w"], dtype=dt)
+    arrays["dense_b"] = np.zeros(shapes["dense_b"], dtype=dt)
+    return ModelParams(arrays)
 
 
 # --- layers (functional: forward returns a cache consumed by backward) ---
@@ -360,11 +349,6 @@ def central_columns(w: int, fraction: int = 5) -> tuple[int, int]:
     return start, count
 
 
-def central_select(fmap: np.ndarray, fraction: int = 5) -> np.ndarray:
-    start, count = central_columns(fmap.shape[-2], fraction)
-    return fmap[..., start : start + count, :]
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -376,7 +360,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    image_cache: tuple
     conv_caches: list
     preacts: list
     fmap_shape: tuple
@@ -385,6 +368,123 @@ class ForwardCache:
     dropout_mask: np.ndarray | None
     feat_dropped: np.ndarray
     probs: np.ndarray
+    image_cache: tuple | None = None  # set by forward_batch
+
+
+def backbone_forward(
+    img: np.ndarray,
+    params: ModelParams,
+    conv_stride: int,
+    central_fraction: int | None = None,
+    dropout_rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+    want_cache: bool = False,
+):
+    """Run an [N x H x W x C] image batch through the conv stack, pooling and
+    the softmax head.
+
+    Pools the central 1/central_fraction of the columns, or the full width
+    when central_fraction is None. Dropout on the pooled features draws its
+    mask from rng. Returns (probs, feats) and, when want_cache, the cache for
+    :func:`backbone_backward`; without it no stage's im2col columns outlive
+    the stage.
+    """
+    h = img
+    conv_caches, preacts = [], []
+    for w, b in params.conv_layers():
+        z, cc = conv2d_forward(h, w, b, conv_stride)
+        h = silu(z)
+        if want_cache:
+            conv_caches.append(cc)
+            preacts.append(z)
+        del cc  # else an eval forward holds this stage's columns through the next
+
+    if central_fraction is None:
+        kept = None
+        pooled_region = h
+    else:
+        start, count = central_columns(h.shape[2], central_fraction)
+        kept = (start, count)
+        pooled_region = h[:, :, start : start + count, :]
+    denom = float(pooled_region.shape[1] * pooled_region.shape[2])
+    feat = pooled_region.sum(axis=(1, 2)) / denom
+
+    if dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("train-mode forward with dropout needs an rng")
+        keep = 1.0 - dropout_rate
+        mask = (rng.random(feat.shape) < keep).astype(feat.dtype) / keep
+        feat_dropped = feat * mask
+    else:
+        mask = None
+        feat_dropped = feat
+
+    probs = softmax(feat_dropped @ params.get("dense_w") + params.get("dense_b"))
+    if not want_cache:
+        return probs, feat
+    cache = ForwardCache(
+        conv_caches=conv_caches,
+        preacts=preacts,
+        fmap_shape=h.shape,
+        kept=kept,
+        pool_denominator=denom,
+        dropout_mask=mask,
+        feat_dropped=feat_dropped,
+        probs=probs,
+    )
+    return probs, feat, cache
+
+
+def kl_div_rows(y: np.ndarray, p: np.ndarray, clip: float = 1e-15) -> np.ndarray:
+    """Per-row KL(y || p) with 0*ln(0/.) = 0 and p clipped away from zero."""
+    p = np.maximum(p, clip)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(y > 0, y * (np.log(np.maximum(y, clip)) - np.log(p)), 0.0)
+    return terms.sum(axis=-1)
+
+
+def backbone_backward(
+    y: np.ndarray,
+    weights: np.ndarray,
+    params: ModelParams,
+    cache: ForwardCache,
+) -> tuple[float, ModelParams, np.ndarray]:
+    """Gradients of sum_i weights_i * KL(y_i || p_i) through the head, the
+    pooling and the conv stack.
+
+    Returns (loss, grads, dimg): grads mirrors params (an embedding, if
+    present, is left at zero) and dimg is the gradient w.r.t. the image.
+    """
+    probs = cache.probs
+    loss = float((weights * kl_div_rows(y, probs)).sum())
+    if not np.isfinite(loss):
+        raise FloatingPointError(
+            f"non-finite loss {loss}; prob range [{probs.min()}, {probs.max()}]"
+        )
+
+    grads = params.zeros_like()
+    dlogits = (weights[:, None] * (probs - y)).astype(probs.dtype)
+
+    grads.get("dense_w")[...] = cache.feat_dropped.T @ dlogits
+    grads.get("dense_b")[...] = dlogits.sum(axis=0)
+    dfeat = dlogits @ params.get("dense_w").T
+    if cache.dropout_mask is not None:
+        dfeat = dfeat * cache.dropout_mask
+
+    dh = np.zeros(cache.fmap_shape, dtype=probs.dtype)
+    spread = (dfeat / cache.pool_denominator)[:, None, None, :]
+    if cache.kept is None:
+        dh += spread
+    else:
+        start, count = cache.kept
+        dh[:, :, start : start + count, :] = spread
+
+    for i in reversed(range(len(cache.conv_caches))):
+        dz = silu_backward(dh, cache.preacts[i])
+        dh, dw, db = conv2d_backward(dz, cache.conv_caches[i])
+        grads.get(f"conv{i}_w")[...] = dw
+        grads.get(f"conv{i}_b")[...] = db
+    return loss, grads, dh
 
 
 def forward_batch(
@@ -403,61 +503,15 @@ def forward_batch(
     """
     x = np.asarray(x, dtype=cfg.np_dtype)
     img, image_cache = eeg_to_image_batch(x, params.embedding, cfg.row_layout, cfg.stride)
-
-    h = img
-    conv_caches, preacts = [], []
-    for w, b in zip(params.conv_w, params.conv_b):
-        z, cc = conv2d_forward(h, w, b, cfg.conv_stride)
-        h = silu(z)
-        conv_caches.append(cc)
-        preacts.append(z)
-
-    fmap = h
-    if cfg.pool_full_width:
-        kept = None
-        pooled_region = fmap
-    else:
-        start, count = central_columns(fmap.shape[2], cfg.central_fraction)
-        kept = (start, count)
-        pooled_region = fmap[:, :, start : start + count, :]
-    denom = float(pooled_region.shape[1] * pooled_region.shape[2])
-    feat = pooled_region.sum(axis=(1, 2)) / denom
-
-    if train and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("train-mode forward with dropout needs an rng")
-        keep = 1.0 - cfg.dropout_rate
-        mask = (rng.random(feat.shape) < keep).astype(feat.dtype) / keep
-        feat_dropped = feat * mask
-    else:
-        mask = None
-        feat_dropped = feat
-
-    logits = feat_dropped @ params.dense_w + params.dense_b
-    probs = softmax(logits)
-
-    if not want_cache:
-        return probs, feat
-    cache = ForwardCache(
-        image_cache=image_cache,
-        conv_caches=conv_caches,
-        preacts=preacts,
-        fmap_shape=fmap.shape,
-        kept=kept,
-        pool_denominator=denom,
-        dropout_mask=mask,
-        feat_dropped=feat_dropped,
-        probs=probs,
+    out = backbone_forward(
+        img, params, cfg.conv_stride,
+        central_fraction=None if cfg.pool_full_width else cfg.central_fraction,
+        dropout_rate=cfg.dropout_rate if train else 0.0,
+        rng=rng, want_cache=want_cache,
     )
-    return probs, feat, cache
-
-
-def kl_div_rows(y: np.ndarray, p: np.ndarray, clip: float = 1e-15) -> np.ndarray:
-    """Per-row KL(y || p) with 0*ln(0/.) = 0 and p clipped away from zero."""
-    p = np.maximum(p, clip)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(y > 0, y * (np.log(np.maximum(y, clip)) - np.log(p)), 0.0)
-    return terms.sum(axis=-1)
+    if want_cache:
+        out[2].image_cache = image_cache
+    return out
 
 
 def backward_batch(
@@ -471,39 +525,9 @@ def backward_batch(
 
     Returns (loss, grads) where grads mirrors the parameter shapes.
     """
-    probs = cache.probs
-    loss = float((weights * kl_div_rows(y, probs)).sum())
-    if not np.isfinite(loss):
-        raise FloatingPointError(
-            f"non-finite loss {loss}; prob range [{probs.min()}, {probs.max()}]"
-        )
-
-    grads = params.zeros_like()
-    dlogits = (weights[:, None] * (probs - y)).astype(cfg.np_dtype)
-
-    grads.dense_w[...] = cache.feat_dropped.T @ dlogits
-    grads.dense_b[...] = dlogits.sum(axis=0)
-    dfeat = dlogits @ params.dense_w.T
-    if cache.dropout_mask is not None:
-        dfeat = dfeat * cache.dropout_mask
-
-    dfmap = np.zeros(cache.fmap_shape, dtype=cfg.np_dtype)
-    spread = (dfeat / cache.pool_denominator)[:, None, None, :]
-    if cache.kept is None:
-        dfmap += spread
-    else:
-        start, count = cache.kept
-        dfmap[:, :, start : start + count, :] = spread
-
-    dh = dfmap
-    for i in reversed(range(len(params.conv_w))):
-        dz = silu_backward(dh, cache.preacts[i])
-        dh, dw, db = conv2d_backward(dz, cache.conv_caches[i])
-        grads.conv_w[i][...] = dw
-        grads.conv_b[i][...] = db
-
+    loss, grads, dimg = backbone_backward(y, weights, params, cache)
     if cfg.learnable_embedding:
-        grads.embedding[...] = eeg_to_image_backward(dh, cache.image_cache)
+        grads.get("embedding")[...] = eeg_to_image_backward(dimg, cache.image_cache)
     return loss, grads
 
 
@@ -524,25 +548,6 @@ def forward(
         seg_samples[None], params, cfg, train=(mode == "train"), rng=rng
     )
     return probs[0], feat[0]
-
-
-def backward(
-    seg_samples: np.ndarray,
-    params: ModelParams,
-    cfg: ModelConfig,
-    target: np.ndarray,
-    weight: float,
-    rng: np.random.Generator | None = None,
-    train: bool = False,
-) -> tuple[float, ModelParams]:
-    """Loss and exact gradients of weight * KL(target || prediction) for one
-    segment."""
-    _, _, cache = forward_batch(
-        seg_samples[None], params, cfg, train=train, rng=rng, want_cache=True
-    )
-    return backward_batch(
-        np.asarray(target)[None], np.array([weight]), params, cfg, cache
-    )
 
 
 def eeg_to_image(seg_samples: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
@@ -582,36 +587,47 @@ def save_checkpoint(path: Path, params: ModelParams, cfg: ModelConfig, meta: dic
 
 
 def load_checkpoint(path: Path) -> tuple[ModelParams, ModelConfig, dict]:
+    """Read a checkpoint and its sidecar; every tensor the sidecar's config
+    names must be present with its shape, and no other."""
     path = Path(path)
-    arrays: dict[str, np.ndarray] = {}
+    tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
+
+        def read(n: int, what: str) -> bytes:
+            raw = f.read(n)
+            if len(raw) != n:
+                raise ValueError(f"{path}: truncated in {what}")
+            return raw
+
         if f.read(8) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", f.read(8))
+        version, count = struct.unpack("<II", read(8, "the header"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode()
-            dcode, ndim = struct.unpack("<BB", f.read(2))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
+        for i in range(count):
+            (nlen,) = struct.unpack("<I", read(4, f"tensor #{i}"))
+            name = read(nlen, f"tensor #{i}").decode()
+            dcode, ndim = struct.unpack("<BB", read(2, f"tensor {name!r}"))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"tensor {name!r}"))
             dtype = np.dtype(_DTYPE_FROM_CODE[dcode])
-            raw = f.read(int(np.prod(shape)) * dtype.itemsize)
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            raw = read(int(np.prod(shape)) * dtype.itemsize, f"tensor {name!r}")
+            tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     with open(path.with_suffix(path.suffix + ".json")) as f:
         sidecar = json.load(f)
     cfg_dict = dict(sidecar["config"])
     cfg_dict["backbone_channels"] = tuple(cfg_dict["backbone_channels"])
     cfg = ModelConfig(**cfg_dict)
-    n_stages = len(cfg.backbone_channels)
-    params = ModelParams(
-        embedding=arrays["embedding"],
-        conv_w=[arrays[f"conv{i}_w"] for i in range(n_stages)],
-        conv_b=[arrays[f"conv{i}_b"] for i in range(n_stages)],
-        dense_w=arrays["dense_w"],
-        dense_b=arrays["dense_b"],
-    )
-    return params, cfg, sidecar
+    shapes = param_shapes(cfg)
+    for name in tensors:
+        if name not in shapes:
+            raise ValueError(f"{path}: unexpected tensor {name!r}")
+    for name, shape in shapes.items():
+        if name not in tensors:
+            raise ValueError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape "
+                             f"{tensors[name].shape}, the config expects {shape}")
+    return ModelParams({name: tensors[name] for name in shapes}), cfg, sidecar
 
 
 def variant_config(base: ModelConfig, tag: str) -> ModelConfig:

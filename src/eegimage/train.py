@@ -108,12 +108,13 @@ def lr_at(step: int, total_steps: int, cfg: StageConfig) -> float:
 
 
 class Adam:
-    """Adaptive moment estimation over the named trainable arrays."""
+    """Adaptive moment estimation over named arrays of a :class:`ModelParams`
+    (all of them unless names are given)."""
 
-    def __init__(self, params: ModelParams, cfg: ModelConfig,
+    def __init__(self, params: ModelParams, names: list[str] | None = None,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.names = params.trainable_names(cfg)
+        self.names = list(params.arrays) if names is None else list(names)
         self.m = {n: np.zeros_like(params.get(n)) for n in self.names}
         self.v = {n: np.zeros_like(params.get(n)) for n in self.names}
         self.t = 0
@@ -153,6 +154,8 @@ def load_dataset(manifest: DatasetManifest, spec: FilterSpec,
     for e in manifest.entries:
         p = Path(data_dir) / e.path if data_dir is not None else manifest.segment_path(e)
         seg = read_signal(p)
+        if seg.fs != spec.fs:
+            raise ValueError(f"{p}: sampled at {seg.fs} Hz, the filter expects {spec.fs} Hz")
         segs.append(filter_array(seg.samples, spec))
     return Dataset(
         x_uv=np.stack(segs).astype(np.float32),
@@ -223,7 +226,7 @@ def train_stage(
 
     n_batches = -(-idx.size // stage.batch_size)
     total_steps = stage.epochs * n_batches
-    adam = Adam(params, model_cfg)
+    adam = Adam(params, params.trainable_names(model_cfg))
     best = StageResult(params=params.copy(), best_val_loss=float("inf"))
     step = 0
     for epoch in range(stage.epochs):
@@ -243,7 +246,10 @@ def train_stage(
             _, _, cache = forward_batch(
                 xb_scaled, params, model_cfg, train=True, rng=rng, want_cache=True
             )
-            loss_sum, grads = backward_batch(yb, wb, params, model_cfg, cache)
+            try:
+                loss_sum, grads = backward_batch(yb, wb, params, model_cfg, cache)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"epoch {epoch} step {step}: {e}") from e
             wsum = wb.sum()
             batch_loss = loss_sum / wsum
             for name in adam.names:
@@ -252,10 +258,9 @@ def train_stage(
             lr = lr_at(step, total_steps, stage)
             adam.step(params, grads, lr)
             if model_cfg.learnable_embedding:
-                g_, k_, l_ = params.embedding.shape
-                params.embedding = project_rows_simplex(
-                    params.embedding.reshape(-1, l_)
-                ).reshape(g_, k_, l_)
+                emb = params.embedding
+                params.set("embedding", project_rows_simplex(
+                    emb.reshape(-1, emb.shape[-1])).reshape(emb.shape))
             epoch_losses.append(batch_loss)
             step += 1
         val = validation_loss(x_val_scaled, y_val, params, model_cfg)
@@ -273,12 +278,7 @@ def train_stage(
             best.best_val_loss = val
             best.params = params.copy()
     # restore the best snapshot so the caller continues from it
-    restored = best.params.copy()
-    params.embedding = restored.embedding
-    params.conv_w = restored.conv_w
-    params.conv_b = restored.conv_b
-    params.dense_w = restored.dense_w
-    params.dense_b = restored.dense_b
+    params.arrays = best.params.copy().arrays
     return best
 
 
@@ -342,14 +342,16 @@ def run_cv(
             if log is not None:
                 log({"fold": fold, "stage": stage_name, **rec})
 
-        r1 = train_stage(
-            params, model_cfg, stage1, ds, train_idx, x_val, y_val,
-            augment_cfg, rng, log=lambda rec: plog(rec, stage_name=1),
-        )
-        r2 = train_stage(
-            params, model_cfg, stage2, ds, train_idx, x_val, y_val,
-            augment_cfg, rng, log=lambda rec: plog(rec, stage_name=2),
-        )
+        stage_results = []
+        for stage_name, stage in ((1, stage1), (2, stage2)):
+            try:
+                stage_results.append(train_stage(
+                    params, model_cfg, stage, ds, train_idx, x_val, y_val, augment_cfg,
+                    rng, log=lambda rec, s=stage_name: plog(rec, stage_name=s),
+                ))
+            except FloatingPointError as e:
+                raise FloatingPointError(f"fold {f} stage {stage_name} {e}") from e
+        r1, r2 = stage_results
         oof[val_idx] = predict_batched(x_val, params, model_cfg)
         ckpt = None
         if out_dir is not None:

@@ -100,8 +100,8 @@ def _low_dim_q(y: np.ndarray):
     return np.maximum(q, _EPS), num
 
 
-def kl_objective(p: np.ndarray, y: np.ndarray) -> float:
-    q, _ = _low_dim_q(y)
+def kl_objective(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(P || Q) over the off-diagonal entries, for Q from :func:`_low_dim_q`."""
     mask = ~np.eye(p.shape[0], dtype=bool)
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
@@ -143,10 +143,10 @@ def tsne(embeddings: np.ndarray, cfg: TsneConfig) -> TsneResult:
     inc = np.zeros_like(y)
     gains = np.ones_like(y)
     trace = np.empty(cfg.iterations)
+    q, num = _low_dim_q(y)
 
     for it in range(cfg.iterations):
         p = p_true * cfg.exaggeration if it < cfg.exaggeration_iters else p_true
-        q, num = _low_dim_q(y)
         pq = (p - q) * num
         grad = 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
         momentum = cfg.momentum_early if it < cfg.exaggeration_iters else cfg.momentum_late
@@ -156,7 +156,9 @@ def tsne(embeddings: np.ndarray, cfg: TsneConfig) -> TsneResult:
         inc = momentum * inc - learning_rate * gains * grad
         y = y + inc
         y -= y.mean(axis=0)  # keep translation-centered every iteration
-        trace[it] = kl_objective(p_true, y)
+        # the Q of the new map serves both this trace entry and the next step
+        q, num = _low_dim_q(y)
+        trace[it] = kl_objective(p_true, q)
 
     return TsneResult(coords=y, objective_trace=trace)
 

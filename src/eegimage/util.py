@@ -1,15 +1,13 @@
-"""Small shared helpers: canonical JSON, config hashing, dataclass plumbing."""
+"""Small shared helpers: canonical JSON and config hashing."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
-from typing import Any, Type, TypeVar
+from typing import Any
 
 import numpy as np
-
-T = TypeVar("T")
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -38,26 +36,3 @@ def config_hash(obj: Any) -> str:
     """Short stable hash identifying a configuration."""
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
-
-def dataclass_from_dict(cls: Type[T], data: dict) -> T:
-    """Build a dataclass from a dict, rejecting unknown keys.
-
-    Nested dataclass fields are built recursively; list values are coerced
-    to tuples when the field default is a tuple.
-    """
-    import typing
-
-    field_map = {f.name: f for f in dataclasses.fields(cls)}
-    hints = typing.get_type_hints(cls)
-    unknown = set(data) - set(field_map)
-    if unknown:
-        raise ValueError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        ftype = hints.get(name)
-        if isinstance(value, dict) and isinstance(ftype, type) and dataclasses.is_dataclass(ftype):
-            value = dataclass_from_dict(ftype, value)
-        elif isinstance(value, list) and isinstance(field_map[name].default, tuple):
-            value = tuple(value)
-        kwargs[name] = value
-    return cls(**kwargs)

@@ -107,7 +107,7 @@ def test_pretext_deterministic_and_transfers():
         np.testing.assert_array_equal(a, b)
     # trained weights moved away from the random init they started from
     proto = init_params(cfg, seed=3 + 17)
-    assert max(np.abs(a - p).max() for a, p in zip(w1, proto.conv_w)) > 0
+    assert max(np.abs(a - p).max() for a, p in zip(w1, [w for w, _ in proto.conv_layers()])) > 0
     assert all(w.dtype == cfg.np_dtype for w in w1)
 
 

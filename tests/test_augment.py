@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from eegimage.augment import (
     AugmentConfig,
-    apply,
     apply_array,
     invert,
     mask_window_array,
@@ -16,24 +15,12 @@ from eegimage.augment import (
     swap_lr,
     time_reverse,
 )
-from eegimage.data import LEFT_CHANNELS, RIGHT_CHANNELS, EegSegment
+from eegimage.data import LEFT_CHANNELS, RIGHT_CHANNELS
 
 
 def random_samples(seed=0, n_ch=16, t=200):
     # normal draws are nonzero almost surely, so masked entries are countable
     return np.random.default_rng(seed).normal(size=(n_ch, t)) * 40
-
-
-def make_segment(samples, fs=100.0):
-    return EegSegment(
-        samples=samples,
-        fs=fs,
-        segment_id="s0",
-        recording_id="r0",
-        patient_id="p0",
-        t_total_s=samples.shape[1] / fs,
-        t_center_s=samples.shape[1] / fs / 5,
-    )
 
 
 def sorted_rows(x):
@@ -240,15 +227,6 @@ def test_mask_only_apply_zeroes_one_contiguous_window():
     rows = np.unique(changed.nonzero()[0])
     for r in rows:
         np.testing.assert_array_equal(changed[r].nonzero()[0], cols)
-
-
-def test_apply_segment_keeps_metadata_and_dtype():
-    seg = make_segment(random_samples(21).astype(np.float32))
-    out = apply(seg, AugmentConfig(), np.random.default_rng(0))
-    assert out.samples.dtype == np.float32
-    assert out.samples.shape == seg.samples.shape
-    assert out.segment_id == seg.segment_id
-    assert out.patient_id == seg.patient_id
 
 
 def test_deterministic_ops_preserve_amplitude_distribution():

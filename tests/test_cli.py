@@ -10,6 +10,9 @@ import pytest
 
 from eegimage.cli import DATA_DIR_ENV, main
 from eegimage.data import load_manifest, read_signal
+from eegimage.model import load_checkpoint
+from eegimage.preprocess import FilterSpec, clip_scale_array
+from eegimage.train import ensemble_predict, load_dataset, load_predictions
 
 
 def run_gen(out, patients=3, segments=2, seed=0, extra=()):
@@ -217,6 +220,59 @@ def test_predict_without_checkpoints_exits_1(trained_run, tmp_path, capsys):
     rc = main(["predict", "--data-dir", str(data), "--run-dir", str(tmp_path)])
     assert rc == 1
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_predict_rejects_segments_at_another_rate(trained_run, tmp_path, capsys):
+    _, run = trained_run
+    other = tmp_path / "d200"
+    assert main(["gen", "--out-dir", str(other), "--patients", "3", "--segments", "2",
+                 "--fs", "200", "--duration", "5", "--seed", "0"]) == 0
+    rc = main(["predict", "--data-dir", str(other), "--run-dir", str(run),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "s000000.eeg" in err and "200.0 Hz" in err
+
+
+def test_predict_serves_the_recorded_causal_filter(tmp_path):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert run_gen(data, patients=6, segments=3) == 0
+    assert main(["train", "--data-dir", str(data), "--out-dir", str(run),
+                 "--folds", "2", "--stage1-epochs", "2", "--stage2-epochs", "1",
+                 "--batch-size", "8", "--backbone", "6,8", "--no-pretrain",
+                 "--no-augment", "--seed", "0", "--filter-mode", "causal"]) == 0
+    out_csv = tmp_path / "preds.csv"
+    assert main(["predict", "--data-dir", str(data), "--run-dir", str(run),
+                 "--out", str(out_csv)]) == 0
+    _, served = load_predictions(out_csv)
+    manifest = load_manifest(data / "manifest.csv")
+    models = [load_checkpoint(p)[:2] for p in sorted(run.glob("fold*.ckpt"))]
+
+    def ensemble(mode):
+        ds = load_dataset(manifest, FilterSpec(fs=100.0, mode=mode))
+        return ensemble_predict(models, clip_scale_array(ds.x_uv))
+
+    # predictions.csv holds 12 decimals
+    assert np.abs(served - ensemble("causal")).max() < 1e-11
+    assert np.abs(served - ensemble("zero_phase")).max() > 1e-6
+
+
+def test_non_finite_loss_exits_1_naming_where(tmp_path, capsys, monkeypatch):
+    import eegimage.train as train
+
+    data = tmp_path / "data"
+    assert run_gen(data, patients=6, segments=3) == 0
+
+    def non_finite(*a, **k):
+        raise FloatingPointError("non-finite loss nan")
+
+    monkeypatch.setattr(train, "backward_batch", non_finite)
+    capsys.readouterr()
+    rc = main(["train", "--data-dir", str(data), "--out-dir", str(tmp_path / "run"),
+               "--folds", "2", "--backbone", "6,8", "--no-pretrain", "--seed", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: fold 0 stage 1 epoch 0 step 0: non-finite loss nan\n")
 
 
 def test_tsne_subcommand(trained_run, tmp_path, capsys):

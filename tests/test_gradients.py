@@ -36,8 +36,8 @@ def make_problem(seed=0, n=2):
     cfg = check_cfg()
     params = init_params(cfg, seed)
     # zero dense head would hide head-input gradients; use a small random one
-    params.dense_w = rng.normal(size=params.dense_w.shape) * 0.1
-    params.dense_b = rng.normal(size=params.dense_b.shape) * 0.01
+    params.set("dense_w", rng.normal(size=params.get("dense_w").shape) * 0.1)
+    params.set("dense_b", rng.normal(size=params.get("dense_b").shape) * 0.01)
     x = rng.standard_normal((n, 4, 100))
     y = rng.random((n, 6))
     y /= y.sum(axis=1, keepdims=True)
@@ -104,8 +104,8 @@ def test_weight_doubling_doubles_gradients():
 
 def test_prediction_equals_target_is_stationary():
     cfg, params, x, _, weights = make_problem(seed=4)
-    params.dense_w[...] = 0.0
-    params.dense_b[...] = 0.0
+    params.get("dense_w")[...] = 0.0
+    params.get("dense_b")[...] = 0.0
     _, _, cache = forward_batch(x, params, cfg, want_cache=True)
     y = cache.probs.copy()  # exactly uniform
     loss, grads = backward_batch(y, weights, params, cfg, cache)
@@ -151,7 +151,7 @@ def test_frozen_embedding_gets_no_gradient():
         learnable_embedding=False,
     )
     params = init_params(cfg, seed=7)
-    params.dense_w = rng.normal(size=params.dense_w.shape) * 0.1
+    params.set("dense_w", rng.normal(size=params.get("dense_w").shape) * 0.1)
     x = rng.standard_normal((2, 4, 100))
     y = rng.random((2, 6))
     y /= y.sum(axis=1, keepdims=True)
@@ -175,7 +175,7 @@ def test_gradient_through_dropout_mask():
     )
     rng = np.random.default_rng(8)
     params = init_params(cfg, seed=8)
-    params.dense_w = rng.normal(size=params.dense_w.shape) * 0.1
+    params.set("dense_w", rng.normal(size=params.get("dense_w").shape) * 0.1)
     x = rng.standard_normal((2, 4, 100))
     y = np.full((2, 6), 1.0 / 6)
     _, _, cache = forward_batch(
@@ -184,4 +184,4 @@ def test_gradient_through_dropout_mask():
     _, grads = backward_batch(y, np.ones(2), params, cfg, cache)
     # dense gradient uses the dropped features, not the clean ones
     dlogits = cache.probs - y
-    assert np.allclose(grads.dense_w, cache.feat_dropped.T @ dlogits, atol=1e-12)
+    assert np.allclose(grads.get("dense_w"), cache.feat_dropped.T @ dlogits, atol=1e-12)

@@ -14,8 +14,8 @@ from scipy.optimize import minimize
 from eegimage.model import (
     ABLATION_VARIANTS,
     ModelConfig,
+    ModelParams,
     central_columns,
-    central_select,
     conv2d_backward,
     conv2d_forward,
     eeg_to_image,
@@ -209,7 +209,7 @@ def test_constant_input_preserved():
     params = init_params(cfg, seed=5)
     # random feasible kernels, not just the init
     rng = np.random.default_rng(11)
-    params.embedding = project_rows_simplex(rng.normal(size=(3, 10, 10)))
+    params.set("embedding", project_rows_simplex(rng.normal(size=(3, 10, 10))))
     img = eeg_to_image(np.full((16, 500), 37.25), params, cfg)
     assert np.max(np.abs(img - 37.25)) < 1e-12
 
@@ -217,7 +217,7 @@ def test_constant_input_preserved():
 def test_uniform_kernels_give_windowed_means():
     cfg = small_cfg()
     params = init_params(cfg, seed=0)
-    params.embedding = np.full((3, 3, 5), 1.0 / 5)
+    params.set("embedding", np.full((3, 3, 5), 1.0 / 5))
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 40))
     img = eeg_to_image(x, params, cfg)
@@ -330,14 +330,14 @@ def test_central_columns_small_width_errors():
 def test_central_select_locality():
     rng = np.random.default_rng(12)
     fmap = rng.normal(size=(2, 3, 10, 4))
-    base = central_select(fmap).copy()
     start, count = central_columns(10)
+    base = fmap[:, :, start : start + count, :].copy()
     perturbed = fmap.copy()
     for col in range(10):
         if start <= col < start + count:
             continue
         perturbed[:, :, col, :] += 100.0
-    assert np.array_equal(central_select(perturbed), base)
+    assert np.array_equal(perturbed[:, :, start : start + count, :], base)
 
 
 @given(st.integers(5, 2000))
@@ -371,7 +371,7 @@ def test_forward_zero_head_is_uniform():
 def test_forward_eval_is_pure():
     cfg = small_cfg(dropout_rate=0.3)
     params = init_params(cfg, seed=1)
-    params.dense_w = np.random.default_rng(1).normal(size=params.dense_w.shape) * 0.1
+    params.set("dense_w", np.random.default_rng(1).normal(size=params.get("dense_w").shape) * 0.1)
     x = np.random.default_rng(2).normal(size=(4, 100))
     p1, f1 = forward(x, params, cfg)
     p2, f2 = forward(x, params, cfg)
@@ -381,7 +381,7 @@ def test_forward_eval_is_pure():
 def test_forward_probabilities_positive_sum_one():
     cfg = small_cfg(input_mean=0.0)
     params = init_params(cfg, seed=3)
-    params.dense_w = np.random.default_rng(3).normal(size=params.dense_w.shape) * 0.1
+    params.set("dense_w", np.random.default_rng(3).normal(size=params.get("dense_w").shape) * 0.1)
     probs, _ = forward(np.random.default_rng(4).normal(size=(4, 100)), params, cfg)
     assert abs(probs.sum() - 1.0) < 1e-9
     assert probs.min() > 0.0
@@ -407,6 +407,34 @@ def test_train_mode_dropout_needs_rng():
     params = init_params(cfg, seed=0)
     with pytest.raises(ValueError):
         forward_batch(np.zeros((1, 4, 40)), params, cfg, train=True)
+
+
+def test_eval_forward_keeps_one_stage_of_im2col_columns(monkeypatch):
+    import weakref
+
+    import eegimage.model as model
+
+    cfg = small_cfg(backbone_channels=(6, 8, 10))
+    params = init_params(cfg, seed=0)
+    x = np.random.default_rng(5).normal(size=(3, 4, 200))
+    conv = model.conv2d_forward
+    seen, peak = [], []
+
+    def tracked(*a):
+        # bytes of the columns of every stage so far that are still alive
+        r = conv(*a)
+        seen.append((weakref.ref(r[1][0]), r[1][0].nbytes))
+        peak.append(sum(nb for ref, nb in seen if ref() is not None))
+        return r
+
+    monkeypatch.setattr(model, "conv2d_forward", tracked)
+    forward_batch(x, params, cfg)
+    stages = [nb for _, nb in seen]
+    assert len(stages) == 3 and max(peak) == max(stages)
+    # a forward that keeps its cache for the backward pass holds every stage
+    seen.clear(), peak.clear()
+    forward_batch(x, params, cfg, want_cache=True)
+    assert max(peak) == sum(stages)
 
 
 def test_dropout_scaling_preserves_expectation():
@@ -442,7 +470,7 @@ def test_ravel_round_trip():
     cfg = small_cfg()
     params = init_params(cfg, seed=7)
     rng = np.random.default_rng(7)
-    params.dense_w = rng.normal(size=params.dense_w.shape)
+    params.set("dense_w", rng.normal(size=params.get("dense_w").shape))
     vec = params.ravel(cfg)
     assert vec.size == params.n_trainable(cfg)
     clone = init_params(cfg, seed=99)
@@ -470,16 +498,17 @@ def test_gradient_buffer_shapes_mirror_params():
 def test_init_params_first_bias_centers_input():
     cfg = small_cfg(input_mean=127.5)
     params = init_params(cfg, seed=2)
-    w0 = params.conv_w[0]
-    assert np.allclose(params.conv_b[0], -127.5 * w0.sum(axis=(0, 1, 2)), atol=1e-9)
-    assert not params.dense_w.any() and not params.dense_b.any()
+    w0 = params.get("conv0_w")
+    assert np.allclose(params.get("conv0_b"), -127.5 * w0.sum(axis=(0, 1, 2)), atol=1e-9)
+    assert not params.get("dense_w").any() and not params.get("dense_b").any()
 
 
 def test_init_params_backbone_transfer_and_mismatch():
     cfg = small_cfg()
     donor = init_params(cfg, seed=1)
-    got = init_params(cfg, seed=2, backbone=(donor.conv_w, donor.conv_b))
-    for a, b in zip(got.conv_w, donor.conv_w):
+    layers = donor.conv_layers()
+    got = init_params(cfg, seed=2, backbone=([w for w, _ in layers], [b for _, b in layers]))
+    for (a, _), (b, _) in zip(got.conv_layers(), layers):
         assert np.array_equal(a, b)
     bad = ([np.zeros((3, 3, 3, 4))], [np.zeros(4)])
     with pytest.raises(ValueError):
@@ -492,7 +521,7 @@ def test_init_params_backbone_transfer_and_mismatch():
 def test_checkpoint_round_trip(tmp_path):
     cfg = small_cfg()
     params = init_params(cfg, seed=4)
-    params.dense_w = np.random.default_rng(4).normal(size=params.dense_w.shape)
+    params.set("dense_w", np.random.default_rng(4).normal(size=params.get("dense_w").shape))
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, cfg, meta={"fold": 3, "note": "x"})
     loaded, cfg2, meta = load_checkpoint(path)
@@ -524,6 +553,48 @@ def test_checkpoint_rejects_corrupt_magic(tmp_path):
     raw[:8] = b"NOTMAGIC"
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_reload_and_save_is_byte_identical(tmp_path):
+    cfg = small_cfg(dtype="float32")
+    params = init_params(cfg, seed=6)
+    rng = np.random.default_rng(6)
+    params.set("dense_w", rng.normal(size=params.get("dense_w").shape).astype(np.float32))
+    first = tmp_path / "a.ckpt"
+    save_checkpoint(first, params, cfg, meta={"fold": 1, "seed": 6, "best_val_loss": 0.1234567891})
+    loaded, cfg2, sidecar = load_checkpoint(first)
+    second = tmp_path / "b.ckpt"
+    save_checkpoint(second, loaded, cfg2, meta=sidecar)
+    assert second.read_bytes() == first.read_bytes()
+    assert (second.with_suffix(".ckpt.json").read_bytes()
+            == first.with_suffix(".ckpt.json").read_bytes())
+
+
+@pytest.mark.parametrize("fault, tensor", [
+    ("missing", "conv1_b"), ("extra", "conv2_w"), ("shape", "dense_w"),
+])
+def test_checkpoint_rejects_tensors_the_config_does_not_name(tmp_path, fault, tensor):
+    cfg = small_cfg()
+    arrays = dict(init_params(cfg, seed=0).named_arrays())
+    if fault == "missing":
+        del arrays[tensor]
+    elif fault == "extra":
+        arrays[tensor] = np.zeros((3, 3, 8, 8))
+    else:
+        arrays[tensor] = np.zeros((7, cfg.n_classes))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, ModelParams(arrays), cfg)
+    with pytest.raises(ValueError, match=rf"m\.ckpt.*'{tensor}'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncation(tmp_path):
+    cfg = small_cfg()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_params(cfg, seed=0), cfg)
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(ValueError, match=r"m\.ckpt: truncated in tensor 'dense_b'"):
         load_checkpoint(path)
 
 

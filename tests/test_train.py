@@ -244,7 +244,7 @@ def test_equal_weights_make_stage_losses_coincide():
     rng = np.random.default_rng(5)
     cfg = tiny_cfg(dtype="float64", input_mean=0.0, dropout_rate=0.0)
     params = init_params(cfg, seed=5)
-    params.dense_w = rng.normal(size=params.dense_w.shape) * 0.1
+    params.set("dense_w", rng.normal(size=params.get("dense_w").shape) * 0.1)
     x = rng.standard_normal((8, 4, 100))
     y = rng.random((8, 6))
     y /= y.sum(axis=1, keepdims=True)
@@ -260,11 +260,11 @@ def test_equal_weights_make_stage_losses_coincide():
 def test_adam_first_step_size_is_lr():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=0)
-    before = params.dense_b.copy()
+    before = params.get("dense_b").copy()
     grads = params.zeros_like()
-    grads.dense_b[...] = 5.0
-    Adam(params, cfg).step(params, grads, lr=1e-2)
-    moved = before - params.dense_b
+    grads.get("dense_b")[...] = 5.0
+    Adam(params, params.trainable_names(cfg)).step(params, grads, lr=1e-2)
+    moved = before - params.get("dense_b")
     # bias-corrected first step is lr * g / (|g| + eps) = ~lr
     assert np.allclose(moved, 1e-2, rtol=1e-6)
 
@@ -272,7 +272,7 @@ def test_adam_first_step_size_is_lr():
 def test_adam_skips_frozen_embedding():
     cfg = tiny_cfg(learnable_embedding=False)
     params = init_params(cfg, seed=0)
-    opt = Adam(params, cfg)
+    opt = Adam(params, params.trainable_names(cfg))
     assert "embedding" not in opt.names
 
 
@@ -486,7 +486,7 @@ def test_ensemble_mean_matches_oracle():
     sets = []
     for s in range(5):
         p = init_params(cfg, seed=s)
-        p.dense_w = rng.normal(size=p.dense_w.shape) * 0.05
+        p.set("dense_w", rng.normal(size=p.get("dense_w").shape) * 0.05)
         sets.append((p, cfg))
     x = clip_scale_array(rng.normal(scale=30, size=(4, 4, 100)).astype(np.float32))
     got = ensemble_predict(sets, x)
