@@ -9,6 +9,7 @@ artifact embeds the run's config hash and seed (JSON field or comment line).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -34,7 +35,7 @@ from .data import (
 )
 from .metrics import evaluate, optimal_threshold, roc_curve
 from .model import ModelConfig, load_checkpoint, variant_config
-from .preprocess import FilterSpec, clip_scale_array, filter_segment
+from .preprocess import FilterSpec, clip_scale_array, design_bandpass, filter_segment
 from .synthgen import SynthConfig, generate
 from .train import (
     default_stage1,
@@ -144,7 +145,8 @@ def cmd_preprocess(args) -> int:
         if spec is None:
             spec = FilterSpec(fs=seg.fs, order=cfg_d["order"], low_hz=cfg_d["low_hz"],
                               high_hz=cfg_d["high_hz"], mode=cfg_d["filter_mode"])
-        write_signal(out / e.path, filter_segment(seg, spec))
+            sos = design_bandpass(spec)
+        write_signal(out / e.path, filter_segment(seg, spec, sos))
     h = config_hash(spec)
     comment = f"config_hash={h} seed={cfg_d['seed']}"
     save_manifest(manifest, out / "manifest.csv", header_comment=comment)
@@ -353,6 +355,12 @@ def _load_fold_models(run_dir: Path):
     sets = []
     for c in ckpts:
         params, cfg, _ = load_checkpoint(c)
+        if sets and cfg != sets[0][1]:
+            first = sets[0][1]
+            fields = [f.name for f in dataclasses.fields(cfg)
+                      if getattr(cfg, f.name) != getattr(first, f.name)]
+            raise ValueError(f"{c}: model config differs from {ckpts[0]} "
+                             f"in {', '.join(fields)}")
         sets.append((params, cfg))
     return sets
 

@@ -312,7 +312,9 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int):
     return out.reshape(n, hout, wout, cout), cache
 
 
-def conv2d_backward(dout: np.ndarray, cache):
+def conv2d_backward(dout: np.ndarray, cache, want_dx: bool = True):
+    """(dx, dw, db) of a conv2d_forward. dx is None when want_dx is False,
+    which skips the second GEMM and the col2im scatter."""
     cols, w, stride, dims = cache
     n, h, win, c, hout, wout = dims
     kk = w.shape[0]
@@ -320,6 +322,8 @@ def conv2d_backward(dout: np.ndarray, cache):
     dflat = dout.reshape(-1, cout)
     dw = (cols.T @ dflat).reshape(w.shape)
     db = dflat.sum(axis=0)
+    if not want_dx:
+        return None, dw, db
     dcols = (dflat @ w.reshape(-1, cout).T).reshape(n, hout, wout, kk, kk, c)
     dxp = np.zeros((n, h + 2, win + 2, c), dtype=dout.dtype)
     for i in range(kk):
@@ -330,13 +334,23 @@ def conv2d_backward(dout: np.ndarray, cache):
     return dxp[:, 1 : h + 1, 1 : win + 1, :], dw, db
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    return x * expit(x)
-
-
-def silu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
+def silu(x: np.ndarray, with_grad: bool = False):
+    """x * sigmoid(x); with_grad also returns the local derivative
+    s + x*s*(1-s) that :func:`silu_backward` takes, from the same sigmoid."""
     s = expit(x)
-    return dout * (s + x * s * (1.0 - s))
+    h = x * s
+    if not with_grad:
+        return h
+    # h*(1-s) + s in place; h is exactly the x*s of the textbook form
+    g = 1.0 - s
+    g *= h
+    g += s
+    return h, g
+
+
+def silu_backward(dout: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Chain dout through SiLU, given the derivative its forward returned."""
+    return dout * grad
 
 
 def central_columns(w: int, fraction: int = 5) -> tuple[int, int]:
@@ -361,7 +375,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 @dataclass
 class ForwardCache:
     conv_caches: list
-    preacts: list
+    silu_grads: list  # per stage, dSiLU/dz at the pre-activation
     fmap_shape: tuple
     kept: tuple[int, int] | None
     pool_denominator: float
@@ -390,14 +404,16 @@ def backbone_forward(
     the stage.
     """
     h = img
-    conv_caches, preacts = [], []
+    conv_caches, silu_grads = [], []
     for w, b in params.conv_layers():
         z, cc = conv2d_forward(h, w, b, conv_stride)
-        h = silu(z)
         if want_cache:
+            h, g = silu(z, with_grad=True)
             conv_caches.append(cc)
-            preacts.append(z)
-        del cc  # else an eval forward holds this stage's columns through the next
+            silu_grads.append(g)
+        else:
+            h = silu(z)
+        del z, cc  # else an eval forward holds this stage's columns through the next
 
     if central_fraction is None:
         kept = None
@@ -424,7 +440,7 @@ def backbone_forward(
         return probs, feat
     cache = ForwardCache(
         conv_caches=conv_caches,
-        preacts=preacts,
+        silu_grads=silu_grads,
         fmap_shape=h.shape,
         kept=kept,
         pool_denominator=denom,
@@ -448,12 +464,14 @@ def backbone_backward(
     weights: np.ndarray,
     params: ModelParams,
     cache: ForwardCache,
-) -> tuple[float, ModelParams, np.ndarray]:
+    want_dimg: bool = False,
+) -> tuple[float, ModelParams, np.ndarray | None]:
     """Gradients of sum_i weights_i * KL(y_i || p_i) through the head, the
     pooling and the conv stack.
 
     Returns (loss, grads, dimg): grads mirrors params (an embedding, if
-    present, is left at zero) and dimg is the gradient w.r.t. the image.
+    present, is left at zero) and dimg is the gradient w.r.t. the image, or
+    None unless want_dimg.
     """
     probs = cache.probs
     loss = float((weights * kl_div_rows(y, probs)).sum())
@@ -480,8 +498,8 @@ def backbone_backward(
         dh[:, :, start : start + count, :] = spread
 
     for i in reversed(range(len(cache.conv_caches))):
-        dz = silu_backward(dh, cache.preacts[i])
-        dh, dw, db = conv2d_backward(dz, cache.conv_caches[i])
+        dz = silu_backward(dh, cache.silu_grads[i])
+        dh, dw, db = conv2d_backward(dz, cache.conv_caches[i], want_dx=i > 0 or want_dimg)
         grads.get(f"conv{i}_w")[...] = dw
         grads.get(f"conv{i}_b")[...] = db
     return loss, grads, dh
@@ -525,7 +543,8 @@ def backward_batch(
 
     Returns (loss, grads) where grads mirrors the parameter shapes.
     """
-    loss, grads, dimg = backbone_backward(y, weights, params, cache)
+    loss, grads, dimg = backbone_backward(y, weights, params, cache,
+                                          want_dimg=cfg.learnable_embedding)
     if cfg.learnable_embedding:
         grads.get("embedding")[...] = eeg_to_image_backward(dimg, cache.image_cache)
     return loss, grads
@@ -587,8 +606,9 @@ def save_checkpoint(path: Path, params: ModelParams, cfg: ModelConfig, meta: dic
 
 
 def load_checkpoint(path: Path) -> tuple[ModelParams, ModelConfig, dict]:
-    """Read a checkpoint and its sidecar; every tensor the sidecar's config
-    names must be present with its shape, and no other."""
+    """Read a checkpoint and its sidecar; the sidecar's config_hash must match
+    its config, and every tensor that config names must be present with its
+    shape, and no other."""
     path = Path(path)
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
@@ -617,6 +637,9 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, ModelConfig, dict]:
     cfg_dict = dict(sidecar["config"])
     cfg_dict["backbone_channels"] = tuple(cfg_dict["backbone_channels"])
     cfg = ModelConfig(**cfg_dict)
+    if sidecar.get("config_hash") != config_hash(cfg):
+        raise ValueError(f"{path}: sidecar config_hash {sidecar.get('config_hash')!r} "
+                         f"does not match its config, which hashes to {config_hash(cfg)!r}")
     shapes = param_shapes(cfg)
     for name in tensors:
         if name not in shapes:

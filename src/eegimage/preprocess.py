@@ -58,9 +58,14 @@ def bandpass_response(spec: FilterSpec, freqs_hz: np.ndarray) -> np.ndarray:
     return np.abs(h)
 
 
-def filter_array(x: np.ndarray, spec: FilterSpec) -> np.ndarray:
-    """Bandpass each row of a [channels x T] array."""
-    sos = design_bandpass(spec)
+def filter_array(x: np.ndarray, spec: FilterSpec, sos: np.ndarray | None = None) -> np.ndarray:
+    """Bandpass each row of a [channels x T] array.
+
+    sos is design_bandpass(spec), designed here when not given; a caller
+    filtering many arrays designs it once.
+    """
+    if sos is None:
+        sos = design_bandpass(spec)
     if spec.mode == "causal":
         return sps.sosfilt(sos, x, axis=-1)
     t = x.shape[-1]
@@ -74,8 +79,9 @@ def filter_array(x: np.ndarray, spec: FilterSpec) -> np.ndarray:
     return sps.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=padlen)
 
 
-def filter_segment(seg: EegSegment, spec: FilterSpec) -> EegSegment:
-    return seg.with_samples(filter_array(seg.samples, spec).astype(seg.samples.dtype))
+def filter_segment(seg: EegSegment, spec: FilterSpec,
+                   sos: np.ndarray | None = None) -> EegSegment:
+    return seg.with_samples(filter_array(seg.samples, spec, sos).astype(seg.samples.dtype))
 
 
 def clip_scale_array(x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .model import (
     project_rows_simplex,
     save_checkpoint,
 )
-from .preprocess import FilterSpec, clip_scale_array, filter_array
+from .preprocess import FilterSpec, clip_scale_array, design_bandpass, filter_array
 
 WEIGHT_ANNOTATORS = "annotator_count"
 WEIGHT_UNIFORM = "uniform"
@@ -150,13 +150,21 @@ class Dataset:
 
 def load_dataset(manifest: DatasetManifest, spec: FilterSpec,
                  data_dir: Path | None = None) -> Dataset:
-    segs = []
+    """Read and bandpass every segment of the manifest; each must be sampled
+    at spec.fs and shaped like the first."""
+    sos = design_bandpass(spec)
+    segs, first = [], None
     for e in manifest.entries:
         p = Path(data_dir) / e.path if data_dir is not None else manifest.segment_path(e)
         seg = read_signal(p)
         if seg.fs != spec.fs:
             raise ValueError(f"{p}: sampled at {seg.fs} Hz, the filter expects {spec.fs} Hz")
-        segs.append(filter_array(seg.samples, spec))
+        if first is None:
+            first = (p, seg.samples.shape)
+        elif seg.samples.shape != first[1]:
+            raise ValueError(f"{p}: {seg.samples.shape} (channels, samples), "
+                             f"the first segment {first[0]} is {first[1]}")
+        segs.append(filter_array(seg.samples, spec, sos))
     return Dataset(
         x_uv=np.stack(segs).astype(np.float32),
         y=manifest.soft_labels(),

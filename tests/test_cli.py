@@ -3,14 +3,16 @@ and the gen/train/evaluate/predict/tsne round trip on a tiny dataset."""
 
 import csv
 import json
+import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eegimage.cli import DATA_DIR_ENV, main
-from eegimage.data import load_manifest, read_signal
-from eegimage.model import load_checkpoint
+from eegimage.data import load_manifest, read_signal, write_signal
+from eegimage.model import init_params, load_checkpoint, save_checkpoint
 from eegimage.preprocess import FilterSpec, clip_scale_array
 from eegimage.train import ensemble_predict, load_dataset, load_predictions
 
@@ -232,6 +234,42 @@ def test_predict_rejects_segments_at_another_rate(trained_run, tmp_path, capsys)
     assert rc == 1
     err = capsys.readouterr().err
     assert "s000000.eeg" in err and "200.0 Hz" in err
+
+
+@pytest.mark.parametrize("ragged", ["channels", "samples"])
+def test_train_rejects_a_ragged_segment_naming_it(tmp_path, capsys, ragged):
+    data = tmp_path / "data"
+    assert run_gen(data, patients=3, segments=2) == 0
+    path = data / "signals" / "s000003.eeg"
+    seg = read_signal(path)
+    if ragged == "channels":
+        seg = seg.with_samples(seg.samples[:-1])
+    else:
+        seg = replace(seg, samples=seg.samples[:, :400], t_total_s=4.0, t_center_s=0.8)
+    write_signal(path, seg)
+    capsys.readouterr()
+    rc = main(["train", "--data-dir", str(data), "--out-dir", str(tmp_path / "run"),
+               "--folds", "2", "--backbone", "6,8", "--no-pretrain", "--seed", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "s000003.eeg" in err
+    assert str(seg.samples.shape) in err and "(16, 500)" in err
+
+
+def test_predict_rejects_folds_trained_with_another_config(trained_run, tmp_path, capsys):
+    data, run = trained_run
+    mixed = tmp_path / "mixed"
+    shutil.copytree(run, mixed)
+    cfg = load_checkpoint(mixed / "fold1.ckpt")[1]
+    other = replace(cfg, backbone_channels=(6, 10))
+    save_checkpoint(mixed / "fold1.ckpt", init_params(other, seed=0), other)
+    capsys.readouterr()
+    rc = main(["predict", "--data-dir", str(data), "--run-dir", str(mixed),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "fold1.ckpt" in err and "fold0.ckpt" in err and "backbone_channels" in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_predict_serves_the_recorded_causal_filter(tmp_path):

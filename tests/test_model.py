@@ -310,8 +310,108 @@ def test_silu_backward_matches_fd():
     x = np.linspace(-4, 4, 33)
     h = 1e-6
     fd = (silu(x + h) - silu(x - h)) / (2 * h)
-    got = silu_backward(np.ones_like(x), x)
+    got = silu_backward(np.ones_like(x), silu(x, with_grad=True)[1])
     assert np.max(np.abs(fd - got)) < 1e-8
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_backward_is_bit_equal_to_the_textbook_derivative(dtype):
+    from scipy.special import expit
+
+    rng = np.random.default_rng(11)
+    x = (rng.normal(size=(4, 5, 6, 7)) * 4).astype(dtype)
+    dout = rng.normal(size=x.shape).astype(dtype)
+    h, grad = silu(x, with_grad=True)
+    s = expit(x)
+    assert h.dtype == grad.dtype == dtype
+    assert np.array_equal(h, silu(x))
+    assert np.array_equal(silu_backward(dout, grad), dout * (s + x * s * (1.0 - s)))
+
+
+def test_conv2d_backward_without_input_gradient_keeps_dw_db():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(2, 9, 7, 3))
+    out, cache = conv2d_forward(x, rng.normal(size=(3, 3, 3, 5)), rng.normal(size=5), stride=2)
+    dout = rng.normal(size=out.shape)
+    _, dw, db = conv2d_backward(dout, cache)
+    dx, dw_only, db_only = conv2d_backward(dout, cache, want_dx=False)
+    assert dx is None
+    assert np.array_equal(dw_only, dw) and np.array_equal(db_only, db)
+
+
+def test_training_cache_holds_one_silu_derivative_per_stage(monkeypatch):
+    import eegimage.model as model
+
+    cfg = small_cfg(backbone_channels=(6, 8, 10))
+    params = init_params(cfg, seed=0)
+    x = np.random.default_rng(5).normal(size=(3, 4, 200))
+    _, _, cache = forward_batch(x, params, cfg, want_cache=True)
+    assert len(cache.silu_grads) == len(cache.conv_caches) == 3
+    for g, (_, _, _, dims), cout in zip(cache.silu_grads, cache.conv_caches,
+                                        cfg.backbone_channels):
+        n, _, _, _, hout, wout = dims
+        assert g.shape == (n, hout, wout, cout)
+    # an eval forward asks SiLU for no derivative
+    asked = []
+
+    def spy(z, with_grad=False):
+        asked.append(with_grad)
+        return silu(z, with_grad)
+
+    monkeypatch.setattr(model, "silu", spy)
+    forward_batch(x, params, cfg)
+    assert asked == [False] * 3
+
+
+def _spy_conv_backward(monkeypatch):
+    """Record, per conv2d_backward call, its input channel count and whether
+    it built the input gradient."""
+    import eegimage.model as model
+
+    calls, orig = [], model.conv2d_backward
+
+    def spy(dout, cache, *a, **k):
+        r = orig(dout, cache, *a, **k)
+        calls.append((cache[1].shape[2], r[0] is not None))
+        return r
+
+    monkeypatch.setattr(model, "conv2d_backward", spy)
+    return calls
+
+
+def test_frozen_embedding_skips_only_the_stage0_input_gradient(monkeypatch):
+    from eegimage.model import backward_batch
+
+    learn = small_cfg(backbone_channels=(6, 8, 10))
+    frozen = variant_config(learn, "no_eeg2img")
+    params = init_params(learn, seed=2)
+    rng = np.random.default_rng(2)
+    params.set("dense_w", rng.normal(size=params.get("dense_w").shape))
+    x = rng.normal(size=(3, 4, 200)) * 50 + 127.5
+    y = rng.dirichlet(np.ones(6), size=3)
+    w = np.array([1.0, 2.0, 3.0])
+    calls = _spy_conv_backward(monkeypatch)
+    grads = {}
+    for cfg in (learn, frozen):
+        _, _, cache = forward_batch(x, params, cfg, want_cache=True)
+        grads[cfg.learnable_embedding] = backward_batch(y, w, params, cfg, cache)
+    # (input channels, built dx) per call, last stage first: groups=3 is stage 0
+    assert calls == [(8, True), (6, True), (3, True), (8, True), (6, True), (3, False)]
+    (loss_l, g_l), (loss_f, g_f) = grads[True], grads[False]
+    assert loss_l == loss_f
+    for name in params.trainable_names(frozen):
+        assert np.array_equal(g_l.get(name), g_f.get(name)), name
+    assert not g_f.get("embedding").any() and g_l.get("embedding").any()
+
+
+def test_pretraining_never_builds_the_stage0_input_gradient(monkeypatch):
+    from eegimage.analysis import PretextConfig, pretrain_backbone
+
+    calls = _spy_conv_backward(monkeypatch)
+    pretrain_backbone(ModelConfig(backbone_channels=(6, 8)), seed=0,
+                      pretext=PretextConfig(n_train=64, n_test=16, epochs=1,
+                                            min_accuracy=0.0))
+    assert calls and all(built == (cin != 3) for cin, built in calls)
 
 
 # --- central temporal selection ---
@@ -586,6 +686,24 @@ def test_checkpoint_rejects_tensors_the_config_does_not_name(tmp_path, fault, te
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, ModelParams(arrays), cfg)
     with pytest.raises(ValueError, match=rf"m\.ckpt.*'{tensor}'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", ["hash", "config"])
+def test_checkpoint_rejects_a_sidecar_whose_hash_does_not_match(tmp_path, edit):
+    import json
+
+    cfg = small_cfg()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_params(cfg, seed=0), cfg)
+    side = path.with_suffix(".ckpt.json")
+    sidecar = json.loads(side.read_text())
+    if edit == "hash":
+        sidecar["config_hash"] = "0" * 16
+    else:
+        sidecar["config"]["dropout_rate"] = 0.5
+    side.write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match=r"m\.ckpt: sidecar config_hash"):
         load_checkpoint(path)
 
 

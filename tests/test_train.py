@@ -498,3 +498,30 @@ def test_ensemble_mean_matches_oracle():
 def test_ensemble_requires_models():
     with pytest.raises(ValueError):
         ensemble_predict([], np.zeros((1, 4, 100)))
+
+
+# --- dataset loading ---
+
+
+@pytest.mark.parametrize("mode", ["zero_phase", "causal"])
+def test_load_dataset_designs_the_bandpass_once(tmp_path, monkeypatch, mode):
+    import eegimage.train as train
+    from eegimage.data import read_signal
+    from eegimage.preprocess import FilterSpec, filter_array
+    from eegimage.synthgen import SynthConfig, generate
+
+    manifest = generate(SynthConfig(n_patients=2, segments_per_patient=3, fs=100.0,
+                                    t_total_s=5.0, seed=0), tmp_path)
+    designs, design = [], train.design_bandpass
+
+    def spy(spec):
+        designs.append(spec)
+        return design(spec)
+
+    monkeypatch.setattr(train, "design_bandpass", spy)
+    spec = FilterSpec(fs=100.0, mode=mode)
+    ds = train.load_dataset(manifest, spec)
+    assert designs == [spec]
+    per_segment = [filter_array(read_signal(manifest.segment_path(e)).samples, spec)
+                   for e in manifest.entries]
+    assert np.array_equal(ds.x_uv, np.stack(per_segment).astype(np.float32))
