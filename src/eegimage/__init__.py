@@ -24,7 +24,7 @@ from .data import (  # noqa: F401
     summarize,
 )
 from .metrics import EvalReport, evaluate, mean_kld, wilcoxon_rank_sum  # noqa: F401
-from .model import ModelConfig, eeg_to_image, init_params  # noqa: F401
+from .model import ModelConfig, init_params  # noqa: F401
 from .preprocess import FilterSpec, preprocess_segment  # noqa: F401
 from .synthgen import SynthConfig, generate  # noqa: F401
 from .train import (  # noqa: F401

@@ -15,7 +15,6 @@ import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 import numpy as np
-from scipy.special import expit
 
 from .util import config_hash, to_jsonable
 
@@ -204,9 +203,6 @@ class ModelParams:
         if i != vec.size:
             raise ValueError(f"parameter vector has {vec.size} entries, expected {i}")
 
-    def n_trainable(self, cfg: ModelConfig) -> int:
-        return sum(self.get(n).size for n in self.trainable_names(cfg))
-
 
 def init_params(
     cfg: ModelConfig,
@@ -248,6 +244,8 @@ def init_params(
 
 # --- layers (functional: forward returns a cache consumed by backward) ---
 
+CONV_PAD = 1  # zero border of every conv stage, on each side
+
 
 def eeg_to_image_batch(x: np.ndarray, embedding: np.ndarray, layout: str, stride: int):
     """[N x C x T] -> [N x H x W x groups] image via per-window convex
@@ -278,21 +276,49 @@ def eeg_to_image_batch(x: np.ndarray, embedding: np.ndarray, layout: str, stride
     return np.ascontiguousarray(img), cache
 
 
-def eeg_to_image_backward(dimg: np.ndarray, cache) -> np.ndarray:
-    """Gradient of the image w.r.t. the embedding kernels."""
-    win, emb_shape, layout, (n, c, k, w, g) = cache
-    if layout == "channel_major":
-        d5 = dimg.reshape(n, c, k, w, g)
-        demb = np.einsum("nckwg,ncwl->gkl", d5, win, optimize=True)
-    else:
-        d5 = dimg.reshape(n, k, c, w, g)
-        demb = np.einsum("nkcwg,ncwl->gkl", d5, win, optimize=True)
+def eeg_to_image_backward(dz0: np.ndarray, image_cache, conv0_cache) -> np.ndarray:
+    """Gradient w.r.t. the embedding kernels, from stage 0's pre-activation
+    gradient dz0, without forming the image gradient.
+
+    Image row r = s*ho + i - pad feeds output row ho through row tap i, so
+    for each (i, channel c) one GEMM contracts dz0's rows of channel c with
+    c's windows at every column tap j; the taps' weights then fold (j, o)
+    into (g, l), and kernel k(r) collects the result.
+    """
+    win, emb_shape, layout, (n, c, k, w, g) = image_cache
+    _, w0, stride, (_, h, _, _, hout, wout) = conv0_cache
+    kk, l, cout = w0.shape[0], emb_shape[2], w0.shape[3]
+    # winj[c, n*wo, j*l] = win[n, c, s*wo + j - pad, l], zero off the image
+    wp = np.zeros((c, n, stride * (wout - 1) + kk, l), dtype=win.dtype)
+    wp[:, :, CONV_PAD : CONV_PAD + w] = win.transpose(1, 0, 2, 3)[:, :, : wp.shape[2] - CONV_PAD]
+    winj = np.stack([wp[:, :, j : j + stride * wout : stride] for j in range(kk)], axis=3)
+    winj = winj.reshape(c, n * wout, kk * l)
+    dzt = np.ascontiguousarray(dz0.transpose(1, 3, 0, 2)).reshape(hout, cout, n * wout)
+    demb = np.zeros(emb_shape, dtype=dz0.dtype)
+    ho = np.arange(hout)
+    for i in range(kk):
+        r = stride * ho + i - CONV_PAD
+        on = (r >= 0) & (r < h)
+        ho_i, r = ho[on], r[on]
+        # the one line that knows the row layout
+        ch, kern = (r // k, r % k) if layout == "channel_major" else (r % c, r // c)
+        for cc in np.unique(ch):
+            rows = ch == cc
+            # one channel's rows are evenly spaced (contiguous in channel_major,
+            # one residue class in kernel_major), so a slice selects them
+            sel = ho_i[rows]
+            step = sel[1] - sel[0] if sel.size > 1 else 1
+            part = dzt[sel[0] : sel[-1] + 1 : step].reshape(-1, n * wout) @ winj[cc]
+            # (rows, o, j, l) x (j, g, o) -> (rows, l, g)
+            part = np.tensordot(part.reshape(-1, cout, kk, l), w0[i], axes=([1, 2], [2, 0]))
+            demb[:, kern[rows], :] += part.transpose(2, 0, 1)
     return demb
 
 
 def _im2col(x: np.ndarray, kk: int, stride: int):
     n, h, w, c = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    p = CONV_PAD
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
     view = np.lib.stride_tricks.sliding_window_view(xp, (kk, kk), axis=(1, 2))
     view = view[:, ::stride, ::stride]  # (N, Hout, Wout, C, kk, kk)
     hout, wout = view.shape[1], view.shape[2]
@@ -325,19 +351,31 @@ def conv2d_backward(dout: np.ndarray, cache, want_dx: bool = True):
     if not want_dx:
         return None, dw, db
     dcols = (dflat @ w.reshape(-1, cout).T).reshape(n, hout, wout, kk, kk, c)
-    dxp = np.zeros((n, h + 2, win + 2, c), dtype=dout.dtype)
+    p = CONV_PAD
+    dxp = np.zeros((n, h + 2 * p, win + 2 * p, c), dtype=dout.dtype)
     for i in range(kk):
         for j in range(kk):
             dxp[:, i : i + stride * hout : stride, j : j + stride * wout : stride, :] += dcols[
                 :, :, :, i, j, :
             ]
-    return dxp[:, 1 : h + 1, 1 : win + 1, :], dw, db
+    return dxp[:, p : h + p, p : win + p, :], dw, db
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-x)) in one buffer of x's dtype, within 4 ulp of
+    scipy.special.expit. For very negative x, exp overflows to inf and the
+    result is exactly 0."""
+    s = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
 def silu(x: np.ndarray, with_grad: bool = False):
     """x * sigmoid(x); with_grad also returns the local derivative
     s + x*s*(1-s) that :func:`silu_backward` takes, from the same sigmoid."""
-    s = expit(x)
+    s = sigmoid(x)
     h = x * s
     if not with_grad:
         return h
@@ -464,14 +502,13 @@ def backbone_backward(
     weights: np.ndarray,
     params: ModelParams,
     cache: ForwardCache,
-    want_dimg: bool = False,
-) -> tuple[float, ModelParams, np.ndarray | None]:
+) -> tuple[float, ModelParams, np.ndarray]:
     """Gradients of sum_i weights_i * KL(y_i || p_i) through the head, the
     pooling and the conv stack.
 
-    Returns (loss, grads, dimg): grads mirrors params (an embedding, if
-    present, is left at zero) and dimg is the gradient w.r.t. the image, or
-    None unless want_dimg.
+    Returns (loss, grads, dz0): grads mirrors params (an embedding, if
+    present, is left at zero) and dz0 is the gradient w.r.t. stage 0's
+    pre-activation. No stage builds the gradient w.r.t. the image.
     """
     probs = cache.probs
     loss = float((weights * kl_div_rows(y, probs)).sum())
@@ -499,10 +536,10 @@ def backbone_backward(
 
     for i in reversed(range(len(cache.conv_caches))):
         dz = silu_backward(dh, cache.silu_grads[i])
-        dh, dw, db = conv2d_backward(dz, cache.conv_caches[i], want_dx=i > 0 or want_dimg)
+        dh, dw, db = conv2d_backward(dz, cache.conv_caches[i], want_dx=i > 0)
         grads.get(f"conv{i}_w")[...] = dw
         grads.get(f"conv{i}_b")[...] = db
-    return loss, grads, dh
+    return loss, grads, dz
 
 
 def forward_batch(
@@ -543,36 +580,11 @@ def backward_batch(
 
     Returns (loss, grads) where grads mirrors the parameter shapes.
     """
-    loss, grads, dimg = backbone_backward(y, weights, params, cache,
-                                          want_dimg=cfg.learnable_embedding)
+    loss, grads, dz0 = backbone_backward(y, weights, params, cache)
     if cfg.learnable_embedding:
-        grads.get("embedding")[...] = eeg_to_image_backward(dimg, cache.image_cache)
+        grads.get("embedding")[...] = eeg_to_image_backward(
+            dz0, cache.image_cache, cache.conv_caches[0])
     return loss, grads
-
-
-# --- single-segment convenience wrappers ---
-
-
-def forward(
-    seg_samples: np.ndarray,
-    params: ModelParams,
-    cfg: ModelConfig,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One scaled [channels x T] segment -> (probabilities, pooled feature)."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be train or eval, got {mode!r}")
-    probs, feat = forward_batch(
-        seg_samples[None], params, cfg, train=(mode == "train"), rng=rng
-    )
-    return probs[0], feat[0]
-
-
-def eeg_to_image(seg_samples: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
-    """One [channels x T] segment -> [H x W x groups] image."""
-    img, _ = eeg_to_image_batch(seg_samples[None], params.embedding, cfg.row_layout, cfg.stride)
-    return img[0]
 
 
 # --- checkpoints: versioned binary + JSON sidecar ---

@@ -360,7 +360,7 @@ def run_cv(
             except FloatingPointError as e:
                 raise FloatingPointError(f"fold {f} stage {stage_name} {e}") from e
         r1, r2 = stage_results
-        oof[val_idx] = predict_batched(x_val, params, model_cfg)
+        oof[val_idx] = onto_simplex(predict_batched(x_val, params, model_cfg))
         ckpt = None
         if out_dir is not None:
             ckpt = out_dir / f"fold{f}.ckpt"
@@ -400,12 +400,15 @@ def ensemble_predict(
         elif p.shape != ref_shape:
             raise ValueError(f"prediction shape mismatch: {p.shape} vs {ref_shape}")
         all_probs.append(p)
-    mean = np.mean(all_probs, axis=0)
-    sums = mean.sum(axis=1, keepdims=True)
+    return onto_simplex(np.mean(all_probs, axis=0))
+
+
+def onto_simplex(probs: np.ndarray) -> np.ndarray:
+    """Renormalizes the rows of probs whose sum is off 1 by more than 1e-12;
+    a float32 softmax is off by up to ~1e-7."""
+    sums = probs.sum(axis=1, keepdims=True)
     off = np.abs(sums - 1.0) > 1e-12
-    if off.any():
-        mean = np.where(off, mean / sums, mean)
-    return mean
+    return np.where(off, probs / sums, probs) if off.any() else probs
 
 
 PREDICTION_COLUMNS = (

@@ -37,7 +37,7 @@ from eegimage.metrics import (
 from eegimage.model import (
     ModelConfig,
     backward_batch,
-    eeg_to_image,
+    eeg_to_image_batch,
     forward_batch,
     init_params,
 )
@@ -115,7 +115,8 @@ def test_criterion_shape_law(capsys):
     shapes_ok = True
     for t in (2000, 4000, 10000):
         params = init_params(cfg, seed=0)
-        img = eeg_to_image(rng.uniform(0, 255, size=(16, t)), params, cfg)
+        img = eeg_to_image_batch(rng.uniform(0, 255, size=(1, 16, t)), params.embedding,
+                                 cfg.row_layout, cfg.stride)[0][0]
         shapes_ok &= img.shape == (160, t // 10, 3)
     ok = bool(shapes_ok)
     emit(capsys, "shape-law", ok,

@@ -5,11 +5,15 @@ the signal-to-image layer with naive loops, and the conv stages with a
 direct nested-loop convolution.
 """
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from eegimage.model import (
     ABLATION_VARIANTS,
@@ -18,10 +22,9 @@ from eegimage.model import (
     central_columns,
     conv2d_backward,
     conv2d_forward,
-    eeg_to_image,
+    eeg_to_image_backward,
     eeg_to_image_batch,
     fixed_embedding,
-    forward,
     forward_batch,
     init_embedding,
     init_params,
@@ -30,6 +33,7 @@ from eegimage.model import (
     project_rows_simplex,
     project_simplex,
     save_checkpoint,
+    sigmoid,
     silu,
     silu_backward,
     softmax,
@@ -185,7 +189,7 @@ def test_shape_law_full_size():
     cfg = ModelConfig()
     params = init_params(cfg, seed=0)
     x = np.zeros((16, 10_000), dtype=np.float32)
-    img = eeg_to_image(x, params, cfg)
+    img = eeg_to_image_batch(x[None], params.embedding, cfg.row_layout, cfg.stride)[0][0]
     assert img.shape == (160, 1000, 3)
 
 
@@ -193,7 +197,8 @@ def test_shape_law_full_size():
 def test_shape_law_property(t):
     cfg = ModelConfig()
     params = init_params(cfg, seed=1)
-    img = eeg_to_image(np.zeros((16, t), dtype=np.float32), params, cfg)
+    img = eeg_to_image_batch(np.zeros((1, 16, t), dtype=np.float32), params.embedding,
+                             cfg.row_layout, cfg.stride)[0][0]
     assert img.shape == (160, t // 10, 3)
 
 
@@ -201,7 +206,8 @@ def test_eeg_to_image_rejects_bad_length():
     cfg = ModelConfig()
     params = init_params(cfg, seed=0)
     with pytest.raises(ValueError):
-        eeg_to_image(np.zeros((16, 1005), dtype=np.float32), params, cfg)
+        eeg_to_image_batch(np.zeros((1, 16, 1005), dtype=np.float32), params.embedding,
+                           cfg.row_layout, cfg.stride)
 
 
 def test_constant_input_preserved():
@@ -210,7 +216,8 @@ def test_constant_input_preserved():
     # random feasible kernels, not just the init
     rng = np.random.default_rng(11)
     params.set("embedding", project_rows_simplex(rng.normal(size=(3, 10, 10))))
-    img = eeg_to_image(np.full((16, 500), 37.25), params, cfg)
+    img, _ = eeg_to_image_batch(np.full((1, 16, 500), 37.25), params.embedding,
+                                cfg.row_layout, cfg.stride)
     assert np.max(np.abs(img - 37.25)) < 1e-12
 
 
@@ -220,7 +227,7 @@ def test_uniform_kernels_give_windowed_means():
     params.set("embedding", np.full((3, 3, 5), 1.0 / 5))
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 40))
-    img = eeg_to_image(x, params, cfg)
+    img = eeg_to_image_batch(x[None], params.embedding, cfg.row_layout, cfg.stride)[0][0]
     means = windowed_mean_oracle(x, 5)
     for g in range(3):
         for c in range(4):
@@ -316,16 +323,35 @@ def test_silu_backward_matches_fd():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_silu_backward_is_bit_equal_to_the_textbook_derivative(dtype):
-    from scipy.special import expit
-
     rng = np.random.default_rng(11)
     x = (rng.normal(size=(4, 5, 6, 7)) * 4).astype(dtype)
     dout = rng.normal(size=x.shape).astype(dtype)
     h, grad = silu(x, with_grad=True)
-    s = expit(x)
+    s = 1 / (1 + np.exp(-x))
     assert h.dtype == grad.dtype == dtype
     assert np.array_equal(h, silu(x))
     assert np.array_equal(silu_backward(dout, grad), dout * (s + x * s * (1.0 - s)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_is_finite_and_silent_at_extremes(dtype):
+    x = np.array([0.0, 50.0, -50.0, 89.0, -89.0, 100.0, -100.0, 1e4, -1e4], dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, grad = silu(x, with_grad=True)
+    assert h.dtype == grad.dtype == dtype
+    assert np.isfinite(h).all() and np.isfinite(grad).all()
+    # SiLU tends to x above and to 0 below, its derivative to 1 and to 0
+    assert h[7] == 1e4 and h[8] == 0.0 and grad[7] == 1.0 and grad[8] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_within_4_ulp_of_expit(dtype):
+    x = np.linspace(-120.0, 120.0, 480_001).astype(dtype)
+    got, want = sigmoid(x), expit(x)
+    assert got.dtype == dtype
+    ulps = np.abs(got.astype(np.float64) - want) / np.spacing(np.maximum(got, want))
+    assert ulps.max() <= 4.0
 
 
 def test_conv2d_backward_without_input_gradient_keeps_dw_db():
@@ -395,8 +421,9 @@ def test_frozen_embedding_skips_only_the_stage0_input_gradient(monkeypatch):
     for cfg in (learn, frozen):
         _, _, cache = forward_batch(x, params, cfg, want_cache=True)
         grads[cfg.learnable_embedding] = backward_batch(y, w, params, cfg, cache)
-    # (input channels, built dx) per call, last stage first: groups=3 is stage 0
-    assert calls == [(8, True), (6, True), (3, True), (8, True), (6, True), (3, False)]
+    # (input channels, built dx) per call, last stage first: groups=3 is stage 0,
+    # whose input gradient neither config builds
+    assert calls == [(8, True), (6, True), (3, False), (8, True), (6, True), (3, False)]
     (loss_l, g_l), (loss_f, g_f) = grads[True], grads[False]
     assert loss_l == loss_f
     for name in params.trainable_names(frozen):
@@ -412,6 +439,51 @@ def test_pretraining_never_builds_the_stage0_input_gradient(monkeypatch):
                       pretext=PretextConfig(n_train=64, n_test=16, epochs=1,
                                             min_accuracy=0.0))
     assert calls and all(built == (cin != 3) for cin, built in calls)
+
+
+def image_gradient_reference(dz0, image_cache, conv0_cache):
+    """The embedding gradient through the stage-0 image gradient: col2im,
+    then a contraction of the image gradient with the raw windows."""
+    win, _, layout, (n, c, k, w, g) = image_cache
+    dimg, _, _ = conv2d_backward(dz0, conv0_cache)
+    if layout == "channel_major":
+        return np.einsum("nckwg,ncwl->gkl", dimg.reshape(n, c, k, w, g), win, optimize=True)
+    return np.einsum("nkcwg,ncwl->gkl", dimg.reshape(n, k, c, w, g), win, optimize=True)
+
+
+def embedding_gradients(cfg, t, seed=0):
+    """(new, reference) embedding gradient for a random stage-0 gradient."""
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, seed)
+    params.set("embedding", project_rows_simplex(rng.random(params.embedding.shape)))
+    x = rng.normal(size=(2, cfg.n_channels, t)) * 50 + 127.5
+    _, _, cache = forward_batch(x, params, cfg, want_cache=True)
+    dz0 = rng.normal(size=cache.silu_grads[0].shape).astype(cfg.np_dtype)
+    return (eeg_to_image_backward(dz0, cache.image_cache, cache.conv_caches[0]),
+            image_gradient_reference(dz0, cache.image_cache, cache.conv_caches[0]))
+
+
+EMBEDDING_GRADIENT_CASES = {
+    "default": (ModelConfig(dtype="float64"), 1000),
+    "gradient_gate": (small_cfg(), 100),
+    "kernel_shorter_than_stride": (small_cfg(kernel_len=3, stride=7), 140),
+    "conv_stride_3_kernel_5": (small_cfg(conv_stride=3, conv_kernel=5), 230),
+}
+
+
+@pytest.mark.parametrize("layout", ["channel_major", "kernel_major"])
+@pytest.mark.parametrize("case", sorted(EMBEDDING_GRADIENT_CASES))
+def test_embedding_gradient_matches_the_image_gradient_path(case, layout):
+    cfg, t = EMBEDDING_GRADIENT_CASES[case]
+    got, want = embedding_gradients(replace(cfg, row_layout=layout), t)
+    assert got.shape == want.shape == (cfg.groups, cfg.kernels_per_group, cfg.kernel_len)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_embedding_gradient_in_float32_matches_the_image_gradient_path():
+    got, want = embedding_gradients(ModelConfig(), 1000)
+    assert got.dtype == np.float32
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
 # --- central temporal selection ---
@@ -463,9 +535,9 @@ def test_forward_zero_head_is_uniform():
     cfg = small_cfg()
     params = init_params(cfg, seed=0)
     x = np.random.default_rng(0).normal(size=(4, 100)) * 40 + 127.5
-    probs, feat = forward(x, params, cfg)
+    probs, feat = forward_batch(x[None], params, cfg)
     assert np.allclose(probs, 1.0 / 6, atol=1e-12)
-    assert feat.shape == (8,)
+    assert feat.shape == (1, 8)
 
 
 def test_forward_eval_is_pure():
@@ -473,8 +545,8 @@ def test_forward_eval_is_pure():
     params = init_params(cfg, seed=1)
     params.set("dense_w", np.random.default_rng(1).normal(size=params.get("dense_w").shape) * 0.1)
     x = np.random.default_rng(2).normal(size=(4, 100))
-    p1, f1 = forward(x, params, cfg)
-    p2, f2 = forward(x, params, cfg)
+    p1, f1 = forward_batch(x[None], params, cfg)
+    p2, f2 = forward_batch(x[None], params, cfg)
     assert np.array_equal(p1, p2) and np.array_equal(f1, f2)
 
 
@@ -482,7 +554,7 @@ def test_forward_probabilities_positive_sum_one():
     cfg = small_cfg(input_mean=0.0)
     params = init_params(cfg, seed=3)
     params.set("dense_w", np.random.default_rng(3).normal(size=params.get("dense_w").shape) * 0.1)
-    probs, _ = forward(np.random.default_rng(4).normal(size=(4, 100)), params, cfg)
+    probs, _ = forward_batch(np.random.default_rng(4).normal(size=(1, 4, 100)), params, cfg)
     assert abs(probs.sum() - 1.0) < 1e-9
     assert probs.min() > 0.0
 
@@ -492,14 +564,14 @@ def test_forward_spatial_collapse_errors():
     params = init_params(cfg, seed=0)
     # T=20 -> image width 4 -> after two stride-2 stages width 1 < 5
     with pytest.raises(ValueError):
-        forward(np.zeros((4, 20)), params, cfg)
+        forward_batch(np.zeros((1, 4, 20)), params, cfg)
 
 
 def test_forward_full_width_variant_accepts_narrow_maps():
     cfg = small_cfg(pool_full_width=True)
     params = init_params(cfg, seed=0)
-    probs, _ = forward(np.zeros((4, 20)), params, cfg)
-    assert probs.shape == (6,)
+    probs, _ = forward_batch(np.zeros((1, 4, 20)), params, cfg)
+    assert probs.shape == (1, 6)
 
 
 def test_train_mode_dropout_needs_rng():
@@ -572,7 +644,7 @@ def test_ravel_round_trip():
     rng = np.random.default_rng(7)
     params.set("dense_w", rng.normal(size=params.get("dense_w").shape))
     vec = params.ravel(cfg)
-    assert vec.size == params.n_trainable(cfg)
+    assert vec.size == sum(params.get(n).size for n in params.trainable_names(cfg))
     clone = init_params(cfg, seed=99)
     clone.set_from_ravel(cfg, vec)
     assert np.array_equal(clone.ravel(cfg), vec)
@@ -584,7 +656,8 @@ def test_frozen_embedding_not_trainable():
     cfg = small_cfg(learnable_embedding=False)
     params = init_params(cfg, seed=0)
     assert "embedding" not in params.trainable_names(cfg)
-    assert params.n_trainable(cfg) == params.ravel(cfg).size
+    assert params.ravel(cfg).size == sum(
+        a.size for n, a in params.named_arrays() if n != "embedding")
 
 
 def test_gradient_buffer_shapes_mirror_params():

@@ -394,6 +394,21 @@ def test_run_cv_oof_covers_every_sample():
     assert np.allclose(cv.oof_probs.sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_run_cv_float32_oof_rows_lie_on_the_simplex():
+    manifest, ds = tiny_problem(n_patients=6, segs=3, seed=7)
+    cfg = tiny_cfg()
+    assert cfg.dtype == "float32"
+    cv = run_cv(
+        manifest, ds, cfg,
+        default_stage1(epochs=2, batch_size=8),
+        default_stage2(epochs=1, batch_size=8),
+        None, k=3, seed=0,
+    )
+    assert np.abs(cv.oof_probs.sum(axis=1) - 1.0).max() <= 1e-12
+    for fr in cv.folds:
+        assert np.array_equal(fr.oof_probs, cv.oof_probs[fr.val_indices])
+
+
 def test_run_cv_no_patient_leakage():
     manifest, ds = tiny_problem(n_patients=8, segs=2, seed=8)
     cv = run_cv(
