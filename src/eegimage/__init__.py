@@ -25,7 +25,7 @@ from .data import (  # noqa: F401
 )
 from .metrics import EvalReport, evaluate, mean_kld, wilcoxon_rank_sum  # noqa: F401
 from .model import ModelConfig, init_params  # noqa: F401
-from .preprocess import FilterSpec, preprocess_segment  # noqa: F401
+from .preprocess import FilterSpec  # noqa: F401
 from .synthgen import SynthConfig, generate  # noqa: F401
 from .train import (  # noqa: F401
     StageConfig,

@@ -148,7 +148,11 @@ def run_ablation(
     log=None,
 ) -> list[AblationRow]:
     """Retrain each component-removal variant with identical hyperparameters
-    and compare patient-level KLD against the full model."""
+    and compare patient-level KLD against the full model.
+
+    log, when given, receives every epoch's record of :func:`run_cv` with
+    the variant and the seed added.
+    """
     if not seeds:
         raise ValueError("need at least one seed")
     if "full" not in variants:
@@ -164,9 +168,11 @@ def run_ablation(
                 if seed not in backbones:
                     backbones[seed] = pretrain_backbone(cfg, seed, pretext)[:2]
                 backbone = backbones[seed]
+            cell_log = None if log is None else (
+                lambda rec, tag=tag, seed=seed: log({"variant": tag, "seed": seed, **rec}))
             cv = run_cv(
                 manifest, ds, cfg, stage1, stage2, augment_cfg,
-                k=k, seed=seed, pretrained_backbone=backbone, log=log,
+                k=k, seed=seed, pretrained_backbone=backbone, log=cell_log,
             )
             per_sample_kld = float(kl_div_rows(ds.y, cv.oof_probs).mean())
             per_variant_seed_kld[tag].append(per_sample_kld)

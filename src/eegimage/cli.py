@@ -28,6 +28,7 @@ from .augment import AugmentConfig
 from .data import (
     CLASS_NAMES,
     load_manifest,
+    read_segments,
     read_signal,
     save_manifest,
     split_folds,
@@ -138,14 +139,15 @@ def cmd_preprocess(args) -> int:
         raise ValueError("preprocess requires --out-dir")
     out = Path(out)
     manifest = load_manifest(data / "manifest.csv")
+    # every segment is checked against the first before anything is written
+    segs = list(read_segments(manifest))
+    if not segs:
+        raise ValueError(f"{data / 'manifest.csv'}: lists no segments")
+    spec = FilterSpec(fs=segs[0].fs, order=cfg_d["order"], low_hz=cfg_d["low_hz"],
+                      high_hz=cfg_d["high_hz"], mode=cfg_d["filter_mode"])
+    sos = design_bandpass(spec)
     (out / "signals").mkdir(parents=True, exist_ok=True)
-    spec = None
-    for e in manifest.entries:
-        seg = read_signal(manifest.segment_path(e))
-        if spec is None:
-            spec = FilterSpec(fs=seg.fs, order=cfg_d["order"], low_hz=cfg_d["low_hz"],
-                              high_hz=cfg_d["high_hz"], mode=cfg_d["filter_mode"])
-            sos = design_bandpass(spec)
+    for e, seg in zip(manifest.entries, segs):
         write_signal(out / e.path, filter_segment(seg, spec, sos))
     h = config_hash(spec)
     comment = f"config_hash={h} seed={cfg_d['seed']}"
@@ -302,7 +304,8 @@ def cmd_ablate(args) -> int:
     seeds = [cfg_d["seed"] + i for i in range(cfg_d["seeds"])]
     variants = tuple(str(cfg_d["variants"]).split(","))
     rows = run_ablation(manifest, ds, model_cfg, stage1, stage2, aug,
-                        seeds=seeds, k=cfg_d["folds"], variants=variants)
+                        seeds=seeds, k=cfg_d["folds"], variants=variants,
+                        log=lambda rec: log.info("epoch %s", json.dumps(rec, sort_keys=True)))
     run_hash = config_hash({"model": to_jsonable(model_cfg),
                             "stage1": to_jsonable(stage1),
                             "stage2": to_jsonable(stage2),

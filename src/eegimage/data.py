@@ -400,3 +400,27 @@ def read_signal(path: Path) -> EegSegment:
         t_total_s=t_total,
         t_center_s=t_total / 5,
     )
+
+
+def read_segments(manifest: DatasetManifest, fs: float | None = None,
+                  data_dir: Path | None = None):
+    """Yield the segment of every manifest entry, in order.
+
+    Each segment must be sampled at fs (the first segment's rate when fs is
+    None) and have the first segment's (channels, samples) shape; the first
+    that does not fails naming its file and the field.
+    """
+    first = None
+    for e in manifest.entries:
+        p = Path(data_dir) / e.path if data_dir is not None else manifest.segment_path(e)
+        seg = read_signal(p)
+        if first is None:
+            first = (p, seg.samples.shape)
+            expected = "the filter expects" if fs is not None else f"the first segment {p} is"
+            fs = seg.fs if fs is None else fs
+        if seg.fs != fs:
+            raise ValueError(f"{p}: fs: sampled at {seg.fs} Hz, {expected} {fs} Hz")
+        if seg.samples.shape != first[1]:
+            raise ValueError(f"{p}: shape: {seg.samples.shape} (channels, samples), "
+                             f"the first segment {first[0]} is {first[1]}")
+        yield seg

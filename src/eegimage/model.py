@@ -69,12 +69,6 @@ class ModelConfig:
             raise ValueError(f"T={t} not divisible by stride {self.stride}")
         return t // self.stride
 
-    def feature_width(self, t: int) -> int:
-        w = self.image_width(t)
-        for _ in self.backbone_channels:
-            w = -(-w // self.conv_stride)
-        return w
-
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of a vector onto {w >= 0, sum w = 1}.
@@ -245,6 +239,7 @@ def init_params(
 # --- layers (functional: forward returns a cache consumed by backward) ---
 
 CONV_PAD = 1  # zero border of every conv stage, on each side
+FULL_PADS = (CONV_PAD, CONV_PAD)  # (left, right) column pads of an uncropped stage
 
 
 def eeg_to_image_batch(x: np.ndarray, embedding: np.ndarray, layout: str, stride: int):
@@ -276,9 +271,11 @@ def eeg_to_image_batch(x: np.ndarray, embedding: np.ndarray, layout: str, stride
     return np.ascontiguousarray(img), cache
 
 
-def eeg_to_image_backward(dz0: np.ndarray, image_cache, conv0_cache) -> np.ndarray:
+def eeg_to_image_backward(dz0: np.ndarray, image_cache, conv0_cache,
+                          pad_left: int) -> np.ndarray:
     """Gradient w.r.t. the embedding kernels, from stage 0's pre-activation
-    gradient dz0, without forming the image gradient.
+    gradient dz0, without forming the image gradient. pad_left is stage 0's
+    left column pad.
 
     Image row r = s*ho + i - pad feeds output row ho through row tap i, so
     for each (i, channel c) one GEMM contracts dz0's rows of channel c with
@@ -288,9 +285,9 @@ def eeg_to_image_backward(dz0: np.ndarray, image_cache, conv0_cache) -> np.ndarr
     win, emb_shape, layout, (n, c, k, w, g) = image_cache
     _, w0, stride, (_, h, _, _, hout, wout) = conv0_cache
     kk, l, cout = w0.shape[0], emb_shape[2], w0.shape[3]
-    # winj[c, n*wo, j*l] = win[n, c, s*wo + j - pad, l], zero off the image
+    # winj[c, n*wo, j*l] = win[n, c, s*wo + j - pad_left, l], zero off the image
     wp = np.zeros((c, n, stride * (wout - 1) + kk, l), dtype=win.dtype)
-    wp[:, :, CONV_PAD : CONV_PAD + w] = win.transpose(1, 0, 2, 3)[:, :, : wp.shape[2] - CONV_PAD]
+    wp[:, :, pad_left : pad_left + w] = win.transpose(1, 0, 2, 3)[:, :, : wp.shape[2] - pad_left]
     winj = np.stack([wp[:, :, j : j + stride * wout : stride] for j in range(kk)], axis=3)
     winj = winj.reshape(c, n * wout, kk * l)
     dzt = np.ascontiguousarray(dz0.transpose(1, 3, 0, 2)).reshape(hout, cout, n * wout)
@@ -315,10 +312,10 @@ def eeg_to_image_backward(dz0: np.ndarray, image_cache, conv0_cache) -> np.ndarr
     return demb
 
 
-def _im2col(x: np.ndarray, kk: int, stride: int):
+def _im2col(x: np.ndarray, kk: int, stride: int, pads: tuple[int, int]):
     n, h, w, c = x.shape
     p = CONV_PAD
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    xp = np.pad(x, ((0, 0), (p, p), pads, (0, 0)))
     view = np.lib.stride_tricks.sliding_window_view(xp, (kk, kk), axis=(1, 2))
     view = view[:, ::stride, ::stride]  # (N, Hout, Wout, C, kk, kk)
     hout, wout = view.shape[1], view.shape[2]
@@ -328,19 +325,24 @@ def _im2col(x: np.ndarray, kk: int, stride: int):
     return cols, (n, h, w, c, hout, wout)
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int):
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
+                   pads: tuple[int, int] = FULL_PADS):
+    """Conv of an [N x H x W x C] batch: CONV_PAD zero rows above and below,
+    pads = (left, right) zero columns."""
     kk = w.shape[0]
     cout = w.shape[3]
-    cols, dims = _im2col(x, kk, stride)
+    cols, dims = _im2col(x, kk, stride, pads)
     out = cols @ w.reshape(-1, cout) + b
     n, _, _, _, hout, wout = dims
     cache = (cols, w, stride, dims)
     return out.reshape(n, hout, wout, cout), cache
 
 
-def conv2d_backward(dout: np.ndarray, cache, want_dx: bool = True):
-    """(dx, dw, db) of a conv2d_forward. dx is None when want_dx is False,
-    which skips the second GEMM and the col2im scatter."""
+def conv2d_backward(dout: np.ndarray, cache, want_dx: bool = True,
+                    pads: tuple[int, int] = FULL_PADS):
+    """(dx, dw, db) of a conv2d_forward that used these column pads. dx is
+    None when want_dx is False, which skips the second GEMM and the col2im
+    scatter."""
     cols, w, stride, dims = cache
     n, h, win, c, hout, wout = dims
     kk = w.shape[0]
@@ -351,14 +353,14 @@ def conv2d_backward(dout: np.ndarray, cache, want_dx: bool = True):
     if not want_dx:
         return None, dw, db
     dcols = (dflat @ w.reshape(-1, cout).T).reshape(n, hout, wout, kk, kk, c)
-    p = CONV_PAD
-    dxp = np.zeros((n, h + 2 * p, win + 2 * p, c), dtype=dout.dtype)
+    p, (pl, pr) = CONV_PAD, pads
+    dxp = np.zeros((n, h + 2 * p, win + pl + pr, c), dtype=dout.dtype)
     for i in range(kk):
         for j in range(kk):
             dxp[:, i : i + stride * hout : stride, j : j + stride * wout : stride, :] += dcols[
                 :, :, :, i, j, :
             ]
-    return dxp[:, p : h + p, p : win + p, :], dw, db
+    return dxp[:, p : h + p, pl : win + pl, :], dw, db
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -401,6 +403,31 @@ def central_columns(w: int, fraction: int = 5) -> tuple[int, int]:
     return start, count
 
 
+def central_cone(
+    width: int, n_stages: int, conv_kernel: int, conv_stride: int, fraction: int = 5
+) -> list[tuple[int, int, tuple[int, int]]]:
+    """The columns each conv stage must read so that the last stage yields
+    exactly its :func:`central_columns`.
+
+    Returns, per stage, its input column range [a, b) and the (left, right)
+    zero-column pads that conv2d_forward then needs: CONV_PAD where the range
+    reaches the border of the stage's input, 0 inside it. Stage 0's input is
+    the image, ``width`` columns wide.
+    """
+    kk, s, p = conv_kernel, conv_stride, CONV_PAD
+    widths = [width]
+    for _ in range(n_stages):
+        widths.append((widths[-1] + 2 * p - kk) // s + 1)
+    start, count = central_columns(widths[-1], fraction)
+    lo, hi = start, start + count
+    cone = []
+    for w_in in reversed(widths[:-1]):
+        a, b = s * lo - p, s * (hi - 1) - p + kk  # input columns [a, b) output [lo, hi) reads
+        cone.append((max(a, 0), min(b, w_in), (max(-a, 0), max(b - w_in, 0))))
+        lo, hi = cone[-1][:2]
+    return cone[::-1]
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -415,7 +442,7 @@ class ForwardCache:
     conv_caches: list
     silu_grads: list  # per stage, dSiLU/dz at the pre-activation
     fmap_shape: tuple
-    kept: tuple[int, int] | None
+    cone: list | None  # central_cone of a cropped forward, None at full width
     pool_denominator: float
     dropout_mask: np.ndarray | None
     feat_dropped: np.ndarray
@@ -423,28 +450,35 @@ class ForwardCache:
     image_cache: tuple | None = None  # set by forward_batch
 
 
+def _stage_pads(cone: list | None, n_stages: int) -> list[tuple[int, int]]:
+    """Each stage's (left, right) column pads."""
+    return [pads for _, _, pads in cone] if cone is not None else [FULL_PADS] * n_stages
+
+
 def backbone_forward(
     img: np.ndarray,
     params: ModelParams,
     conv_stride: int,
-    central_fraction: int | None = None,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
     want_cache: bool = False,
+    cone: list | None = None,
 ):
-    """Run an [N x H x W x C] image batch through the conv stack, pooling and
-    the softmax head.
+    """Run an [N x H x W x C] image batch through the conv stack, average
+    pooling over the whole last feature map, and the softmax head.
 
-    Pools the central 1/central_fraction of the columns, or the full width
-    when central_fraction is None. Dropout on the pooled features draws its
-    mask from rng. Returns (probs, feats) and, when want_cache, the cache for
-    :func:`backbone_backward`; without it no stage's im2col columns outlive
-    the stage.
+    With a :func:`central_cone`, img holds only stage 0's input columns and
+    each stage computes only the columns of its cone, so the last map is
+    exactly the central columns of the full-width one. Dropout on the pooled
+    features draws its mask from rng. Returns (probs, feats) and, when
+    want_cache, the cache for :func:`backbone_backward`; without it no
+    stage's im2col columns outlive the stage.
     """
     h = img
     conv_caches, silu_grads = [], []
-    for w, b in params.conv_layers():
-        z, cc = conv2d_forward(h, w, b, conv_stride)
+    layers = params.conv_layers()
+    for (w, b), pads in zip(layers, _stage_pads(cone, len(layers))):
+        z, cc = conv2d_forward(h, w, b, conv_stride, pads)
         if want_cache:
             h, g = silu(z, with_grad=True)
             conv_caches.append(cc)
@@ -453,15 +487,8 @@ def backbone_forward(
             h = silu(z)
         del z, cc  # else an eval forward holds this stage's columns through the next
 
-    if central_fraction is None:
-        kept = None
-        pooled_region = h
-    else:
-        start, count = central_columns(h.shape[2], central_fraction)
-        kept = (start, count)
-        pooled_region = h[:, :, start : start + count, :]
-    denom = float(pooled_region.shape[1] * pooled_region.shape[2])
-    feat = pooled_region.sum(axis=(1, 2)) / denom
+    denom = float(h.shape[1] * h.shape[2])
+    feat = h.sum(axis=(1, 2)) / denom
 
     if dropout_rate > 0.0:
         if rng is None:
@@ -480,7 +507,7 @@ def backbone_forward(
         conv_caches=conv_caches,
         silu_grads=silu_grads,
         fmap_shape=h.shape,
-        kept=kept,
+        cone=cone,
         pool_denominator=denom,
         dropout_mask=mask,
         feat_dropped=feat_dropped,
@@ -527,16 +554,12 @@ def backbone_backward(
         dfeat = dfeat * cache.dropout_mask
 
     dh = np.zeros(cache.fmap_shape, dtype=probs.dtype)
-    spread = (dfeat / cache.pool_denominator)[:, None, None, :]
-    if cache.kept is None:
-        dh += spread
-    else:
-        start, count = cache.kept
-        dh[:, :, start : start + count, :] = spread
+    dh += (dfeat / cache.pool_denominator)[:, None, None, :]
 
+    pads = _stage_pads(cache.cone, len(cache.conv_caches))
     for i in reversed(range(len(cache.conv_caches))):
         dz = silu_backward(dh, cache.silu_grads[i])
-        dh, dw, db = conv2d_backward(dz, cache.conv_caches[i], want_dx=i > 0)
+        dh, dw, db = conv2d_backward(dz, cache.conv_caches[i], i > 0, pads[i])
         grads.get(f"conv{i}_w")[...] = dw
         grads.get(f"conv{i}_b")[...] = db
     return loss, grads, dz
@@ -555,14 +578,27 @@ def forward_batch(
     Returns (probs [N x 6], feats [N x feat_dim]) and, when want_cache, the
     cache needed by :func:`backward_batch`. Dropout is active only in train
     mode and draws its mask from rng.
+
+    Unless cfg.pool_full_width, only the signal under stage 0's
+    :func:`central_cone` is embedded and each stage computes only its cone.
+    The pooled central columns equal a full-width pass's, bit for bit where
+    BLAS rounds each GEMM row the same whatever the row count.
     """
+    x = np.asarray(x)
+    cone = None
+    if not cfg.pool_full_width:
+        cone = central_cone(cfg.image_width(x.shape[-1]), len(cfg.backbone_channels),
+                            cfg.conv_kernel, cfg.conv_stride, cfg.central_fraction)
+        # windows start every `stride` samples and kernel_len <= stride, so
+        # these samples make exactly image columns a0 .. b0-1
+        a0, b0, _ = cone[0]
+        x = x[..., a0 * cfg.stride : b0 * cfg.stride]
     x = np.asarray(x, dtype=cfg.np_dtype)
     img, image_cache = eeg_to_image_batch(x, params.embedding, cfg.row_layout, cfg.stride)
     out = backbone_forward(
         img, params, cfg.conv_stride,
-        central_fraction=None if cfg.pool_full_width else cfg.central_fraction,
         dropout_rate=cfg.dropout_rate if train else 0.0,
-        rng=rng, want_cache=want_cache,
+        rng=rng, want_cache=want_cache, cone=cone,
     )
     if want_cache:
         out[2].image_cache = image_cache
@@ -582,8 +618,9 @@ def backward_batch(
     """
     loss, grads, dz0 = backbone_backward(y, weights, params, cache)
     if cfg.learnable_embedding:
+        pad_left = cache.cone[0][2][0] if cache.cone is not None else CONV_PAD
         grads.get("embedding")[...] = eeg_to_image_backward(
-            dz0, cache.image_cache, cache.conv_caches[0])
+            dz0, cache.image_cache, cache.conv_caches[0], pad_left)
     return loss, grads
 
 

@@ -90,17 +90,3 @@ def clip_scale_array(x: np.ndarray) -> np.ndarray:
         raise ValueError("NaN in input samples")
     clipped = np.clip(x, -CLIP_UV, CLIP_UV)
     return (clipped + CLIP_UV) * (SCALE_MAX / (2 * CLIP_UV))
-
-
-def unscale_array(y: np.ndarray) -> np.ndarray:
-    """Inverse of clip_scale_array on in-range values (back to microvolts)."""
-    return y * (2 * CLIP_UV / SCALE_MAX) - CLIP_UV
-
-
-def clip_and_scale(seg: EegSegment) -> EegSegment:
-    return seg.with_samples(clip_scale_array(seg.samples).astype(seg.samples.dtype))
-
-
-def preprocess_segment(seg: EegSegment, spec: FilterSpec) -> EegSegment:
-    """filter -> clip -> scale (montage assumed already applied)."""
-    return clip_and_scale(filter_segment(seg, spec))

@@ -17,7 +17,7 @@ from .data import (
     HIGH_QUALITY_MIN_VOTES,
     DatasetManifest,
     FoldAssignment,
-    read_signal,
+    read_segments,
     split_folds,
 )
 from .model import (
@@ -151,20 +151,10 @@ class Dataset:
 def load_dataset(manifest: DatasetManifest, spec: FilterSpec,
                  data_dir: Path | None = None) -> Dataset:
     """Read and bandpass every segment of the manifest; each must be sampled
-    at spec.fs and shaped like the first."""
+    at spec.fs and shaped like the first (see :func:`read_segments`)."""
     sos = design_bandpass(spec)
-    segs, first = [], None
-    for e in manifest.entries:
-        p = Path(data_dir) / e.path if data_dir is not None else manifest.segment_path(e)
-        seg = read_signal(p)
-        if seg.fs != spec.fs:
-            raise ValueError(f"{p}: sampled at {seg.fs} Hz, the filter expects {spec.fs} Hz")
-        if first is None:
-            first = (p, seg.samples.shape)
-        elif seg.samples.shape != first[1]:
-            raise ValueError(f"{p}: {seg.samples.shape} (channels, samples), "
-                             f"the first segment {first[0]} is {first[1]}")
-        segs.append(filter_array(seg.samples, spec, sos))
+    segs = [filter_array(seg.samples, spec, sos)
+            for seg in read_segments(manifest, spec.fs, data_dir)]
     return Dataset(
         x_uv=np.stack(segs).astype(np.float32),
         y=manifest.soft_labels(),

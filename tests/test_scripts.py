@@ -1,6 +1,8 @@
-"""Smoke test of scripts/artifact_hashes.py: it runs and lists every file it
-leaves as ``sha256  relative/path``. No hash value is asserted."""
+"""Smoke tests of the scripts in scripts/: each runs at small settings, exits
+0 and leaves the files it promises. artifact_hashes.py also lists every file
+it leaves as ``sha256  relative/path``. No hash or score value is asserted."""
 
+import csv
 import os
 import re
 import subprocess
@@ -10,16 +12,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_artifact_hashes_quick_lists_every_file(tmp_path):
-    out = tmp_path / "a"
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    res = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "artifact_hashes.py"), "--out", str(out),
-         "--quick"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
         capture_output=True, text=True, env=env, timeout=600,
     )
+
+
+def test_artifact_hashes_quick_lists_every_file(tmp_path):
+    out = tmp_path / "a"
+    res = run_script("artifact_hashes.py", "--out", out, "--quick")
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines[:3]
@@ -30,9 +35,42 @@ def test_artifact_hashes_quick_lists_every_file(tmp_path):
             "run_pre/eval/report.json", "run_pre/tsne/tsne.csv"} <= set(paths)
     assert not any(p.startswith(("run_nopre/", "run_big/", "ablation/")) for p in paths)
     # a second run refuses to mix its files into the first one's
-    again = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "artifact_hashes.py"), "--out", str(out),
-         "--quick"],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
+    again = run_script("artifact_hashes.py", "--out", out, "--quick")
     assert again.returncode != 0 and "not empty" in again.stderr
+
+
+def test_run_pipeline_quick_leaves_every_stage_output(tmp_path):
+    out = tmp_path / "p"
+    res = run_script("run_pipeline.py", "--out", out, "--quick")
+    assert res.returncode == 0, res.stderr
+    for name in ("data/manifest.csv", "train/cv_summary.json", "train/oof_predictions.csv",
+                 "train/progress.jsonl", "eval/report.json", "eval/tsne.csv",
+                 "predictions.csv"):
+        assert (out / name).is_file(), name
+    assert sorted(p.name for p in (out / "train").glob("fold*.ckpt")) == [
+        "fold0.ckpt", "fold1.ckpt", "fold2.ckpt"]
+    assert f"artifacts in {out}" in res.stdout
+
+
+def test_run_ablation_study_small_writes_its_table(tmp_path):
+    out = tmp_path / "abl"
+    res = run_script("run_ablation_study.py", "--out", out, "--seeds", 1, "--folds", 2,
+                     "--patients", 6, "--segments", 4)
+    assert res.returncode == 0, res.stderr
+    assert (out / "data" / "manifest.csv").is_file() and (out / "ablation.svg").is_file()
+    rows = [line.split(",")[0] for line in (out / "ablation.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows == ["variant", "full", "no_central", "no_pretrain", "no_eeg2img"]
+    assert "beats no_eeg2img in" in res.stdout
+
+
+def test_noise_robustness_small_writes_one_row_per_level(tmp_path):
+    out = tmp_path / "noise"
+    res = run_script("noise_robustness.py", "--out", out, "--seeds", 1,
+                     "--noise-levels", 10, 40)
+    assert res.returncode == 0, res.stderr
+    with open(out / "noise_sweep.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [float(r["noise_rms_uv"]) for r in rows] == [10.0, 40.0]
+    assert set(rows[0]) == {"noise_rms_uv", "full_kld", "no_eeg2img_kld", "gap"}
+    assert (out / "data_rms10" / "manifest.csv").is_file()
