@@ -449,6 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage1-epochs", dest="stage1_epochs", type=int, default=None)
     p.add_argument("--stage2-epochs", dest="stage2_epochs", type=int, default=None)
     p.add_argument("--backbone", type=str, default=None)
+    p.add_argument("--no-pretrain", dest="pretrain", action="store_false",
+                   default=None)
+    p.add_argument("--no-augment", dest="augment", action="store_false",
+                   default=None)
     p.add_argument("--variants", type=str, default=None,
                    help="comma-separated subset of "
                         "full,no_central,no_pretrain,no_eeg2img")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -36,6 +37,10 @@ WEIGHT_ANNOTATORS = "annotator_count"
 WEIGHT_UNIFORM = "uniform"
 SCOPE_ALL = "all"
 SCOPE_HIGH_QUALITY = "high_quality_only"
+# segments per bandpass call in load_dataset: one call per segment pays
+# scipy's per-call overhead N times, one call over all N holds sosfiltfilt's
+# float64 temporaries for the whole dataset
+FILTER_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,8 @@ def lr_at(step: int, total_steps: int, cfg: StageConfig) -> float:
 
 class Adam:
     """Adaptive moment estimation over named arrays of a :class:`ModelParams`
-    (all of them unless names are given)."""
+    (all of them unless names are given). Each gradient has its parameter's
+    dtype, as :func:`backward_batch` returns them."""
 
     def __init__(self, params: ModelParams, names: list[str] | None = None,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -124,13 +130,25 @@ class Adam:
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for n in self.names:
-            g = grads.get(n)
-            self.m[n] = self.beta1 * self.m[n] + (1.0 - self.beta1) * g
-            self.v[n] = self.beta2 * self.v[n] + (1.0 - self.beta2) * g * g
-            mhat = self.m[n] / bc1
-            vhat = self.v[n] / bc2
+            # in place, in the operation order of
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+            # arr -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+            g, m, v = grads.get(n), self.m[n], self.v[n]
+            t = (1.0 - self.beta1) * g
+            m *= self.beta1
+            m += t
+            np.multiply(g, 1.0 - self.beta2, out=t)
+            t *= g
+            v *= self.beta2
+            v += t
+            np.divide(m, bc1, out=t)
+            t *= lr
+            den = v / bc2
+            np.sqrt(den, out=den)
+            den += self.eps
+            t /= den
             arr = params.get(n)
-            arr -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(arr.dtype)
+            arr -= t
 
 
 @dataclass
@@ -151,12 +169,25 @@ class Dataset:
 def load_dataset(manifest: DatasetManifest, spec: FilterSpec,
                  data_dir: Path | None = None) -> Dataset:
     """Read and bandpass every segment of the manifest; each must be sampled
-    at spec.fs and shaped like the first (see :func:`read_segments`)."""
+    at spec.fs and shaped like the first (see :func:`read_segments`).
+
+    Filters FILTER_BLOCK stacked segments per call; each row is filtered
+    alone, so the result is bit-identical to one call per segment.
+    """
+    n = len(manifest.entries)
+    if n == 0:
+        raise ValueError("manifest lists no segments")
     sos = design_bandpass(spec)
-    segs = [filter_array(seg.samples, spec, sos)
-            for seg in read_segments(manifest, spec.fs, data_dir)]
+    segs = read_segments(manifest, spec.fs, data_dir)
+    x_uv = None
+    for start in range(0, n, FILTER_BLOCK):
+        block = np.stack([seg.samples for seg in islice(segs, FILTER_BLOCK)])
+        block = filter_array(block, spec, sos)
+        if x_uv is None:
+            x_uv = np.empty((n,) + block.shape[1:], dtype=np.float32)
+        x_uv[start : start + len(block)] = block
     return Dataset(
-        x_uv=np.stack(segs).astype(np.float32),
+        x_uv=x_uv,
         y=manifest.soft_labels(),
         n_votes=manifest.votes_matrix().sum(axis=1).astype(np.float64),
         patient_ids=[e.patient_id for e in manifest.entries],
@@ -301,6 +332,23 @@ class CvResult:
         return [f.best_val_loss for f in self.folds]
 
 
+def check_fold_stages(ds: Dataset, patient_fold: np.ndarray, k: int,
+                      stage1: StageConfig, stage2: StageConfig) -> None:
+    """Fail before any training when a fold holds no segments or one of its
+    stages would train on none, naming the fold, the stage and its scope."""
+    for f in range(k):
+        if not np.any(patient_fold == f):
+            raise ValueError(f"fold {f} holds no segments; reduce k or add patients")
+        train_idx = np.nonzero(patient_fold != f)[0]
+        for stage_name, stage in ((1, stage1), (2, stage2)):
+            if np.intersect1d(train_idx, scope_indices(ds.n_votes, stage.data_scope)).size:
+                continue
+            why = ("it has no training segments" if train_idx.size == 0 else
+                   f"none of its {train_idx.size} training segments has "
+                   f">= {HIGH_QUALITY_MIN_VOTES} votes")
+            raise ValueError(f"fold {f} stage {stage_name} ({stage.data_scope}): {why}")
+
+
 def run_cv(
     manifest: DatasetManifest,
     ds: Dataset,
@@ -324,12 +372,11 @@ def run_cv(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+    check_fold_stages(ds, patient_fold, k, stage1, stage2)
     results = []
     for f in range(k):
         train_idx = np.nonzero(patient_fold != f)[0]
         val_idx = np.nonzero(patient_fold == f)[0]
-        if val_idx.size == 0:
-            raise ValueError(f"fold {f} holds no segments; reduce k or add patients")
         rng = np.random.default_rng([seed, f])
         backbone = pretrained_backbone if model_cfg.pretrained else None
         params = init_params(model_cfg, seed=seed * 1000 + f, backbone=backbone)

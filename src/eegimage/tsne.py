@@ -92,18 +92,49 @@ def joint_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     return np.maximum(p, _EPS)
 
 
-def _low_dim_q(y: np.ndarray):
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """View of a square matrix's off-diagonal entries, shape (n-1, n), listed
+    in the row-major order of ``a[~np.eye(n, dtype=bool)]``."""
+    n = a.shape[0]
+    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+
+
+def _low_dim_q(y: np.ndarray, buf: np.ndarray | None = None):
+    """Student-t affinities Q of the map y, floored at _EPS, and their
+    unnormalised kernel (zero diagonal).
+
+    buf, a (3, n, n) float64 array, holds the work and the two results, so a
+    loop calling this every iteration allocates no n x n array.
+    """
+    n = y.shape[0]
+    gram, num, q = np.empty((3, n, n)) if buf is None else buf
     sq = np.sum(y * y, axis=1)
-    num = 1.0 / (1.0 + np.maximum(sq[:, None] + sq[None, :] - 2.0 * (y @ y.T), 0.0))
+    np.matmul(y, y.T, out=gram)
+    gram *= 2.0
+    np.add(sq[:, None], sq[None, :], out=num)
+    num -= gram
+    np.maximum(num, 0.0, out=num)
+    num += 1.0
+    np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
-    q = num / num.sum()
-    return np.maximum(q, _EPS), num
+    np.divide(num, num.sum(), out=q)
+    np.maximum(q, _EPS, out=q)
+    return q, num
 
 
-def kl_objective(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(P || Q) over the off-diagonal entries, for Q from :func:`_low_dim_q`."""
-    mask = ~np.eye(p.shape[0], dtype=bool)
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+def kl_objective(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> float:
+    """KL(P || Q) over the off-diagonal entries, for Q from :func:`_low_dim_q`.
+
+    out, an (n-1, n) float64 array, receives the terms; they are summed as
+    one flat array, in the order of the boolean-mask gather.
+    """
+    p_off, q_off = _off_diagonal(p), _off_diagonal(q)
+    if out is None:
+        out = np.empty(p_off.shape)
+    np.divide(p_off, q_off, out=out)
+    np.log(out, out=out)
+    out *= p_off
+    return float(out.reshape(-1).sum())
 
 
 @dataclass
@@ -137,18 +168,28 @@ def tsne(embeddings: np.ndarray, cfg: TsneConfig) -> TsneResult:
         learning_rate = cfg.learning_rate
 
     p_true = joint_affinities(x, cfg.perplexity)
+    p_exaggerated = p_true * cfg.exaggeration
     rng = np.random.default_rng(cfg.seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     y -= y.mean(axis=0)
     inc = np.zeros_like(y)
     gains = np.ones_like(y)
     trace = np.empty(cfg.iterations)
-    q, num = _low_dim_q(y)
+    # every n x n array of the loop lives here; each step writes in place
+    q_buf = np.empty((3, n, n))
+    pq = np.empty((n, n))
+    kl_terms = np.empty((n - 1, n))
+    q, num = _low_dim_q(y, q_buf)
 
     for it in range(cfg.iterations):
-        p = p_true * cfg.exaggeration if it < cfg.exaggeration_iters else p_true
-        pq = (p - q) * num
-        grad = 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
+        p = p_exaggerated if it < cfg.exaggeration_iters else p_true
+        np.subtract(p, q, out=pq)
+        pq *= num
+        # diag(rowsums) - pq, built in place: pq's diagonal is +-0 (num's is 0)
+        row_sums = pq.sum(axis=1)
+        np.negative(pq, out=pq)
+        pq.reshape(-1)[:: n + 1] = row_sums
+        grad = 4.0 * (pq @ y)
         momentum = cfg.momentum_early if it < cfg.exaggeration_iters else cfg.momentum_late
         flips = np.sign(grad) != np.sign(inc)
         gains = np.where(flips, gains + 0.2, gains * 0.8)
@@ -157,8 +198,8 @@ def tsne(embeddings: np.ndarray, cfg: TsneConfig) -> TsneResult:
         y = y + inc
         y -= y.mean(axis=0)  # keep translation-centered every iteration
         # the Q of the new map serves both this trace entry and the next step
-        q, num = _low_dim_q(y)
-        trace[it] = kl_objective(p_true, q)
+        q, num = _low_dim_q(y, q_buf)
+        trace[it] = kl_objective(p_true, q, kl_terms)
 
     return TsneResult(coords=y, objective_trace=trace)
 

@@ -396,3 +396,28 @@ def test_ablate_logs_each_epoch_at_v_and_writes_no_more(tmp_path, capsys):
     assert cells[6][:2] == (0, "no_central") and cells[12][:2] == (1, "full")
     assert all(np.isfinite(r["train_loss"]) and np.isfinite(r["val_loss"]) for r in records)
     assert sorted(p.name for p in out.iterdir()) == ["ablation.csv", "ablation.svg"]
+
+
+def test_ablate_no_pretrain_and_no_augment_flags(tmp_path, monkeypatch):
+    import eegimage.analysis as analysis
+    import eegimage.train as train
+
+    def forbidden(*a, **k):
+        raise AssertionError("called although switched off by flag")
+
+    monkeypatch.setattr(analysis, "pretrain_backbone", forbidden)
+    monkeypatch.setattr(train, "apply_array", forbidden)
+    data = tmp_path / "d"
+    assert run_gen(data, patients=6, segments=3) == 0
+    out = tmp_path / "abl"
+    rc = main(
+        [
+            "ablate", "--data-dir", str(data), "--out-dir", str(out),
+            "--no-pretrain", "--no-augment", "--seeds", "1", "--folds", "2",
+            "--stage1-epochs", "1", "--stage2-epochs", "1",
+            "--backbone", "6,8", "--variants", "full,no_central",
+        ]
+    )
+    assert rc == 0
+    text = (out / "ablation.csv").read_text()
+    assert "full," in text and "no_central," in text

@@ -269,6 +269,43 @@ def test_adam_first_step_size_is_lr():
     assert np.allclose(moved, 1e-2, rtol=1e-6)
 
 
+def reference_adam_step(opt, params, grads, lr):
+    """The textbook update, written with a fresh array at every operation."""
+    opt.t += 1
+    bc1 = 1.0 - opt.beta1**opt.t
+    bc2 = 1.0 - opt.beta2**opt.t
+    for n in opt.names:
+        g = grads.get(n)
+        opt.m[n] = opt.beta1 * opt.m[n] + (1.0 - opt.beta1) * g
+        opt.v[n] = opt.beta2 * opt.v[n] + (1.0 - opt.beta2) * g * g
+        mhat = opt.m[n] / bc1
+        vhat = opt.v[n] / bc2
+        arr = params.get(n)
+        arr -= (lr * mhat / (np.sqrt(vhat) + opt.eps)).astype(arr.dtype)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adam_step_is_bit_equal_to_the_textbook_update(dtype):
+    cfg = tiny_cfg(dtype=dtype)
+    params = init_params(cfg, seed=0)
+    ref_params = params.copy()
+    names = params.trainable_names(cfg)
+    opt, ref = Adam(params, names), Adam(ref_params, names)
+    rng = np.random.default_rng(1)
+    for step in range(200):
+        grads = params.zeros_like()
+        for n in names:
+            g = grads.get(n)
+            g[...] = rng.normal(size=g.shape) * 10.0 ** rng.uniform(-8, 1)
+        lr = 1e-3 * (1 + step % 7)
+        opt.step(params, grads, lr)
+        reference_adam_step(ref, ref_params, grads, lr)
+    for n in names:
+        assert params.get(n).dtype == ref_params.get(n).dtype
+        assert np.array_equal(params.get(n), ref_params.get(n)), n
+        assert np.array_equal(opt.m[n], ref.m[n]) and np.array_equal(opt.v[n], ref.v[n]), n
+
+
 def test_adam_skips_frozen_embedding():
     cfg = tiny_cfg(learnable_embedding=False)
     params = init_params(cfg, seed=0)
@@ -482,6 +519,27 @@ def test_run_cv_rejects_empty_fold():
         )
 
 
+def test_run_cv_checks_every_stage_before_training_any_fold(tmp_path, monkeypatch):
+    import eegimage.train as train
+    from eegimage.cli import main
+    from eegimage.data import load_manifest
+    from eegimage.preprocess import FilterSpec
+
+    assert main(["gen", "--out-dir", str(tmp_path), "--patients", "6", "--segments", "3",
+                 "--fs", "100", "--duration", "5"]) == 0
+    manifest = load_manifest(tmp_path / "manifest.csv")
+    ds = train.load_dataset(manifest, FilterSpec(fs=100.0))
+    trained = []
+    monkeypatch.setattr(train, "train_stage", lambda *a, **k: trained.append(a))
+    # with seed 4, fold 1's training patients hold no high-quality segment
+    with pytest.raises(ValueError) as err:
+        run_cv(manifest, ds, tiny_cfg(), default_stage1(epochs=1, batch_size=8),
+               default_stage2(epochs=1, batch_size=8), None, k=2, seed=4)
+    assert str(err.value) == ("fold 1 stage 2 (high_quality_only): none of its 9 training "
+                              f"segments has >= {HIGH_QUALITY_MIN_VOTES} votes")
+    assert trained == []
+
+
 # --- ensembling ---
 
 
@@ -539,4 +597,32 @@ def test_load_dataset_designs_the_bandpass_once(tmp_path, monkeypatch, mode):
     assert designs == [spec]
     per_segment = [filter_array(read_signal(manifest.segment_path(e)).samples, spec)
                    for e in manifest.entries]
+    assert np.array_equal(ds.x_uv, np.stack(per_segment).astype(np.float32))
+
+
+@pytest.mark.parametrize("n_segments", [1, 31, 32, 33, 70])
+@pytest.mark.parametrize("mode", ["zero_phase", "causal"])
+def test_load_dataset_filters_blocks_bit_identical_to_each_segment(tmp_path, monkeypatch,
+                                                                    mode, n_segments):
+    import eegimage.train as train
+    from eegimage.data import read_signal
+    from eegimage.preprocess import FilterSpec, filter_array
+    from eegimage.synthgen import SynthConfig, generate
+
+    manifest = generate(SynthConfig(n_patients=n_segments, segments_per_patient=1, fs=100.0,
+                                    t_total_s=5.0, seed=0), tmp_path)
+    blocks = []
+
+    def spy(x, spec, sos=None):
+        blocks.append(len(x))
+        return filter_array(x, spec, sos)
+
+    monkeypatch.setattr(train, "filter_array", spy)
+    spec = FilterSpec(fs=100.0, mode=mode)
+    ds = train.load_dataset(manifest, spec)
+    full, rest = divmod(n_segments, train.FILTER_BLOCK)
+    assert blocks == [train.FILTER_BLOCK] * full + ([rest] if rest else [])
+    per_segment = [filter_array(read_signal(manifest.segment_path(e)).samples, spec)
+                   for e in manifest.entries]
+    assert ds.x_uv.dtype == np.float32
     assert np.array_equal(ds.x_uv, np.stack(per_segment).astype(np.float32))

@@ -1,6 +1,7 @@
 """Exact t-SNE: affinity contracts, the two-Gaussian recovery benchmark, and
 objective/centering guarantees."""
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,111 @@ def test_kl_objective_nonnegative():
     for seed in range(3):
         y = np.random.default_rng(seed).normal(size=(30, 2))
         assert kl_objective(p, _low_dim_q(y)[0]) >= -1e-9
+
+
+# --- the loop against a reference that allocates every step ---
+
+
+def reference_low_dim_q(y):
+    sq = np.sum(y * y, axis=1)
+    num = 1.0 / (1.0 + np.maximum(sq[:, None] + sq[None, :] - 2.0 * (y @ y.T), 0.0))
+    np.fill_diagonal(num, 0.0)
+    q = num / num.sum()
+    return np.maximum(q, 1e-12), num
+
+
+def reference_kl(p, q):
+    mask = ~np.eye(p.shape[0], dtype=bool)
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def reference_tsne(x, cfg):
+    """The exact t-SNE loop written with fresh n x n arrays at every step."""
+    n = x.shape[0]
+    lr = max(n / (4.0 * cfg.exaggeration), 50.0) if cfg.learning_rate == "auto" \
+        else cfg.learning_rate
+    p_true = joint_affinities(x, cfg.perplexity)
+    rng = np.random.default_rng(cfg.seed)
+    y = rng.normal(0.0, 1e-4, size=(n, 2))
+    y -= y.mean(axis=0)
+    inc = np.zeros_like(y)
+    gains = np.ones_like(y)
+    trace = np.empty(cfg.iterations)
+    q, num = reference_low_dim_q(y)
+    for it in range(cfg.iterations):
+        p = p_true * cfg.exaggeration if it < cfg.exaggeration_iters else p_true
+        pq = (p - q) * num
+        grad = 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
+        momentum = cfg.momentum_early if it < cfg.exaggeration_iters else cfg.momentum_late
+        flips = np.sign(grad) != np.sign(inc)
+        gains = np.where(flips, gains + 0.2, gains * 0.8)
+        np.clip(gains, 0.01, None, out=gains)
+        inc = momentum * inc - lr * gains * grad
+        y = y + inc
+        y -= y.mean(axis=0)
+        q, num = reference_low_dim_q(y)
+        trace[it] = reference_kl(p_true, q)
+    return y, trace
+
+
+def duplicated_pair():
+    x, _ = gaussian_pair(n_per=30, dim=5)
+    return np.vstack([x, x[:1]])  # 61 points, the last a copy of the first
+
+
+REFERENCE_CASES = {
+    "n12": (lambda: np.random.default_rng(0).normal(size=(12, 3)),
+            TsneConfig(perplexity=3.0, iterations=300, exaggeration_iters=100)),
+    "n61_duplicated_fixed_lr": (duplicated_pair,
+                                TsneConfig(perplexity=10.0, iterations=300,
+                                           exaggeration_iters=100, learning_rate=200.0)),
+    "n40_exaggeration_to_the_end": (lambda: np.random.default_rng(2).normal(size=(40, 4)),
+                                    TsneConfig(perplexity=5.0, iterations=251,
+                                               exaggeration_iters=250, seed=5)),
+    "n240_d128": (lambda: np.random.default_rng(3).normal(size=(240, 128)),
+                  TsneConfig(perplexity=30.0, iterations=300, exaggeration_iters=250)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_tsne_is_bit_identical_to_the_allocating_loop(case):
+    make_x, cfg = REFERENCE_CASES[case]
+    x = make_x()
+    res = tsne(x, cfg)
+    coords, trace = reference_tsne(x, cfg)
+    assert np.array_equal(res.coords, coords)
+    assert np.array_equal(res.objective_trace, trace)
+
+
+def test_q_and_objective_match_the_reference_with_and_without_buffers():
+    rng = np.random.default_rng(4)
+    n = 33
+    p = joint_affinities(rng.normal(size=(n, 6)), 8.0)
+    y = rng.normal(size=(n, 2))
+    q_ref, num_ref = reference_low_dim_q(y)
+    for buf in (None, np.full((3, n, n), np.nan)):
+        q, num = _low_dim_q(y, buf)
+        assert np.array_equal(q, q_ref) and np.array_equal(num, num_ref)
+        for out in (None, np.full((n - 1, n), np.nan)):
+            assert kl_objective(p, q, out) == reference_kl(p, q_ref)
+
+
+def test_each_iteration_evaluates_q_and_the_objective_once(monkeypatch):
+    # the package exports the function tsne, which shadows the module's name
+    tsne_mod = importlib.import_module("eegimage.tsne")
+    calls = {"_low_dim_q": 0, "kl_objective": 0}
+    for name in calls:
+        orig = getattr(tsne_mod, name)
+
+        def counted(*a, orig=orig, name=name, **k):
+            calls[name] += 1
+            return orig(*a, **k)
+
+        monkeypatch.setattr(tsne_mod, name, counted)
+    cfg = TsneConfig(perplexity=5.0, iterations=120, exaggeration_iters=60)
+    tsne(np.random.default_rng(0).normal(size=(30, 4)), cfg)
+    # one Q for the initial map, then one Q and one objective per iteration
+    assert calls == {"_low_dim_q": cfg.iterations + 1, "kl_objective": cfg.iterations}
 
 
 # --- the benchmark ---
