@@ -26,12 +26,12 @@ the full recipe takes a few minutes.
 """
 
 import argparse
-import contextlib
+import functools
 import hashlib
 import sys
 from pathlib import Path
 
-from eegimage.cli import main as cli
+import cli_step
 
 SMALL_TRAIN = ["--folds", "2", "--stage1-epochs", "2", "--stage2-epochs", "1",
                "--batch-size", "8", "--backbone", "8,16,32", "--seed", "0"]
@@ -39,14 +39,8 @@ SMALL_TSNE = ["--perplexity", "4", "--iterations", "300"]
 BIG_TRAIN = ["--folds", "2", "--stage1-epochs", "5", "--stage2-epochs", "1", "--seed", "0"]
 
 
-def step(*argv):
-    argv = [str(a) for a in argv]
-    # the commands' own summaries go to stderr; stdout carries only hashes
-    with contextlib.redirect_stdout(sys.stderr):
-        print(f"$ eegimage {' '.join(argv)}", flush=True)
-        rc = cli(argv)
-    if rc:
-        sys.exit(rc)
+# the commands' own summaries go to stderr; stdout carries only hashes
+step = functools.partial(cli_step.step, stdout=sys.stderr)
 
 
 def serve(data: Path, run: Path, tsne_flags):

@@ -7,10 +7,9 @@
 """
 
 import argparse
-import sys
 import time
 
-from eegimage.cli import main as cli
+from cli_step import step
 
 FULL = dict(patients=60, segments=20, folds=5, stage1=6, stage2=2,
             backbone="16,32,64,128", batch=32)
@@ -18,30 +17,20 @@ QUICK = dict(patients=12, segments=6, folds=3, stage1=2, stage2=1,
              backbone="8,16,32", batch=16)
 
 
-def step(argv):
-    print(f"$ eegimage {' '.join(argv)}", flush=True)
-    rc = cli(argv)
-    if rc:
-        sys.exit(rc)
-
-
 def run(out, seed, p):
     data, train = f"{out}/data", f"{out}/train"
-    step(["gen", "--out-dir", data, "--seed", str(seed),
-          "--patients", str(p["patients"]), "--segments", str(p["segments"])])
-    step(["train", "--data-dir", data, "--out-dir", train,
-          "--folds", str(p["folds"]),
-          "--stage1-epochs", str(p["stage1"]), "--stage2-epochs", str(p["stage2"]),
-          "--batch-size", str(p["batch"]), "--backbone", p["backbone"],
-          "--seed", str(seed), "-v"])
-    step(["evaluate", "--data-dir", data, "--run-dir", train,
-          "--out-dir", f"{out}/eval"])
-    step(["predict", "--data-dir", data, "--run-dir", train,
-          "--out", f"{out}/predictions.csv"])
+    step("gen", "--out-dir", data, "--seed", seed,
+         "--patients", p["patients"], "--segments", p["segments"])
+    step("train", "--data-dir", data, "--out-dir", train, "--folds", p["folds"],
+         "--stage1-epochs", p["stage1"], "--stage2-epochs", p["stage2"],
+         "--batch-size", p["batch"], "--backbone", p["backbone"], "--seed", seed, "-v")
+    step("evaluate", "--data-dir", data, "--run-dir", train, "--out-dir", f"{out}/eval")
+    step("predict", "--data-dir", data, "--run-dir", train,
+         "--out", f"{out}/predictions.csv")
     n = p["patients"] * p["segments"]
     perplexity = min(30.0, (n - 1) / 3.5)
-    step(["tsne", "--data-dir", data, "--run-dir", train,
-          "--out-dir", f"{out}/eval", "--perplexity", f"{perplexity:g}"])
+    step("tsne", "--data-dir", data, "--run-dir", train,
+         "--out-dir", f"{out}/eval", "--perplexity", f"{perplexity:g}")
 
 
 if __name__ == "__main__":

@@ -141,8 +141,6 @@ def cmd_preprocess(args) -> int:
     manifest = load_manifest(data / "manifest.csv")
     # every segment is checked against the first before anything is written
     segs = list(read_segments(manifest))
-    if not segs:
-        raise ValueError(f"{data / 'manifest.csv'}: lists no segments")
     spec = FilterSpec(fs=segs[0].fs, order=cfg_d["order"], low_hz=cfg_d["low_hz"],
                       high_hz=cfg_d["high_hz"], mode=cfg_d["filter_mode"])
     sos = design_bandpass(spec)

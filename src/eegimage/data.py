@@ -242,26 +242,40 @@ def save_manifest(manifest: DatasetManifest, path: Path, header_comment: str | N
 
 
 def load_manifest(path: Path) -> DatasetManifest:
+    """Read a manifest CSV ('#' lines are comments). Fails, naming the file,
+    the line, the segment and the column, on a missing column, a vote that is
+    not a non-negative integer, a row whose votes sum to 0, or no rows."""
     path = Path(path)
     entries = []
     with open(path, newline="") as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
+        numbered = [(no, ln) for no, ln in enumerate(f, 1) if not ln.startswith("#")]
+    reader = csv.DictReader([ln for _, ln in numbered])
     missing = set(MANIFEST_COLUMNS) - set(reader.fieldnames or ())
     if missing:
         raise ValueError(f"manifest {path} missing columns: {sorted(missing)}")
     for row in reader:
-        votes = tuple(int(row[f"votes_{name}"]) for name in CLASS_NAMES)
+        where = f"{path} line {numbered[reader.line_num - 1][0]}: segment {row['segment_id']!r}"
+        votes = []
+        for name in CLASS_NAMES:
+            raw = (row[f"votes_{name}"] or "").strip()
+            if not (raw.isascii() and raw.isdigit()):
+                raise ValueError(f"{where}, column votes_{name}: {raw!r} is not a "
+                                 "non-negative integer vote count")
+            votes.append(int(raw))
+        if sum(votes) == 0:
+            raise ValueError(f"{where}, columns votes_*: the votes sum to 0")
         entries.append(
             ManifestEntry(
                 segment_id=row["segment_id"],
                 recording_id=row["recording_id"],
                 patient_id=row["patient_id"],
-                votes=votes,
+                votes=tuple(votes),
                 subset=row["subset"],
                 path=row["path"],
             )
         )
+    if not entries:
+        raise ValueError(f"{path}: lists no segments")
     return DatasetManifest(entries, root=path.parent)
 
 

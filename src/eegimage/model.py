@@ -294,6 +294,9 @@ def eeg_to_image_backward(dz0: np.ndarray, image_cache, conv0_cache,
     demb = np.zeros(emb_shape, dtype=dz0.dtype)
     ho = np.arange(hout)
     for i in range(kk):
+        # the right operand np.tensordot builds from w0[i], (j, g, o) ->
+        # (o·j, g); every channel of this row tap reuses it
+        wi = w0[i].transpose(2, 0, 1).reshape(cout * kk, g)
         r = stride * ho + i - CONV_PAD
         on = (r >= 0) & (r < h)
         ho_i, r = ho[on], r[on]
@@ -306,23 +309,31 @@ def eeg_to_image_backward(dz0: np.ndarray, image_cache, conv0_cache,
             sel = ho_i[rows]
             step = sel[1] - sel[0] if sel.size > 1 else 1
             part = dzt[sel[0] : sel[-1] + 1 : step].reshape(-1, n * wout) @ winj[cc]
-            # (rows, o, j, l) x (j, g, o) -> (rows, l, g)
-            part = np.tensordot(part.reshape(-1, cout, kk, l), w0[i], axes=([1, 2], [2, 0]))
+            # (rows, o, j, l) x (j, g, o) -> (rows, l, g) as the one GEMM
+            # np.tensordot makes of it, so the rounding is tensordot's
+            part = part.reshape(-1, cout, kk, l).transpose(0, 3, 1, 2).reshape(-1, cout * kk)
+            part = np.dot(part, wi).reshape(-1, l, g)
             demb[:, kern[rows], :] += part.transpose(2, 0, 1)
     return demb
 
 
 def _im2col(x: np.ndarray, kk: int, stride: int, pads: tuple[int, int]):
+    """Rows (n, ho, wo) of kk x kk x c patches of x, with CONV_PAD zero rows
+    above and below and pads = (left, right) zero columns, gathered through
+    one strided view of a zero-bordered copy."""
     n, h, w, c = x.shape
-    p = CONV_PAD
-    xp = np.pad(x, ((0, 0), (p, p), pads, (0, 0)))
-    view = np.lib.stride_tricks.sliding_window_view(xp, (kk, kk), axis=(1, 2))
-    view = view[:, ::stride, ::stride]  # (N, Hout, Wout, C, kk, kk)
-    hout, wout = view.shape[1], view.shape[2]
-    cols = np.ascontiguousarray(view.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        n * hout * wout, kk * kk * c
-    )
-    return cols, (n, h, w, c, hout, wout)
+    p, (pl, pr) = CONV_PAD, pads
+    hout = (h + 2 * p - kk) // stride + 1
+    wout = (w + pl + pr - kk) // stride + 1
+    if hout < 1 or wout < 1:
+        raise ValueError(f"a {kk}x{kk} kernel does not fit a padded {h}x{w} input")
+    xp = np.zeros((n, h + 2 * p, w + pl + pr, c), dtype=x.dtype)
+    xp[:, p : p + h, pl : pl + w] = x
+    sn, sh, sw, sc = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, (n, hout, wout, kk, kk, c), (sn, stride * sh, stride * sw, sh, sw, sc),
+        writeable=False)
+    return view.reshape(n * hout * wout, kk * kk * c), (n, h, w, c, hout, wout)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
@@ -332,10 +343,37 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
     kk = w.shape[0]
     cout = w.shape[3]
     cols, dims = _im2col(x, kk, stride, pads)
-    out = cols @ w.reshape(-1, cout) + b
+    out = cols @ w.reshape(-1, cout)
+    out += b
     n, _, _, _, hout, wout = dims
     cache = (cols, w, stride, dims)
     return out.reshape(n, hout, wout, cout), cache
+
+
+def _col2im(dcols: np.ndarray, kk: int, stride: int, pads: tuple[int, int], dims,
+            dtype: np.dtype):
+    """Inverse of :func:`_im2col`: add every patch row of dcols back onto the
+    input it was gathered from, in a dtype array.
+
+    The padded input gradient is viewed as blocks of `stride` columns, so
+    column taps q·s .. q·s+s-1 of output column wo land, contiguous, in block
+    wo+q: each row tap adds ceil(kk/s) runs of up to s·c values rather than
+    kk runs of c. Every entry still receives its taps in (row tap, column
+    tap) order, so the sums are those of a tap-by-tap loop, bit for bit.
+    """
+    n, h, w, c, hout, wout = dims
+    s, p, (pl, pr) = stride, CONV_PAD, pads
+    blocks = -(-(w + pl + pr) // s)
+    dxp = np.zeros((n, h + 2 * p, blocks * s, c), dtype=dtype)
+    dxb = dxp.reshape(n, h + 2 * p, blocks, s * c)
+    taps = dcols.reshape(n, hout, wout, kk, kk, c)
+    for i in range(kk):
+        rows = dxb[:, i : i + s * hout : s]
+        for q in range(0, kk, s):
+            m = min(s, kk - q)
+            rows[:, :, q // s : q // s + wout, : m * c] += taps[:, :, :, i, q : q + m].reshape(
+                n, hout, wout, m * c)
+    return dxp[:, p : h + p, pl : w + pl, :]
 
 
 def conv2d_backward(dout: np.ndarray, cache, want_dx: bool = True,
@@ -344,7 +382,6 @@ def conv2d_backward(dout: np.ndarray, cache, want_dx: bool = True,
     None when want_dx is False, which skips the second GEMM and the col2im
     scatter."""
     cols, w, stride, dims = cache
-    n, h, win, c, hout, wout = dims
     kk = w.shape[0]
     cout = w.shape[3]
     dflat = dout.reshape(-1, cout)
@@ -352,15 +389,8 @@ def conv2d_backward(dout: np.ndarray, cache, want_dx: bool = True,
     db = dflat.sum(axis=0)
     if not want_dx:
         return None, dw, db
-    dcols = (dflat @ w.reshape(-1, cout).T).reshape(n, hout, wout, kk, kk, c)
-    p, (pl, pr) = CONV_PAD, pads
-    dxp = np.zeros((n, h + 2 * p, win + pl + pr, c), dtype=dout.dtype)
-    for i in range(kk):
-        for j in range(kk):
-            dxp[:, i : i + stride * hout : stride, j : j + stride * wout : stride, :] += dcols[
-                :, :, :, i, j, :
-            ]
-    return dxp[:, p : h + p, pl : win + pl, :], dw, db
+    dcols = dflat @ w.reshape(-1, cout).T
+    return _col2im(dcols, kk, stride, pads, dims, dout.dtype), dw, db
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

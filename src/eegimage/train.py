@@ -217,10 +217,11 @@ def predict_batched(x_scaled: np.ndarray, params: ModelParams, cfg: ModelConfig,
 
 
 def validation_loss(x_scaled: np.ndarray, y: np.ndarray, params: ModelParams,
-                    cfg: ModelConfig) -> float:
-    """Unweighted mean KLD on already-scaled validation segments."""
+                    cfg: ModelConfig) -> tuple[float, np.ndarray]:
+    """(unweighted mean KLD, predicted probabilities) on already-scaled
+    validation segments."""
     probs = predict_batched(x_scaled, params, cfg)
-    return float(kl_div_rows(y, probs).mean())
+    return float(kl_div_rows(y, probs).mean()), probs
 
 
 @dataclass
@@ -228,6 +229,8 @@ class StageResult:
     params: ModelParams
     best_val_loss: float
     history: list[dict] = field(default_factory=list)
+    # the validation pass of the best epoch, None until an epoch improves on inf
+    best_val_probs: np.ndarray | None = None
 
 
 def train_stage(
@@ -292,7 +295,7 @@ def train_stage(
                     emb.reshape(-1, emb.shape[-1])).reshape(emb.shape))
             epoch_losses.append(batch_loss)
             step += 1
-        val = validation_loss(x_val_scaled, y_val, params, model_cfg)
+        val, val_probs = validation_loss(x_val_scaled, y_val, params, model_cfg)
         record = {
             "epoch": epoch,
             "step": step,
@@ -306,6 +309,7 @@ def train_stage(
         if val < best.best_val_loss:
             best.best_val_loss = val
             best.params = params.copy()
+            best.best_val_probs = val_probs
     # restore the best snapshot so the caller continues from it
     params.arrays = best.params.copy().arrays
     return best
@@ -397,7 +401,12 @@ def run_cv(
             except FloatingPointError as e:
                 raise FloatingPointError(f"fold {f} stage {stage_name} {e}") from e
         r1, r2 = stage_results
-        oof[val_idx] = onto_simplex(predict_batched(x_val, params, model_cfg))
+        # params is stage 2's best snapshot, whose validation pass made
+        # r2.best_val_probs; recompute only if no epoch improved (NaN losses)
+        val_probs = r2.best_val_probs
+        if val_probs is None:
+            val_probs = predict_batched(x_val, params, model_cfg)
+        oof[val_idx] = onto_simplex(val_probs)
         ckpt = None
         if out_dir is not None:
             ckpt = out_dir / f"fold{f}.ckpt"

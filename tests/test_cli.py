@@ -185,6 +185,53 @@ def test_preprocess_rejects_a_segment_unlike_the_first(tmp_path, capsys, fault):
     assert not out.exists()  # nothing written
 
 
+def _edit_manifest(data, fault):
+    """Rewrite the manifest with one fault; returns the expected line and
+    column of the message."""
+    path = data / "manifest.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    if fault == "no_rows":
+        path.write_text("".join(lines[:2]))  # comment and header
+        return None, None
+    # line 4 is the second segment, s000001; column 3 is votes_seizure
+    cells = lines[3].split(",")
+    if fault == "zero_sum":
+        cells[3:9] = ["0"] * 6
+        column = "columns votes_*"
+    else:
+        cells[3] = {"not_a_number": "x", "negative": "-1", "fraction": "1.5"}[fault]
+        column = "column votes_seizure"
+    lines[3] = ",".join(cells)
+    path.write_text("".join(lines))
+    return 4, column
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "preprocess"])
+@pytest.mark.parametrize("fault", ["no_rows", "not_a_number", "negative", "fraction",
+                                   "zero_sum"])
+def test_a_bad_manifest_fails_before_any_work_naming_the_file(tmp_path, capsys, monkeypatch,
+                                                               command, fault):
+    import eegimage.cli
+    import eegimage.data
+
+    data, out = tmp_path / "d", tmp_path / "out"
+    assert run_gen(data) == 0
+    line, column = _edit_manifest(data, fault)
+    read = []
+    for module in (eegimage.cli, eegimage.data):
+        monkeypatch.setattr(module, "read_signal", lambda *a, **k: read.append(a))
+    capsys.readouterr()
+    rc = main([command, "--data-dir", str(data), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {data / 'manifest.csv'}")
+    if fault == "no_rows":
+        assert "lists no segments" in err
+    else:
+        assert f"line {line}: segment 's000001', {column}" in err
+    assert read == [] and not out.exists()
+
+
 # --- train / evaluate / predict / tsne round trip ---
 
 

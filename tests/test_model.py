@@ -21,6 +21,8 @@ from eegimage.model import (
     FULL_PADS,
     ModelConfig,
     ModelParams,
+    _col2im,
+    _im2col,
     backbone_forward,
     backward_batch,
     central_columns,
@@ -370,6 +372,90 @@ def test_conv2d_backward_without_input_gradient_keeps_dw_db():
     assert np.array_equal(dw_only, dw) and np.array_equal(db_only, db)
 
 
+def im2col_reference(x, kk, stride, pads):
+    """im2col through np.pad and sliding_window_view."""
+    n, h, w, c = x.shape
+    xp = np.pad(x, ((0, 0), (CONV_PAD, CONV_PAD), pads, (0, 0)))
+    view = np.lib.stride_tricks.sliding_window_view(xp, (kk, kk), axis=(1, 2))
+    view = view[:, ::stride, ::stride]  # (N, Hout, Wout, C, kk, kk)
+    hout, wout = view.shape[1], view.shape[2]
+    cols = np.ascontiguousarray(view.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        n * hout * wout, kk * kk * c)
+    return cols, (n, h, w, c, hout, wout)
+
+
+def col2im_reference(dcols, kk, stride, pads, dims, dtype):
+    """col2im one (row tap, column tap) pair at a time, kk*kk adds."""
+    n, h, w, c, hout, wout = dims
+    p, (pl, pr) = CONV_PAD, pads
+    dcols = dcols.reshape(n, hout, wout, kk, kk, c)
+    dxp = np.zeros((n, h + 2 * p, w + pl + pr, c), dtype=dtype)
+    for i in range(kk):
+        for j in range(kk):
+            dxp[:, i : i + stride * hout : stride, j : j + stride * wout : stride, :] += (
+                dcols[:, :, :, i, j, :])
+    return dxp[:, p : h + p, pl : w + pl, :]
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def with_negative_zeros(a, rng, fraction=0.2):
+    a = a.copy()
+    a[rng.random(a.shape) < fraction] = -0.0
+    return a
+
+
+KERNEL_PADS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("kk", [1, 2, 3, 4, 5])
+def test_im2col_and_conv_forward_are_bit_identical_to_the_padded_window_view(kk, stride, dtype):
+    rng = np.random.default_rng(100 * kk + stride)
+    for pads in KERNEL_PADS:
+        for width in (kk + 3, kk + 4):
+            x = with_negative_zeros(rng.normal(size=(2, 5, width, 3)).astype(dtype), rng)
+            cols, dims = _im2col(x, kk, stride, pads)
+            want_cols, want_dims = im2col_reference(x, kk, stride, pads)
+            assert dims == want_dims
+            assert_bit_equal(cols, want_cols)
+            w = rng.normal(size=(kk, kk, 3, 4)).astype(dtype)
+            b = rng.normal(size=4).astype(dtype)
+            out, cache = conv2d_forward(x, w, b, stride, pads)
+            n, _, _, _, hout, wout = dims
+            want = (want_cols @ w.reshape(-1, 4) + b).reshape(n, hout, wout, 4)
+            assert_bit_equal(out, want)
+            assert cache[1] is w and cache[2] == stride and cache[3] == dims
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("kk", [1, 2, 3, 4, 5])
+def test_col2im_is_bit_identical_to_the_tap_by_tap_loop(kk, stride, dtype):
+    rng = np.random.default_rng(200 * kk + stride)
+    for pads in KERNEL_PADS:
+        for width in (kk + 3, kk + 4):
+            x = rng.normal(size=(2, 5, width, 3)).astype(dtype)
+            _, dims = _im2col(x, kk, stride, pads)
+            n, _, _, c, hout, wout = dims
+            dcols = with_negative_zeros(
+                rng.normal(size=(n * hout * wout, kk * kk * c)).astype(dtype), rng, 0.5)
+            assert_bit_equal(_col2im(dcols, kk, stride, pads, dims, dtype),
+                             col2im_reference(dcols, kk, stride, pads, dims, dtype))
+            # and through conv2d_backward, with -0.0 in the upstream gradient
+            w = rng.normal(size=(kk, kk, c, 4)).astype(dtype)
+            out, cache = conv2d_forward(x, w, np.zeros(4, dtype), stride, pads)
+            dout = with_negative_zeros(rng.normal(size=out.shape).astype(dtype), rng)
+            dx, _, _ = conv2d_backward(dout, cache, True, pads)
+            dcols = dout.reshape(-1, 4) @ w.reshape(-1, 4).T
+            assert_bit_equal(dx, col2im_reference(dcols, kk, stride, pads, dims, dtype))
+
+
 def test_training_cache_holds_one_silu_derivative_per_stage(monkeypatch):
     import eegimage.model as model
 
@@ -456,6 +542,33 @@ def image_gradient_reference(dz0, image_cache, conv0_cache, pads=FULL_PADS):
     return np.einsum("nkcwg,ncwl->gkl", dimg.reshape(n, k, c, w, g), win, optimize=True)
 
 
+def embedding_gradient_tensordot_reference(dz0, image_cache, conv0_cache, pad_left):
+    """eeg_to_image_backward with one np.tensordot per (row tap, channel)."""
+    win, emb_shape, layout, (n, c, k, w, g) = image_cache
+    _, w0, stride, (_, h, _, _, hout, wout) = conv0_cache
+    kk, l, cout = w0.shape[0], emb_shape[2], w0.shape[3]
+    wp = np.zeros((c, n, stride * (wout - 1) + kk, l), dtype=win.dtype)
+    wp[:, :, pad_left : pad_left + w] = win.transpose(1, 0, 2, 3)[:, :, : wp.shape[2] - pad_left]
+    winj = np.stack([wp[:, :, j : j + stride * wout : stride] for j in range(kk)], axis=3)
+    winj = winj.reshape(c, n * wout, kk * l)
+    dzt = np.ascontiguousarray(dz0.transpose(1, 3, 0, 2)).reshape(hout, cout, n * wout)
+    demb = np.zeros(emb_shape, dtype=dz0.dtype)
+    ho = np.arange(hout)
+    for i in range(kk):
+        r = stride * ho + i - CONV_PAD
+        on = (r >= 0) & (r < h)
+        ho_i, r = ho[on], r[on]
+        ch, kern = (r // k, r % k) if layout == "channel_major" else (r % c, r // c)
+        for cc in np.unique(ch):
+            rows = ch == cc
+            sel = ho_i[rows]
+            step = sel[1] - sel[0] if sel.size > 1 else 1
+            part = dzt[sel[0] : sel[-1] + 1 : step].reshape(-1, n * wout) @ winj[cc]
+            part = np.tensordot(part.reshape(-1, cout, kk, l), w0[i], axes=([1, 2], [2, 0]))
+            demb[:, kern[rows], :] += part.transpose(2, 0, 1)
+    return demb
+
+
 def embedding_gradients(cfg, t, seed=0):
     """(new, reference) embedding gradient for a random stage-0 gradient."""
     rng = np.random.default_rng(seed)
@@ -486,6 +599,23 @@ def test_embedding_gradient_matches_the_image_gradient_path(case, layout):
     got, want = embedding_gradients(replace(cfg, row_layout=layout), t)
     assert got.shape == want.shape == (cfg.groups, cfg.kernels_per_group, cfg.kernel_len)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("layout", ["channel_major", "kernel_major"])
+@pytest.mark.parametrize("case", sorted(EMBEDDING_GRADIENT_CASES))
+def test_embedding_gradient_is_bit_identical_to_the_tensordot_loop(case, layout, dtype):
+    cfg, t = EMBEDDING_GRADIENT_CASES[case]
+    cfg = replace(cfg, row_layout=layout, dtype=dtype)
+    rng = np.random.default_rng(7)
+    params = init_params(cfg, 7)
+    params.set("embedding", project_rows_simplex(rng.random(params.embedding.shape)))
+    x = rng.normal(size=(2, cfg.n_channels, t)) * 50 + 127.5
+    _, _, cache = forward_batch(x, params, cfg, want_cache=True)
+    dz0 = with_negative_zeros(rng.normal(size=cache.silu_grads[0].shape).astype(dtype), rng)
+    pad_left = cache.cone[0][2][0] if cache.cone is not None else CONV_PAD
+    args = (dz0, cache.image_cache, cache.conv_caches[0], pad_left)
+    assert_bit_equal(eeg_to_image_backward(*args), embedding_gradient_tensordot_reference(*args))
 
 
 def test_embedding_gradient_in_float32_matches_the_image_gradient_path():

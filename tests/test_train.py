@@ -30,6 +30,8 @@ from eegimage.train import (
     ensemble_predict,
     kld_loss,
     lr_at,
+    onto_simplex,
+    predict_batched,
     run_cv,
     sample_weights,
     scope_indices,
@@ -360,7 +362,7 @@ def test_stage_restores_best_snapshot():
     )
     result = train_stage(params, cfg, stage, ds, train_idx, x_val, y_val, None,
                          np.random.default_rng(1))
-    assert validation_loss(x_val, y_val, params, cfg) == result.best_val_loss
+    assert validation_loss(x_val, y_val, params, cfg)[0] == result.best_val_loss
     assert result.best_val_loss == min(r["val_loss"] for r in result.history)
 
 
@@ -503,9 +505,70 @@ def test_run_cv_checkpoint_reproduces_val_loss(tmp_path):
     x_scaled = clip_scale_array(ds.x_uv)
     for fr in cv.folds:
         params, cfg, meta = load_checkpoint(fr.checkpoint)
-        reloaded = validation_loss(x_scaled[fr.val_indices], ds.y[fr.val_indices],
-                                   params, cfg)
+        reloaded, _ = validation_loss(x_scaled[fr.val_indices], ds.y[fr.val_indices],
+                                      params, cfg)
         assert reloaded == meta["best_val_loss"] == fr.best_val_loss
+
+
+def _spy_predict_batched(monkeypatch):
+    import eegimage.train as train
+
+    calls, orig = [], train.predict_batched
+
+    def spy(x, *a, **k):
+        calls.append(len(x))
+        return orig(x, *a, **k)
+
+    monkeypatch.setattr(train, "predict_batched", spy)
+    return calls
+
+
+def test_run_cv_takes_the_oof_rows_from_the_best_validation_pass(tmp_path, monkeypatch):
+    manifest, ds = tiny_problem(n_patients=5, segs=3, seed=11)
+    calls = _spy_predict_batched(monkeypatch)
+    cv = run_cv(
+        manifest, ds, tiny_cfg(),
+        default_stage1(epochs=3, batch_size=8),
+        default_stage2(epochs=2, batch_size=8),
+        None, k=2, seed=4, out_dir=tmp_path,
+    )
+    # one validation pass per epoch of each stage, no extra pass for the OOF rows
+    assert calls == [len(f.val_indices) for f in cv.folds for _ in range(3 + 2)]
+    x_scaled = clip_scale_array(ds.x_uv)
+    for fr in cv.folds:
+        params, cfg, _ = load_checkpoint(fr.checkpoint)
+        fresh = onto_simplex(predict_batched(x_scaled[fr.val_indices], params, cfg))
+        assert np.array_equal(cv.oof_probs[fr.val_indices], fresh)
+        assert np.array_equal(fr.oof_probs, fresh)
+
+
+def test_run_cv_recomputes_the_oof_rows_when_stage_2_never_improves(tmp_path, monkeypatch):
+    import eegimage.train as train
+
+    manifest, ds = tiny_problem(n_patients=5, segs=3, seed=11)
+    orig = train.validation_loss
+
+    def nan_in_stage_2(*args):
+        loss, probs = orig(*args)
+        nan_in_stage_2.calls += 1
+        if nan_in_stage_2.calls % 3 == 0:  # the one stage-2 epoch of each fold
+            loss = float("nan")
+        return loss, probs
+
+    nan_in_stage_2.calls = 0
+    monkeypatch.setattr(train, "validation_loss", nan_in_stage_2)
+    calls = _spy_predict_batched(monkeypatch)
+    cv = run_cv(manifest, ds, tiny_cfg(), default_stage1(epochs=2, batch_size=8),
+                default_stage2(epochs=1, batch_size=8), None, k=2, seed=4, out_dir=tmp_path)
+    assert [f.best_val_loss for f in cv.folds] == [float("inf")] * 2
+    # stage 2 restored its starting point, stage 1's best, and the OOF rows
+    # are predicted again from it
+    assert calls == [len(f.val_indices) for f in cv.folds for _ in range(3 + 1)]
+    x_scaled = clip_scale_array(ds.x_uv)
+    for fr in cv.folds:
+        params, cfg, _ = load_checkpoint(fr.checkpoint)
+        fresh = onto_simplex(predict_batched(x_scaled[fr.val_indices], params, cfg))
+        assert np.array_equal(cv.oof_probs[fr.val_indices], fresh)
 
 
 def test_run_cv_rejects_empty_fold():
