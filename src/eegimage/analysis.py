@@ -24,13 +24,12 @@ from .model import (
     ModelParams,
     backbone_backward,
     backbone_forward,
-    forward_batch,
     init_params,
     kl_div_rows,
     variant_config,
 )
 from .plots import ablation_svg, confusion_svg, roc_svg, tsne_svg
-from .train import Adam, Dataset, StageConfig, run_cv
+from .train import Adam, Dataset, StageConfig, predict_batched, run_cv
 from .tsne import tsne_to_csv
 
 
@@ -217,30 +216,19 @@ def ablation_to_csv(rows: list[AblationRow], comment: str | None = None) -> str:
 def extract_embeddings(
     param_sets, x_scaled: np.ndarray, use_probs: bool = False, batch_size: int = 64
 ) -> np.ndarray:
-    """Fold-averaged model outputs for t-SNE: pooled penultimate features by
-    default, softmax probabilities behind the flag."""
+    """Fold-averaged model outputs for t-SNE, in the model dtype: pooled
+    penultimate features by default, softmax probabilities behind the flag
+    (cast back exactly from predict_batched's float64)."""
     outs = []
     for params, cfg in param_sets:
-        chunks = []
-        for i in range(0, x_scaled.shape[0], batch_size):
-            probs, feat = forward_batch(x_scaled[i : i + batch_size], params, cfg)
-            chunks.append(probs if use_probs else feat)
-        outs.append(np.concatenate(chunks, axis=0))
+        probs, feats = predict_batched(x_scaled, params, cfg, batch_size, with_features=True)
+        outs.append(probs.astype(feats.dtype) if use_probs else feats)
     return np.mean(outs, axis=0)
-
-
-def _write(path: Path, content: str) -> None:
-    try:
-        with open(path, "w") as f:
-            f.write(content)
-    except OSError as e:
-        raise OSError(f"failed writing {path}: {e}") from e
 
 
 def emit_report(
     out_dir: Path,
     report: EvalReport | None = None,
-    report_json: str | None = None,
     roc_points: dict[str, tuple] | None = None,
     tsne_data: tuple[np.ndarray, np.ndarray, list[str]] | None = None,
     ablation_rows: list[AblationRow] | None = None,
@@ -254,54 +242,39 @@ def emit_report(
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
+    def put(name: str, content: str, stamp: bool = False) -> None:
+        """Write out_dir/name; stamp puts the comment line above a CSV body."""
+        written.append(out_dir / name)
+        try:
+            written[-1].write_text((f"# {comment}\n" if stamp and comment else "") + content)
+        except OSError as e:
+            raise OSError(f"failed writing {written[-1]}: {e}") from e
+
     if report is not None:
-        p = out_dir / "report.json"
-        _write(p, report_json if report_json is not None else _report_json(report, comment))
-        written.append(p)
-        p = out_dir / "confusion.csv"
-        body = confusion_to_csv(report.confusion)
-        _write(p, (f"# {comment}\n" if comment else "") + body)
-        written.append(p)
-        p = out_dir / "confusion.svg"
-        _write(p, confusion_svg(report.confusion, comment))
-        written.append(p)
+        put("report.json", _report_json(report, comment))
+        put("confusion.csv", confusion_to_csv(report.confusion), stamp=True)
+        put("confusion.svg", confusion_svg(report.confusion, comment))
 
     if roc_points:
         curves, marks = {}, {}
         for name, (fpr, tpr, thr, opt) in sorted(roc_points.items()):
-            p = out_dir / f"roc_{name.lower()}.csv"
-            body = roc_to_csv(fpr, tpr, thr)
-            _write(p, (f"# {comment}\n" if comment else "") + body)
-            written.append(p)
+            put(f"roc_{name.lower()}.csv", roc_to_csv(fpr, tpr, thr), stamp=True)
             curves[name] = (fpr, tpr)
             sel = np.argmin(np.abs(np.asarray(thr) - opt))
             marks[name] = (float(fpr[sel]), float(tpr[sel]))
         aurocs = report.auroc if report is not None else {}
-        p = out_dir / "roc.svg"
-        _write(p, roc_svg(curves, marks, aurocs, comment))
-        written.append(p)
+        put("roc.svg", roc_svg(curves, marks, aurocs, comment))
 
     if tsne_data is not None:
         coords, labels, ids = tsne_data
-        p = out_dir / "tsne.csv"
-        body = tsne_to_csv(coords, labels, ids)
-        _write(p, (f"# {comment}\n" if comment else "") + body)
-        written.append(p)
-        p = out_dir / "tsne.svg"
-        _write(p, tsne_svg(coords, labels, comment))
-        written.append(p)
+        put("tsne.csv", tsne_to_csv(coords, labels, ids), stamp=True)
+        put("tsne.svg", tsne_svg(coords, labels, comment))
 
     if ablation_rows is not None:
-        p = out_dir / "ablation.csv"
-        _write(p, ablation_to_csv(ablation_rows, comment))
-        written.append(p)
-        p = out_dir / "ablation.svg"
-        svg_rows = [
-            {"variant": r.variant, "mean_kld": r.mean_kld, "p_vs_full": r.p_vs_full}
-            for r in ablation_rows
-        ]
-        _write(p, ablation_svg(svg_rows, comment))
-        written.append(p)
+        put("ablation.csv", ablation_to_csv(ablation_rows, comment))
+        put("ablation.svg", ablation_svg(
+            [{"variant": r.variant, "mean_kld": r.mean_kld, "p_vs_full": r.p_vs_full}
+             for r in ablation_rows], comment))
 
     return written
 

@@ -54,7 +54,10 @@ DATA_DIR_ENV = "EEGIMAGE_DATA_DIR"
 log = logging.getLogger("eegimage")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _subcommand(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, with the flags every command takes."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
     p.add_argument("--seed", type=int, default=None, help="master RNG seed (default 0)")
     p.add_argument("--data-dir", type=Path, default=None,
                    help=f"dataset directory (default ${DATA_DIR_ENV} or ./data)")
@@ -63,10 +66,39 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="JSON config file; flags override its values")
     p.add_argument("-v", "--verbosity", action="count", default=0,
                    help="-v info, -vv debug")
+    return p
+
+
+TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+              dict: "an object"}
+
+
+def _check_type(path: Path, key: str, value, default) -> None:
+    """A config file value must have its default's JSON type, so a bool is
+    no int; an int also passes for a float, and backbone may be a list of ints."""
+    kinds = (int, float) if type(default) is float else (type(default),)
+    ok = type(value) in kinds
+    if key == "backbone" and type(value) is list:
+        ok = all(type(v) is int for v in value)
+    if not ok:
+        want = TYPE_NAMES[type(default)] + (" or a list of integers" if key == "backbone" else "")
+        raise ValueError(f"{path}: {key} must be {want}, got {json.dumps(value)}")
+
+
+def _add_training(p: argparse.ArgumentParser) -> None:
+    """The flags train and ablate share."""
+    p.add_argument("--folds", type=int, default=None)
+    p.add_argument("--stage1-epochs", dest="stage1_epochs", type=int, default=None)
+    p.add_argument("--stage2-epochs", dest="stage2_epochs", type=int, default=None)
+    p.add_argument("--backbone", type=str, default=None,
+                   help="comma-separated stage widths, e.g. 16,32,64,128")
+    p.add_argument("--no-pretrain", dest="pretrain", action="store_false", default=None)
+    p.add_argument("--no-augment", dest="augment", action="store_false", default=None)
 
 
 def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults."""
+    """flags > config file > defaults. Each config file value must have its
+    default's type."""
     merged = dict(defaults)
     if args.config is not None:
         with open(args.config) as f:
@@ -74,6 +106,8 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys in {args.config}: {sorted(unknown)}")
+        for k, v in file_cfg.items():
+            _check_type(args.config, k, v, defaults[k])
         merged.update(file_cfg)
     for k in defaults:
         v = getattr(args, k, None)
@@ -172,7 +206,13 @@ def _backbone_tuple(s) -> tuple[int, ...]:
     return tuple(int(v) for v in str(s).split(","))
 
 
-def _build_configs(cfg_d: dict, fs: float):
+def _training_setup(args, defaults: dict, variant: str | None = None):
+    """Merged config, manifest, (model_cfg, stage1, stage2, aug, filt) for
+    `variant` (the config's own when None) and the filtered dataset; the
+    bandpass takes fs from the first segment."""
+    cfg_d = _effective(args, defaults)
+    manifest = load_manifest(_data_dir(args) / "manifest.csv")
+    fs = read_signal(manifest.segment_path(manifest.entries[0])).fs
     model_cfg = variant_config(
         ModelConfig(
             backbone_channels=_backbone_tuple(cfg_d["backbone"]),
@@ -180,7 +220,7 @@ def _build_configs(cfg_d: dict, fs: float):
             row_layout=cfg_d["row_layout"],
             pretrained=cfg_d["pretrain"],
         ),
-        cfg_d["variant"],
+        variant or cfg_d["variant"],
     )
     stage1 = default_stage1(lr_base=cfg_d["lr1"], epochs=cfg_d["stage1_epochs"],
                             batch_size=cfg_d["batch_size"])
@@ -188,26 +228,22 @@ def _build_configs(cfg_d: dict, fs: float):
                             batch_size=cfg_d["batch_size"])
     aug = AugmentConfig() if cfg_d["augment"] else None
     filt = FilterSpec(fs=fs, mode=cfg_d["filter_mode"])
-    return model_cfg, stage1, stage2, aug, filt
+    log.info("loading and filtering %d segments", len(manifest))
+    return cfg_d, manifest, (model_cfg, stage1, stage2, aug, filt), load_dataset(manifest, filt)
 
 
 def cmd_train(args) -> int:
-    cfg_d = _effective(args, TRAIN_DEFAULTS)
-    data = _data_dir(args)
+    # every input is validated before the output directory is made
+    cfg_d, manifest, (model_cfg, stage1, stage2, aug, filt), ds = _training_setup(
+        args, TRAIN_DEFAULTS)
     out = Path(args.out_dir or "runs/train")
-    # validate inputs before touching the output directory
-    manifest = load_manifest(data / "manifest.csv")
     out.mkdir(parents=True, exist_ok=True)
-    probe = read_signal(manifest.segment_path(manifest.entries[0]))
-    model_cfg, stage1, stage2, aug, filt = _build_configs(cfg_d, probe.fs)
     seed = cfg_d["seed"]
     run_hash = config_hash({"model": to_jsonable(model_cfg),
                             "stage1": to_jsonable(stage1),
                             "stage2": to_jsonable(stage2),
                             "filter": to_jsonable(filt)})
     comment = f"config_hash={run_hash} seed={seed}"
-    log.info("loading and filtering %d segments", len(manifest))
-    ds = load_dataset(manifest, filt)
 
     backbone = None
     if model_cfg.pretrained:
@@ -216,8 +252,7 @@ def cmd_train(args) -> int:
         backbone = (cw, cb)
         log.info("pretext held-out accuracy %.3f", acc)
 
-    progress_path = out / "progress.jsonl"
-    with open(progress_path, "w") as progress:
+    with open(out / "progress.jsonl", "w") as progress:
         def plog(rec):
             progress.write(json.dumps(rec, sort_keys=True) + "\n")
             log.info("fold %s stage %s epoch %s: train %.4f val %.4f",
@@ -251,15 +286,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    data = _data_dir(args)
     run_dir = Path(args.run_dir)
     out = Path(args.out_dir or run_dir / "eval")
-    manifest = load_manifest(data / "manifest.csv")
+    manifest = load_manifest(_data_dir(args) / "manifest.csv")
     summary = _read_summary(run_dir)
     k, seed = summary["k"], summary["seed"]
-    ids, probs = load_predictions(run_dir / "oof_predictions.csv")
-    if ids != [e.segment_id for e in manifest.entries]:
-        raise ValueError("prediction ids do not match the manifest ordering")
+    pred_path = run_dir / "oof_predictions.csv"
+    ids, probs = load_predictions(pred_path)
+    expected = [e.segment_id for e in manifest.entries]
+    if ids != expected:  # None stands for a row past the end of the shorter list
+        i, got, want = next((i, a, b) for i, (a, b) in
+                            enumerate(zip(ids + [None], expected + [None])) if a != b)
+        raise ValueError(f"{pred_path}: prediction row {i + 1} is segment {got!r}, "
+                         f"the manifest lists {want!r}")
     folds = split_folds(manifest, k=k, seed=seed)
     fold_of_sample = np.array([folds.fold_of_patient[e.patient_id]
                                for e in manifest.entries])
@@ -290,15 +329,9 @@ ABLATE_DEFAULTS = dict(
 
 
 def cmd_ablate(args) -> int:
-    cfg_d = _effective(args, ABLATE_DEFAULTS)
-    data = _data_dir(args)
+    cfg_d, manifest, (model_cfg, stage1, stage2, aug, _), ds = _training_setup(
+        args, ABLATE_DEFAULTS, variant="full")
     out = Path(args.out_dir or "runs/ablation")
-    manifest = load_manifest(data / "manifest.csv")
-    probe = read_signal(manifest.segment_path(manifest.entries[0]))
-    cfg_d_model = dict(cfg_d)
-    cfg_d_model["variant"] = "full"
-    model_cfg, stage1, stage2, aug, filt = _build_configs(cfg_d_model, probe.fs)
-    ds = load_dataset(manifest, filt)
     seeds = [cfg_d["seed"] + i for i in range(cfg_d["seeds"])]
     variants = tuple(str(cfg_d["variants"]).split(","))
     rows = run_ablation(manifest, ds, model_cfg, stage1, stage2, aug,
@@ -321,14 +354,9 @@ TSNE_DEFAULTS = dict(seed=0, perplexity=30.0, iterations=1000, use_probs=False)
 
 def cmd_tsne(args) -> int:
     cfg_d = _effective(args, TSNE_DEFAULTS)
-    data = _data_dir(args)
-    run_dir = Path(args.run_dir)
-    out = Path(args.out_dir or run_dir / "eval")
-    manifest = load_manifest(data / "manifest.csv")
-    param_sets = _load_fold_models(run_dir)
-    ds = load_dataset(manifest, _recorded_filter(run_dir))
-    emb = extract_embeddings(param_sets, clip_scale_array(ds.x_uv),
-                             use_probs=bool(cfg_d["use_probs"]))
+    out = Path(args.out_dir or Path(args.run_dir) / "eval")
+    manifest, param_sets, _, ds, x_scaled = _load_run(args)
+    emb = extract_embeddings(param_sets, x_scaled, use_probs=cfg_d["use_probs"])
     cfg = TsneConfig(perplexity=cfg_d["perplexity"], iterations=cfg_d["iterations"],
                      seed=cfg_d["seed"])
     result = tsne(emb, cfg)
@@ -339,14 +367,21 @@ def cmd_tsne(args) -> int:
     return 0
 
 
+SUMMARY_FIELDS = {"k": int, "seed": int, "config_hash": str, "filter": dict}
+
+
 def _read_summary(run_dir: Path) -> dict:
-    with open(run_dir / "cv_summary.json") as f:
-        return json.load(f)
-
-
-def _recorded_filter(run_dir: Path) -> FilterSpec:
-    """The bandpass the run was trained with, so serving filters alike."""
-    return FilterSpec(**_read_summary(run_dir)["filter"])
+    """cv_summary.json, checked for the fields evaluate, predict and tsne read."""
+    path = run_dir / "cv_summary.json"
+    with open(path) as f:
+        try:
+            summary = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: not JSON: {e}") from None
+    for name, kind in SUMMARY_FIELDS.items():
+        if not isinstance(summary, dict) or type(summary.get(name)) is not kind:
+            raise ValueError(f"{path}: field {name!r} is missing or not {TYPE_NAMES[kind]}")
+    return summary
 
 
 def _load_fold_models(run_dir: Path):
@@ -369,16 +404,28 @@ def _load_fold_models(run_dir: Path):
 PREDICT_DEFAULTS = dict(seed=0)
 
 
+def _load_run(args):
+    """Manifest, fold models, cv_summary.json and the dataset filtered with
+    the run's recorded bandpass, so serving filters as training did; also
+    the segments scaled for the model."""
+    run_dir = Path(args.run_dir)
+    manifest = load_manifest(_data_dir(args) / "manifest.csv")
+    param_sets = _load_fold_models(run_dir)
+    summary = _read_summary(run_dir)
+    try:
+        filt = FilterSpec(**summary["filter"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{run_dir / 'cv_summary.json'}: field 'filter': {e}") from None
+    ds = load_dataset(manifest, filt)
+    return manifest, param_sets, summary, ds, clip_scale_array(ds.x_uv)
+
+
 def cmd_predict(args) -> int:
     cfg_d = _effective(args, PREDICT_DEFAULTS)
-    data = _data_dir(args)
-    run_dir = Path(args.run_dir)
     out_path = Path(args.out or "predictions.csv")
-    manifest = load_manifest(data / "manifest.csv")
-    param_sets = _load_fold_models(run_dir)
-    ds = load_dataset(manifest, _recorded_filter(run_dir))
-    probs = ensemble_predict(param_sets, clip_scale_array(ds.x_uv))
-    comment = f"config_hash={_read_summary(run_dir)['config_hash']} seed={cfg_d['seed']}"
+    _, param_sets, summary, ds, x_scaled = _load_run(args)
+    probs = ensemble_predict(param_sets, x_scaled)
+    comment = f"config_hash={summary['config_hash']} seed={cfg_d['seed']}"
     export_predictions(out_path, ds.segment_ids, probs, header_comment=comment)
     print(f"wrote {len(ds)} ensemble predictions to {out_path}")
     return 0
@@ -392,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic labeled dataset")
-    _add_common(p)
+    p = _subcommand(sub, "gen", cmd_gen, help="generate a synthetic labeled dataset")
     p.add_argument("--patients", type=int, default=None)
     p.add_argument("--segments", type=int, default=None, help="segments per patient")
     p.add_argument("--fs", type=float, default=None, help="sampling rate Hz")
@@ -401,75 +447,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-noise", dest="label_noise", type=float, default=None)
     p.add_argument("--noise-rms", dest="noise_rms", type=float, default=None,
                    help="sensor pink-noise RMS in microvolts")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("preprocess", help="bandpass-filter a dataset in place")
-    _add_common(p)
+    p = _subcommand(sub, "preprocess", cmd_preprocess, help="bandpass-filter a dataset in place")
     p.add_argument("--filter-mode", dest="filter_mode",
                    choices=("zero_phase", "causal"), default=None)
     p.add_argument("--low-hz", dest="low_hz", type=float, default=None)
     p.add_argument("--high-hz", dest="high_hz", type=float, default=None)
     p.add_argument("--order", type=int, default=None)
-    p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", help="two-stage k-fold cross-validated training")
-    _add_common(p)
-    p.add_argument("--folds", type=int, default=None)
+    p = _subcommand(sub, "train", cmd_train, help="two-stage k-fold cross-validated training")
+    _add_training(p)
     p.add_argument("--variant", choices=("full", "no_central", "no_pretrain",
                                          "no_eeg2img"), default=None)
-    p.add_argument("--stage1-epochs", dest="stage1_epochs", type=int, default=None)
-    p.add_argument("--stage2-epochs", dest="stage2_epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--lr1", type=float, default=None, help="stage-1 base lr")
     p.add_argument("--lr2", type=float, default=None, help="stage-2 base lr")
     p.add_argument("--dropout", type=float, default=None)
     p.add_argument("--row-layout", dest="row_layout",
                    choices=("channel_major", "kernel_major"), default=None)
-    p.add_argument("--backbone", type=str, default=None,
-                   help="comma-separated stage widths, e.g. 16,32,64,128")
-    p.add_argument("--no-pretrain", dest="pretrain", action="store_false",
-                   default=None)
-    p.add_argument("--no-augment", dest="augment", action="store_false",
-                   default=None)
     p.add_argument("--filter-mode", dest="filter_mode",
                    choices=("zero_phase", "causal"), default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="metrics report from a training run")
-    _add_common(p)
+    p = _subcommand(sub, "evaluate", cmd_evaluate, help="metrics report from a training run")
     p.add_argument("--run-dir", type=Path, required=True)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="retrain component-removal variants")
-    _add_common(p)
+    p = _subcommand(sub, "ablate", cmd_ablate, help="retrain component-removal variants")
+    _add_training(p)
     p.add_argument("--seeds", type=int, default=None, help="number of seeds")
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--stage1-epochs", dest="stage1_epochs", type=int, default=None)
-    p.add_argument("--stage2-epochs", dest="stage2_epochs", type=int, default=None)
-    p.add_argument("--backbone", type=str, default=None)
-    p.add_argument("--no-pretrain", dest="pretrain", action="store_false",
-                   default=None)
-    p.add_argument("--no-augment", dest="augment", action="store_false",
-                   default=None)
     p.add_argument("--variants", type=str, default=None,
                    help="comma-separated subset of "
                         "full,no_central,no_pretrain,no_eeg2img")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("tsne", help="2-D embedding of model outputs")
-    _add_common(p)
+    p = _subcommand(sub, "tsne", cmd_tsne, help="2-D embedding of model outputs")
     p.add_argument("--run-dir", type=Path, required=True)
     p.add_argument("--perplexity", type=float, default=None)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--use-probs", dest="use_probs", action="store_true",
                    default=None)
-    p.set_defaults(func=cmd_tsne)
 
-    p = sub.add_parser("predict", help="fold-ensemble inference to CSV")
-    _add_common(p)
+    p = _subcommand(sub, "predict", cmd_predict, help="fold-ensemble inference to CSV")
     p.add_argument("--run-dir", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None, help="output CSV path")
-    p.set_defaults(func=cmd_predict)
 
     return ap
 

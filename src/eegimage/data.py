@@ -391,26 +391,45 @@ def write_signal(path: Path, seg: EegSegment) -> None:
 
 
 def read_signal(path: Path) -> EegSegment:
+    """Read a file written by :func:`write_signal`; a malformed one fails
+    naming the file and the field."""
     path = Path(path)
     with open(path, "rb") as f:
-        header_lines = [f.readline().decode("ascii").rstrip("\n") for _ in range(8)]
+        try:
+            header_lines = [f.readline().decode("ascii").rstrip("\n") for _ in range(8)]
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: header is not ASCII text") from None
         if header_lines[0] != SIGNAL_MAGIC:
             raise ValueError(f"{path}: not a {SIGNAL_MAGIC} file")
-        meta = dict(line.split("=", 1) for line in header_lines[1:])
-        n_ch = int(meta["channels"])
-        t = int(meta["samples"])
-        if meta["dtype"] != "float32":
+        meta = dict(line.split("=", 1) for line in header_lines[1:] if "=" in line)
+
+        def field(name: str, kind=str):
+            if name not in meta:
+                raise ValueError(f"{path}: header has no {name} field")
+            try:
+                return kind(meta[name])
+            except ValueError:
+                raise ValueError(f"{path}: {name}: {meta[name]!r} is not "
+                                 f"{'an integer' if kind is int else 'a number'}") from None
+
+        n_ch, t = field("channels", int), field("samples", int)
+        if field("dtype") != "float32":
             raise ValueError(f"{path}: unsupported dtype {meta['dtype']}")
         raw = f.read(n_ch * t * 4)
+    if len(raw) != n_ch * t * 4:
+        raise ValueError(f"{path}: samples: {len(raw)} bytes of data, but {n_ch} channels x "
+                         f"{t} samples of float32 need {n_ch * t * 4}")
     samples = np.frombuffer(raw, dtype="<f4").reshape(n_ch, t).astype(np.float32)
-    fs = float(meta["fs"])
+    fs = field("fs", float)
+    if not fs > 0:
+        raise ValueError(f"{path}: fs: {fs} is not a positive rate")
     t_total = t / fs
     return EegSegment(
         samples=samples,
         fs=fs,
-        segment_id=meta["segment_id"],
-        recording_id=meta["recording_id"],
-        patient_id=meta["patient_id"],
+        segment_id=field("segment_id"),
+        recording_id=field("recording_id"),
+        patient_id=field("patient_id"),
         t_total_s=t_total,
         t_center_s=t_total / 5,
     )

@@ -208,12 +208,16 @@ def scope_indices(n_votes: np.ndarray, scope: str) -> np.ndarray:
 
 
 def predict_batched(x_scaled: np.ndarray, params: ModelParams, cfg: ModelConfig,
-                    batch_size: int = 64) -> np.ndarray:
-    out = np.empty((x_scaled.shape[0], cfg.n_classes))
-    for i in range(0, x_scaled.shape[0], batch_size):
-        probs, _ = forward_batch(x_scaled[i : i + batch_size], params, cfg)
-        out[i : i + batch_size] = probs
-    return out
+                    batch_size: int = 64, with_features: bool = False):
+    """Eval-mode probabilities (float64) of already-scaled segments; with
+    with_features, the pair (probabilities, pooled features in the model dtype)."""
+    n = x_scaled.shape[0]
+    probs = np.empty((n, cfg.n_classes))
+    feats = np.empty((n, cfg.backbone_channels[-1]), cfg.np_dtype)
+    for i in range(0, n, batch_size):
+        probs[i : i + batch_size], feats[i : i + batch_size] = forward_batch(
+            x_scaled[i : i + batch_size], params, cfg)
+    return (probs, feats) if with_features else probs
 
 
 def validation_loss(x_scaled: np.ndarray, y: np.ndarray, params: ModelParams,
@@ -484,7 +488,7 @@ def export_predictions(path: Path, ids: list[str], probs: np.ndarray,
 def load_predictions(path: Path) -> tuple[list[str], np.ndarray]:
     ids, rows = [], []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -493,6 +497,9 @@ def load_predictions(path: Path) -> tuple[list[str], np.ndarray]:
                 if tuple(parts) != PREDICTION_COLUMNS:
                     raise ValueError(f"{path}: unexpected columns {parts}")
                 continue
+            if len(parts) != len(PREDICTION_COLUMNS):
+                raise ValueError(f"{path}: line {lineno}: {len(parts)} columns, "
+                                 f"expected {len(PREDICTION_COLUMNS)}")
             ids.append(parts[0])
             rows.append([float(v) for v in parts[1:]])
     return ids, np.array(rows)

@@ -294,6 +294,14 @@ def test_emit_report_skips_empty_roc(tmp_path):
     assert not (tmp_path / "roc.svg").exists()
 
 
+def test_emit_report_names_the_file_it_cannot_write(tmp_path):
+    report, _, _ = small_report()
+    (tmp_path / "confusion.csv").mkdir()
+    with pytest.raises(OSError, match="failed writing .*confusion.csv"):
+        emit_report(tmp_path, report=report)
+    assert (tmp_path / "report.json").is_file()
+
+
 def test_emit_report_reruns_byte_identical(tmp_path):
     report, probs, consensus = small_report()
     coords = np.random.default_rng(4).normal(size=(10, 2))
@@ -309,3 +317,15 @@ def test_emit_report_reruns_byte_identical(tmp_path):
     assert [p.name for p in first] == [p.name for p in second]
     for pa, pb in zip(first, second):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize("use_probs", [False, True])
+def test_extract_embeddings_is_the_float32_fold_mean_of_the_forward_outputs(use_probs):
+    cfg = tiny_cfg()
+    x = np.random.default_rng(3).uniform(0, 255, size=(7, 4, 100))
+    sets = [(init_params(cfg, seed=s), cfg) for s in (0, 1, 2)]
+    out = extract_embeddings(sets, x, use_probs=use_probs, batch_size=3)
+    chunks = [[forward_batch(x[i : i + 3], params, c)[int(not use_probs)]
+               for i in range(0, 7, 3)] for params, c in sets]
+    expected = np.mean([np.concatenate(c) for c in chunks], axis=0)
+    assert out.dtype == np.float32 and np.array_equal(out, expected)

@@ -468,3 +468,178 @@ def test_ablate_no_pretrain_and_no_augment_flags(tmp_path, monkeypatch):
     assert rc == 0
     text = (out / "ablation.csv").read_text()
     assert "full," in text and "no_central," in text
+
+
+# --- option strings ---
+
+
+COMMON_OPTIONS = {"-h", "--help", "--seed", "--data-dir", "--out-dir", "--config", "-v",
+                  "--verbosity"}
+TRAINING_OPTIONS = {"--folds", "--stage1-epochs", "--stage2-epochs", "--backbone",
+                    "--no-pretrain", "--no-augment"}
+
+
+@pytest.mark.parametrize("command,own", [
+    ("train", {"--variant", "--batch-size", "--lr1", "--lr2", "--dropout", "--row-layout",
+               "--filter-mode"}),
+    ("ablate", {"--seeds", "--variants"}),
+])
+def test_training_commands_accept_exactly_their_options(command, own):
+    from eegimage.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    accepted = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    assert accepted == COMMON_OPTIONS | TRAINING_OPTIONS | own
+
+
+# --- config value types ---
+
+
+@pytest.mark.parametrize("command,key,value,want", [
+    ("train", "stage1_epochs", "2", "an integer"),
+    ("train", "folds", True, "an integer"),
+    ("train", "dropout", "0.1", "a number"),
+    ("train", "pretrain", 1, "a boolean"),
+    ("train", "variant", 3, "a string"),
+    ("train", "backbone", [8, "16"], "a string or a list of integers"),
+    ("ablate", "seeds", 2.0, "an integer"),
+    ("ablate", "augment", "false", "a boolean"),
+    ("ablate", "backbone", 8, "a string or a list of integers"),
+    ("tsne", "perplexity", True, "a number"),
+    ("tsne", "iterations", None, "an integer"),
+    ("tsne", "use_probs", 1, "a boolean"),
+])
+def test_config_value_of_the_wrong_type_exits_1_before_any_output(tmp_path, capsys, command,
+                                                                  key, value, want):
+    cfg, out = tmp_path / "c.json", tmp_path / "out"
+    cfg.write_text(json.dumps({key: value}))
+    run = ["--run-dir", str(tmp_path / "run")] if command == "tsne" else []
+    rc = main([command, "--data-dir", str(tmp_path / "nowhere"), "--out-dir", str(out),
+               "--config", str(cfg), *run])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: {key} must be {want}, got {json.dumps(value)}\n")
+    assert not out.exists()
+
+
+def test_config_values_of_the_default_type_are_accepted(tmp_path):
+    import argparse
+
+    from eegimage.cli import TRAIN_DEFAULTS, TSNE_DEFAULTS, _effective
+
+    cfg = tmp_path / "c.json"
+    values = {"backbone": [6, 8], "dropout": 0, "lr1": 0.002, "pretrain": False,
+              "variant": "no_central", "folds": 2}
+    cfg.write_text(json.dumps(values))
+    assert _effective(argparse.Namespace(config=cfg), TRAIN_DEFAULTS) == {
+        **TRAIN_DEFAULTS, **values}
+    cfg.write_text(json.dumps({"perplexity": 5, "use_probs": True}))
+    merged = _effective(argparse.Namespace(config=cfg, perplexity=7.5), TSNE_DEFAULTS)
+    assert merged["perplexity"] == 7.5 and merged["use_probs"] is True
+
+
+# --- damaged inputs name their file ---
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_a_truncated_signal_file_fails_naming_it(trained_run, tmp_path, capsys, command):
+    _, run = trained_run
+    data = tmp_path / "data"
+    assert run_gen(data, patients=6, segments=3) == 0
+    path = data / "signals" / "s000004.eeg"
+    path.write_bytes(path.read_bytes()[:-6])
+    capsys.readouterr()
+    args = (["--run-dir", str(run), "--out", str(tmp_path / "p.csv")] if command == "predict"
+            else ["--out-dir", str(tmp_path / "run"), "--folds", "2", "--no-pretrain"])
+    assert main([command, "--data-dir", str(data), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: samples: ")
+
+
+def _damaged_run(run, tmp_path, edit):
+    """A copy of run whose oof_predictions.csv lines went through edit."""
+    damaged = tmp_path / "damaged"
+    shutil.copytree(run, damaged)
+    path = damaged / "oof_predictions.csv"
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    return damaged, path
+
+
+def test_evaluate_names_the_line_of_a_row_missing_a_column(trained_run, tmp_path, capsys):
+    data, run = trained_run
+
+    def drop_a_column(lines):
+        lines[5] = lines[5].rsplit(",", 1)[0] + "\n"
+        return lines
+
+    damaged, path = _damaged_run(run, tmp_path, drop_a_column)
+    capsys.readouterr()
+    rc = main(["evaluate", "--data-dir", str(data), "--run-dir", str(damaged)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: line 6: 6 columns, expected 7\n"
+
+
+def test_evaluate_names_the_first_prediction_off_the_manifest_order(trained_run, tmp_path,
+                                                                    capsys):
+    data, run = trained_run
+
+    def swap_rows(lines):  # line 0 is the stamp, line 1 the header
+        lines[4], lines[6] = lines[6], lines[4]
+        return lines
+
+    damaged, path = _damaged_run(run, tmp_path, swap_rows)
+    capsys.readouterr()
+    rc = main(["evaluate", "--data-dir", str(data), "--run-dir", str(damaged)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: prediction row 3 is segment 's000004', "
+        "the manifest lists 's000002'\n")
+
+
+SUMMARY_FAULTS = [("drop", "filter"), ("drop", "config_hash"), ("drop", "k"),
+                  ("string", "seed"), ("string", "filter"), ("not_json", None)]
+
+
+def _run_reader_args(command, tmp_path):
+    return {"predict": ["--out", str(tmp_path / "p.csv")],
+            "tsne": ["--perplexity", "4", "--iterations", "300"]}.get(command, [])
+
+
+# evaluate reads no field of the filter spec
+@pytest.mark.parametrize("command,fault,field", [
+    *[(c, *f) for c in ("evaluate", "predict", "tsne") for f in SUMMARY_FAULTS],
+    ("predict", "bad_filter", "filter"), ("tsne", "bad_filter", "filter"),
+])
+def test_a_malformed_cv_summary_fails_naming_the_file_and_field(trained_run, tmp_path,
+                                                                  capsys, command, fault, field):
+    data, run = trained_run
+    damaged = tmp_path / "damaged"
+    shutil.copytree(run, damaged)
+    path = damaged / "cv_summary.json"
+    summary = json.loads(path.read_text())
+    if fault == "drop":
+        del summary[field]
+    elif fault == "string":
+        summary[field] = "0"
+    elif fault == "bad_filter":
+        summary["filter"]["cutoff"] = 3.0
+    path.write_text("{" if fault == "not_json" else json.dumps(summary))
+    capsys.readouterr()
+    rc = main([command, "--data-dir", str(data), "--run-dir", str(damaged),
+               "--out-dir", str(tmp_path / "out"), *_run_reader_args(command, tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert (f"'{field}'" in err) if field else "not JSON" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict", "tsne"])
+def test_each_run_reader_reads_the_summary_once(trained_run, tmp_path, monkeypatch, command):
+    import eegimage.cli as cli
+
+    data, run = trained_run
+    calls, orig = [], cli._read_summary
+    monkeypatch.setattr(cli, "_read_summary", lambda d: calls.append(d) or orig(d))
+    assert main([command, "--data-dir", str(data), "--run-dir", str(run),
+                 "--out-dir", str(tmp_path / "out"), *_run_reader_args(command, tmp_path)]) == 0
+    assert calls == [run]

@@ -361,3 +361,34 @@ def test_signal_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"not a signal file\n" + b"\x00" * 64)
     with pytest.raises(ValueError):
         read_signal(path)
+
+
+def _cut_mid_sample(data):
+    return data[:-3]
+
+
+def _cut_whole_sample(data):
+    return data[:-4 * 16]
+
+
+def _header_edit(old, new):
+    return lambda data: data.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("damage,field", [
+    (_cut_mid_sample, "samples"),
+    (_cut_whole_sample, "samples"),
+    (_header_edit(b"channels=16\n", b"chanels=16\n"), "channels"),
+    (_header_edit(b"samples=1000\n", b"samples=1e3\n"), "samples"),
+    (_header_edit(b"fs=100.0\n", b"fs=fast\n"), "fs"),
+    (_header_edit(b"fs=100.0\n", b"fs=0.0\n"), "fs"),
+    (_header_edit(b"dtype=float32\n", b"dtype\n"), "dtype"),
+    (_header_edit(b"patient_id=p0\n", b"patient_id\xff\n"), "ASCII"),
+])
+def test_signal_damage_fails_naming_the_file_and_field(tmp_path, damage, field):
+    path = tmp_path / "s0.eeg"
+    write_signal(path, EegSegment(**seg_kwargs()))
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError) as info:
+        read_signal(path)
+    assert str(info.value).startswith(f"{path}: ") and field in str(info.value)

@@ -74,3 +74,23 @@ def test_noise_robustness_small_writes_one_row_per_level(tmp_path):
     assert [float(r["noise_rms_uv"]) for r in rows] == [10.0, 40.0]
     assert set(rows[0]) == {"noise_rms_uv", "full_kld", "no_eeg2img_kld", "gap"}
     assert (out / "data_rms10" / "manifest.csv").is_file()
+
+
+def test_perfbench_tracer_finds_every_function_it_wraps():
+    """perfbench/tracer.py wraps package functions by module and name; a
+    refactor that renames or inlines one breaks --trace 1 and the untraced
+    serve and ablate checks."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer(stage_of_cout={})
+    try:
+        for spans in (False, True):
+            tracer.install(spans=spans)
+            assert tracer.errors() == [], spans
+            assert tracer.patched, spans
+    finally:
+        tracer.uninstall()
