@@ -31,6 +31,7 @@ from .model import (
 from .plots import ablation_svg, confusion_svg, roc_svg, tsne_svg
 from .train import Adam, Dataset, StageConfig, predict_batched, run_cv
 from .tsne import tsne_to_csv
+from .util import _pin_malloc_thresholds
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def grating_dataset(n: int, size: int, n_classes: int, channels: int,
             scale = rng.uniform(0.8, 1.0)
             x[i, :, :, c] = 127.5 + amp * scale * wave
         x[i] += rng.normal(0.0, 8.0, size=(size, size, channels))
-    return np.clip(x, 0.0, 255.0), y
+    return np.clip(x, 0.0, 255.0, out=x), y
 
 
 def pretrain_backbone(cfg: ModelConfig, seed: int, pretext: PretextConfig | None = None):
@@ -77,6 +78,7 @@ def pretrain_backbone(cfg: ModelConfig, seed: int, pretext: PretextConfig | None
     than a hard task.
     """
     px = pretext or PretextConfig()
+    _pin_malloc_thresholds()  # each step frees its cache before the next
     rng = np.random.default_rng([seed, 9001])
     n_cls = px.n_orientations
     x_all, y_all = grating_dataset(
@@ -103,9 +105,14 @@ def pretrain_backbone(cfg: ModelConfig, seed: int, pretext: PretextConfig | None
                 onehot[y_tr[sel]], np.full(sel.size, 1.0 / sel.size), net, cache
             )
             adam.step(net, grads, px.lr)
+            del cache, grads  # as in train.train_stage
 
-    probs_te, _ = backbone_forward(x_te, net, cfg.conv_stride)
-    acc = float((probs_te.argmax(axis=1) == y_te).mean())
+    # one batch at a time, as trained: a forward of all n_test images holds
+    # n_test / batch_size times a batch's working set
+    pred_te = np.concatenate([
+        backbone_forward(x_te[s : s + px.batch_size], net, cfg.conv_stride)[0].argmax(axis=1)
+        for s in range(0, px.n_test, px.batch_size)])
+    acc = float((pred_te == y_te).mean())
     if acc < px.min_accuracy:
         raise RuntimeError(
             f"pretext accuracy {acc:.3f} below {px.min_accuracy}; training loop broken"

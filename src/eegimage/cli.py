@@ -102,7 +102,10 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
     merged = dict(defaults)
     if args.config is not None:
         with open(args.config) as f:
-            file_cfg = json.load(f)
+            try:
+                file_cfg = json.load(f)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{args.config}: not JSON: {e}") from None
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys in {args.config}: {sorted(unknown)}")

@@ -501,8 +501,8 @@ def backbone_forward(
     each stage computes only the columns of its cone, so the last map is
     exactly the central columns of the full-width one. Dropout on the pooled
     features draws its mask from rng. Returns (probs, feats) and, when
-    want_cache, the cache for :func:`backbone_backward`; without it no
-    stage's im2col columns outlive the stage.
+    want_cache, the cache for :func:`backbone_backward`; without it each
+    stage's im2col columns are freed as soon as its GEMM returns.
     """
     h = img
     conv_caches, silu_grads = [], []
@@ -514,8 +514,9 @@ def backbone_forward(
             conv_caches.append(cc)
             silu_grads.append(g)
         else:
+            del cc  # an eval forward's columns die with their GEMM, before the SiLU
             h = silu(z)
-        del z, cc  # else an eval forward holds this stage's columns through the next
+        del z
 
     denom = float(h.shape[1] * h.shape[2])
     feat = h.sum(axis=(1, 2)) / denom

@@ -32,6 +32,7 @@ from .model import (
     save_checkpoint,
 )
 from .preprocess import FilterSpec, clip_scale_array, design_bandpass, filter_array
+from .util import _pin_malloc_thresholds
 
 WEIGHT_ANNOTATORS = "annotator_count"
 WEIGHT_UNIFORM = "uniform"
@@ -258,6 +259,7 @@ def train_stage(
     idx = np.intersect1d(train_idx, scope_indices(train_ds.n_votes, stage.data_scope))
     if idx.size == 0:
         raise ValueError("stage received an empty training slice")
+    _pin_malloc_thresholds()  # each step frees its cache before the next
     weights_all = sample_weights(train_ds.n_votes, stage.sample_weighting)
 
     n_batches = -(-idx.size // stage.batch_size)
@@ -276,11 +278,11 @@ def train_stage(
                 if augment_cfg is not None:
                     seg = apply_array(seg, augment_cfg, rng)
                 xb[j] = seg
-            xb_scaled = clip_scale_array(xb)
+            xb = clip_scale_array(xb)  # the microvolt batch is freed here
             yb = train_ds.y[sel]
             wb = weights_all[sel]
             _, _, cache = forward_batch(
-                xb_scaled, params, model_cfg, train=True, rng=rng, want_cache=True
+                xb, params, model_cfg, train=True, rng=rng, want_cache=True
             )
             try:
                 loss_sum, grads = backward_batch(yb, wb, params, model_cfg, cache)
@@ -299,6 +301,9 @@ def train_stage(
                     emb.reshape(-1, emb.shape[-1])).reshape(emb.shape))
             epoch_losses.append(batch_loss)
             step += 1
+            # one step's cache at a time: else it lives through the next
+            # step's forward and, after the last step, the validation pass
+            del cache, grads
         val, val_probs = validation_loss(x_val_scaled, y_val, params, model_cfg)
         record = {
             "epoch": epoch,
@@ -375,7 +380,6 @@ def run_cv(
     """
     folds = split_folds(manifest, k=k, seed=seed)
     patient_fold = np.array([folds.fold_of_patient[p] for p in ds.patient_ids])
-    x_scaled_all = clip_scale_array(ds.x_uv)
     oof = np.full((len(ds), model_cfg.n_classes), np.nan)
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -388,7 +392,9 @@ def run_cv(
         rng = np.random.default_rng([seed, f])
         backbone = pretrained_backbone if model_cfg.pretrained else None
         params = init_params(model_cfg, seed=seed * 1000 + f, backbone=backbone)
-        x_val = x_scaled_all[val_idx]
+        # scaled per fold: clip_scale_array is elementwise, and scaling all N
+        # at once would hold a second copy of the dataset
+        x_val = clip_scale_array(ds.x_uv[val_idx])
         y_val = ds.y[val_idx]
 
         def plog(rec, fold=f, stage_name=None):

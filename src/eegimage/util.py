@@ -1,10 +1,14 @@
-"""Small shared helpers: canonical JSON and config hashing."""
+"""Small shared helpers: canonical JSON, config hashing and the C heap's
+thresholds."""
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
+import platform
 from typing import Any
 
 import numpy as np
@@ -36,3 +40,22 @@ def config_hash(obj: Any) -> str:
     """Short stable hash identifying a configuration."""
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
+
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 32 MiB, the most its dynamic threshold
+    reaches on 64-bit, and its trim threshold at 128 MiB, above a training
+    command's working set; once per process, and nothing under another C
+    library.
+
+    glibc starts them at 128 KiB and 256 KiB and raises them only when a
+    large mmapped block is freed. Until then a loop that frees each batch's
+    arrays before the next batch hands their pages back to the kernel at
+    every step and faults them in again.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD

@@ -93,6 +93,41 @@ def test_grating_dataset_deterministic():
     assert not np.array_equal(a, c)
 
 
+def test_grating_dataset_holds_one_copy_of_its_images():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        x, _ = grating_dataset(128, 32, 8, 3, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * x.nbytes
+
+
+def test_pretext_held_out_pass_runs_in_training_batches(monkeypatch):
+    import eegimage.analysis as analysis
+
+    px = PretextConfig(n_train=128, n_test=160, epochs=2, batch_size=64, min_accuracy=0.0)
+    cfg = ModelConfig(backbone_channels=(6, 8))
+    forward, held_out = analysis.backbone_forward, []
+
+    def spy(img, net, *a, **k):
+        if not k.get("want_cache"):
+            held_out.append((img, net))
+        return forward(img, net, *a, **k)
+
+    monkeypatch.setattr(analysis, "backbone_forward", spy)
+    _, _, acc = pretrain_backbone(cfg, seed=2, pretext=px)
+    assert [len(img) for img, _ in held_out] == [64, 64, 32]
+    # the accuracy of one forward over all held-out images
+    _, y = grating_dataset(px.n_train + px.n_test, px.image_size, px.n_orientations,
+                           cfg.groups, np.random.default_rng([2, 9001]))
+    probs, _ = forward(np.concatenate([img for img, _ in held_out]), held_out[0][1],
+                       cfg.conv_stride)
+    assert acc == float((probs.argmax(axis=1) == y[px.n_train :]).mean())
+
+
 def test_pretext_reaches_90_percent():
     _, _, acc = pretrain_backbone(ModelConfig(backbone_channels=(8, 16, 32)), seed=0)
     assert acc >= 0.90

@@ -147,6 +147,17 @@ def test_unknown_config_keys_exit_1(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_config_file_that_is_not_json_exits_1_naming_it(tmp_path, capsys, command):
+    cfg, out = tmp_path / "bad.json", tmp_path / "out"
+    cfg.write_text("{")
+    rc = main([command, "--data-dir", str(tmp_path / "nowhere"), "--out-dir", str(out),
+               "--config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: not JSON: Expecting property")
+    assert not out.exists()
+
+
 # --- preprocess ---
 
 

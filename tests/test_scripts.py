@@ -76,6 +76,28 @@ def test_noise_robustness_small_writes_one_row_per_level(tmp_path):
     assert (out / "data_rms10" / "manifest.csv").is_file()
 
 
+def test_memory_peaks_quick_reports_every_phase_and_command(tmp_path):
+    res = run_script("memory_peaks.py", "--out", tmp_path / "phases", "--quick")
+    assert res.returncode == 0, res.stderr
+    phases = {}
+    for line in res.stdout.splitlines():
+        m = re.fullmatch(r"(\w+) +calls +(\d+) +live_peak_mib +([\d.]+) +maxrss_mib +[\d.]+"
+                         r" +maxrss_rise_mib +[\d.]+ +minflt +\d+", line)
+        assert m, line
+        phases[m[1]] = (int(m[2]), float(m[3]))
+    assert list(phases) == ["load_dataset", "pretrain_backbone", "run_cv", "validation_loss"]
+    assert all(calls >= 1 and peak > 0 for calls, peak in phases.values()), phases
+    # validation runs inside run_cv, so its peak counts there too
+    assert phases["run_cv"][1] >= phases["validation_loss"][1]
+
+    res = run_script("memory_peaks.py", "--out", tmp_path / "serve", "--quick",
+                     "--commands", "serve", "--rounds", 1)
+    assert res.returncode == 0, res.stderr
+    assert [line.split()[2] for line in res.stdout.splitlines()] == ["predict", "tsne"]
+    assert all(re.search(r"minflt +\d+ +sys_s +[\d.]+ +user_s", line)
+               for line in res.stdout.splitlines())
+
+
 def test_perfbench_tracer_finds_every_function_it_wraps():
     """perfbench/tracer.py wraps package functions by module and name; a
     refactor that renames or inlines one breaks --trace 1 and the untraced

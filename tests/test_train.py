@@ -2,6 +2,11 @@
 patient-grouped cross-validation, and the fold ensemble."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,6 +574,112 @@ def test_run_cv_recomputes_the_oof_rows_when_stage_2_never_improves(tmp_path, mo
         params, cfg, _ = load_checkpoint(fr.checkpoint)
         fresh = onto_simplex(predict_batched(x_scaled[fr.val_indices], params, cfg))
         assert np.array_equal(cv.oof_probs[fr.val_indices], fresh)
+
+
+def test_train_stage_holds_one_step_cache_at_a_time(monkeypatch):
+    import weakref
+
+    import eegimage.train as train
+
+    cfg, params, ds, train_idx, x_val, y_val = stage_inputs()
+    caches, forward, validate = [], train.forward_batch, train.validation_loss
+
+    def alive():
+        return [ref for ref in caches if ref() is not None]
+
+    def tracked_forward(*a, **k):
+        assert not alive(), "the previous step's cache outlived its step"
+        out = forward(*a, **k)
+        if k.get("want_cache"):
+            caches.append(weakref.ref(out[2]))
+        return out
+
+    def tracked_validation(*a, **k):
+        assert not alive(), "a step's cache is alive through the validation pass"
+        return validate(*a, **k)
+
+    monkeypatch.setattr(train, "forward_batch", tracked_forward)
+    monkeypatch.setattr(train, "validation_loss", tracked_validation)
+    stage = StageConfig(lr_base=1e-3, epochs=2, sample_weighting=WEIGHT_UNIFORM,
+                        data_scope="all", batch_size=4)
+    res = train_stage(params, cfg, stage, ds, train_idx, x_val, y_val, None,
+                      np.random.default_rng(0))
+    assert len(res.history) == 2 and len(caches) == 2 * -(-train_idx.size // 4)
+
+
+def test_run_cv_scales_each_fold_not_the_whole_dataset(monkeypatch):
+    import eegimage.train as train
+
+    manifest, ds = tiny_problem(n_patients=6, segs=3, seed=7)
+    rows, scale = [], train.clip_scale_array
+
+    def spy(x):
+        rows.append(len(x))
+        return scale(x)
+
+    monkeypatch.setattr(train, "clip_scale_array", spy)
+    cv = run_cv(manifest, ds, tiny_cfg(), default_stage1(epochs=1, batch_size=8),
+                default_stage2(epochs=1, batch_size=8), None, k=3, seed=0)
+    assert rows and max(rows) < len(ds)
+    # every fold's validation rows were scaled, in one call each
+    for fr in cv.folds:
+        assert len(fr.val_indices) in rows
+
+
+# Run in a fresh interpreter: calls one training entry point directly, as a
+# program using the package's API would, then frees three 24 MiB arrays twice
+# and prints how much of glibc's brk heap is kept for reuse.
+HEAP_AFTER = """
+import ctypes, sys
+import numpy as np
+sys.path.insert(0, sys.argv[2])
+from test_train import StageConfig, WEIGHT_UNIFORM, stage_inputs, train_stage
+from eegimage.analysis import PretextConfig, pretrain_backbone
+from eegimage.model import ModelConfig
+
+if sys.argv[1] == "train_stage":
+    cfg, params, ds, train_idx, x_val, y_val = stage_inputs()
+    stage = StageConfig(lr_base=1e-3, epochs=1, sample_weighting=WEIGHT_UNIFORM,
+                        data_scope="all", batch_size=4)
+    train_stage(params, cfg, stage, ds, train_idx, x_val, y_val, None,
+                np.random.default_rng(0))
+elif sys.argv[1] == "pretrain_backbone":
+    pretrain_backbone(ModelConfig(backbone_channels=(6, 8)), seed=0, pretext=PretextConfig(
+        n_train=64, n_test=64, epochs=1, batch_size=32, min_accuracy=0.0))
+for _ in range(2):
+    arrays = [np.ones(3 << 20) for _ in range(3)]
+    del arrays
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+info = ctypes.CDLL(None).mallinfo2
+info.restype = MallInfo2
+print(info().arena)
+"""
+
+
+def heap_kept_after(entry):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))
+        if p)
+    res = subprocess.run(
+        [sys.executable, "-c", HEAP_AFTER, entry, str(Path(__file__).parent)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return int(res.stdout.split()[-1])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+@pytest.mark.parametrize("entry", ["train_stage", "pretrain_backbone"])
+def test_training_keeps_freed_heap_for_a_direct_caller(entry):
+    """Each training step frees its arrays before the next; the training
+    entry points fix glibc's thresholds themselves, so freed pages stay in
+    the heap for any caller, not only the CLI."""
+    assert heap_kept_after("nothing") < 72 << 20  # glibc's own thresholds trim it
+    assert heap_kept_after(entry) >= 72 << 20
 
 
 def test_run_cv_rejects_empty_fold():
