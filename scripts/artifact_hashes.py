@@ -10,6 +10,17 @@ two listings:
     (cd change && PYTHONPATH=src python3 scripts/artifact_hashes.py --out /tmp/b > /tmp/b.txt)
     diff /tmp/a.txt /tmp/b.txt
 
+A change that re-stamps artifacts but should leave their content alone (a
+field added to the run record, say) shows it by diffing each changed file
+with the ``config_hash`` stamps and the added fields stripped (here the
+run record's ``augment``, null or one indented object); the loop prints the
+files that still differ, so it prints nothing when only the stamps moved:
+
+    STRIP='/config_hash/d; /"augment": null/d; /"augment": {/,/}/d'
+    for f in $(diff /tmp/a.txt /tmp/b.txt | awk '/^[<>]/ {print $3}' | sort -u); do
+        cmp -s <(sed "$STRIP" /tmp/a/$f) <(sed "$STRIP" /tmp/b/$f) || echo "$f"
+    done
+
 The recipe (seed 0 everywhere):
 
 - ``small``: 6 patients x 3 segments at 100 Hz, 5 s; ``run_pre`` trains it

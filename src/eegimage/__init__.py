@@ -16,11 +16,9 @@ from .data import (  # noqa: F401
     DatasetManifest,
     EegSegment,
     FoldAssignment,
-    Montage,
     consensus,
     soft_label,
     split_folds,
-    standard_double_banana,
     summarize,
 )
 from .metrics import EvalReport, evaluate, mean_kld, wilcoxon_rank_sum  # noqa: F401
@@ -28,6 +26,7 @@ from .model import ModelConfig, init_params  # noqa: F401
 from .preprocess import FilterSpec  # noqa: F401
 from .synthgen import SynthConfig, generate  # noqa: F401
 from .train import (  # noqa: F401
+    RunRecord,
     StageConfig,
     default_stage1,
     default_stage2,

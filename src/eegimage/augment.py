@@ -26,7 +26,6 @@ class AugmentConfig:
     p_time_reverse: float = 0.25
     p_swap_lr: float = 0.25
     mask_max_frac: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("p_mask", "p_permute", "p_invert", "p_time_reverse", "p_swap_lr"):

@@ -39,6 +39,7 @@ from .model import ModelConfig, load_checkpoint, variant_config
 from .preprocess import FilterSpec, clip_scale_array, design_bandpass, filter_segment
 from .synthgen import SynthConfig, generate
 from .train import (
+    RunRecord,
     default_stage1,
     default_stage2,
     ensemble_predict,
@@ -48,41 +49,41 @@ from .train import (
     run_cv,
 )
 from .tsne import TsneConfig, tsne
-from .util import config_hash, to_jsonable
+from .util import (TYPE_NAMES, config_hash, from_jsonable, read_json_object, read_record,
+                   to_jsonable)
 
 DATA_DIR_ENV = "EEGIMAGE_DATA_DIR"
 log = logging.getLogger("eegimage")
 
 
-def _subcommand(sub, name: str, func, help: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand, with the flags every command takes."""
+def _subcommand(sub, name: str, func, help: str,
+                configurable: bool = True) -> argparse.ArgumentParser:
+    """The parser of one subcommand, with the flags every command takes, and
+    --seed and --config for a command that reads a config."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(func=func)
-    p.add_argument("--seed", type=int, default=None, help="master RNG seed (default 0)")
+    if configurable:
+        p.add_argument("--seed", type=int, default=None, help="master RNG seed (default 0)")
+        p.add_argument("--config", type=Path, default=None,
+                       help="JSON config file; flags override its values")
     p.add_argument("--data-dir", type=Path, default=None,
                    help=f"dataset directory (default ${DATA_DIR_ENV} or ./data)")
     p.add_argument("--out-dir", type=Path, default=None, help="output directory")
-    p.add_argument("--config", type=Path, default=None,
-                   help="JSON config file; flags override its values")
     p.add_argument("-v", "--verbosity", action="count", default=0,
                    help="-v info, -vv debug")
     return p
 
 
-TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-              dict: "an object"}
-
-
-def _check_type(path: Path, key: str, value, default) -> None:
-    """A config file value must have its default's JSON type, so a bool is
-    no int; an int also passes for a float, and backbone may be a list of ints."""
-    kinds = (int, float) if type(default) is float else (type(default),)
-    ok = type(value) in kinds
-    if key == "backbone" and type(value) is list:
-        ok = all(type(v) is int for v in value)
-    if not ok:
+def _check_type(path: Path, key: str, value, default):
+    """A config file value read as its default's type by the records' own
+    reader, so a bool is no int and an int becomes a float where the default
+    is one; backbone may also be a list of ints."""
+    kind = tuple[int, ...] if key == "backbone" and type(value) is list else type(default)
+    try:
+        return from_jsonable(kind, value)
+    except ValueError:
         want = TYPE_NAMES[type(default)] + (" or a list of integers" if key == "backbone" else "")
-        raise ValueError(f"{path}: {key} must be {want}, got {json.dumps(value)}")
+        raise ValueError(f"{path}: {key} must be {want}, got {json.dumps(value)}") from None
 
 
 def _add_training(p: argparse.ArgumentParser) -> None:
@@ -101,29 +102,18 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
     default's type."""
     merged = dict(defaults)
     if args.config is not None:
-        with open(args.config) as f:
-            try:
-                file_cfg = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{args.config}: not JSON: {e}") from None
+        file_cfg = read_json_object(args.config)
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys in {args.config}: {sorted(unknown)}")
-        for k, v in file_cfg.items():
-            _check_type(args.config, k, v, defaults[k])
-        merged.update(file_cfg)
-    for k in defaults:
-        v = getattr(args, k, None)
-        if v is not None:
-            merged[k] = v
+        merged.update({k: _check_type(args.config, k, v, defaults[k])
+                       for k, v in file_cfg.items()})
+    merged.update({k: v for k in defaults if (v := getattr(args, k, None)) is not None})
     return merged
 
 
 def _data_dir(args) -> Path:
-    if args.data_dir is not None:
-        return args.data_dir
-    env = os.environ.get(DATA_DIR_ENV)
-    return Path(env) if env else Path("data")
+    return args.data_dir or Path(os.environ.get(DATA_DIR_ENV) or "data")
 
 
 def _setup_logging(verbosity: int) -> None:
@@ -153,8 +143,7 @@ def cmd_gen(args) -> int:
         seed=cfg_d["seed"],
     )
     h = config_hash(cfg)
-    comment = f"config_hash={h} seed={cfg.seed}"
-    generate(cfg, out, header_comment=comment)
+    generate(cfg, out, header_comment=f"config_hash={h} seed={cfg.seed}")
     with open(Path(out) / "gen_meta.json", "w") as f:
         json.dump({"config": to_jsonable(cfg), "config_hash": h, "seed": cfg.seed},
                   f, sort_keys=True, indent=1)
@@ -170,12 +159,10 @@ PREPROCESS_DEFAULTS = dict(seed=0, filter_mode="zero_phase", low_hz=0.5,
 
 def cmd_preprocess(args) -> int:
     cfg_d = _effective(args, PREPROCESS_DEFAULTS)
-    data = _data_dir(args)
     out = args.out_dir
     if out is None:
         raise ValueError("preprocess requires --out-dir")
-    out = Path(out)
-    manifest = load_manifest(data / "manifest.csv")
+    manifest = load_manifest(_data_dir(args) / "manifest.csv")
     # every segment is checked against the first before anything is written
     segs = list(read_segments(manifest))
     spec = FilterSpec(fs=segs[0].fs, order=cfg_d["order"], low_hz=cfg_d["low_hz"],
@@ -204,79 +191,79 @@ TRAIN_DEFAULTS = dict(
 
 
 def _backbone_tuple(s) -> tuple[int, ...]:
-    if isinstance(s, (list, tuple)):
-        return tuple(int(v) for v in s)
-    return tuple(int(v) for v in str(s).split(","))
+    """A flag's or default's "16,32" as ints; a config file's list is read as a tuple."""
+    return s if isinstance(s, tuple) else tuple(int(v) for v in s.split(","))
 
 
 def _training_setup(args, defaults: dict, variant: str | None = None):
-    """Merged config, manifest, (model_cfg, stage1, stage2, aug, filt) for
-    `variant` (the config's own when None) and the filtered dataset; the
-    bandpass takes fs from the first segment."""
+    """Merged config, manifest, the run's record for `variant` (the config's
+    own when None) and the filtered dataset; the bandpass takes fs from the
+    first segment."""
     cfg_d = _effective(args, defaults)
     manifest = load_manifest(_data_dir(args) / "manifest.csv")
     fs = read_signal(manifest.segment_path(manifest.entries[0])).fs
-    model_cfg = variant_config(
-        ModelConfig(
-            backbone_channels=_backbone_tuple(cfg_d["backbone"]),
-            dropout_rate=cfg_d["dropout"],
-            row_layout=cfg_d["row_layout"],
-            pretrained=cfg_d["pretrain"],
+    variant = variant or cfg_d["variant"]
+    record = RunRecord(
+        model=variant_config(
+            ModelConfig(
+                backbone_channels=_backbone_tuple(cfg_d["backbone"]),
+                dropout_rate=cfg_d["dropout"],
+                row_layout=cfg_d["row_layout"],
+                pretrained=cfg_d["pretrain"],
+            ),
+            variant,
         ),
-        variant or cfg_d["variant"],
+        stage1=default_stage1(lr_base=cfg_d["lr1"], epochs=cfg_d["stage1_epochs"],
+                              batch_size=cfg_d["batch_size"]),
+        stage2=default_stage2(lr_base=cfg_d["lr2"], epochs=cfg_d["stage2_epochs"],
+                              batch_size=cfg_d["batch_size"]),
+        augment=AugmentConfig() if cfg_d["augment"] else None,
+        filter=FilterSpec(fs=fs, mode=cfg_d["filter_mode"]),
+        k=cfg_d["folds"],
+        seed=cfg_d["seed"],
+        variant=variant,
     )
-    stage1 = default_stage1(lr_base=cfg_d["lr1"], epochs=cfg_d["stage1_epochs"],
-                            batch_size=cfg_d["batch_size"])
-    stage2 = default_stage2(lr_base=cfg_d["lr2"], epochs=cfg_d["stage2_epochs"],
-                            batch_size=cfg_d["batch_size"])
-    aug = AugmentConfig() if cfg_d["augment"] else None
-    filt = FilterSpec(fs=fs, mode=cfg_d["filter_mode"])
     log.info("loading and filtering %d segments", len(manifest))
-    return cfg_d, manifest, (model_cfg, stage1, stage2, aug, filt), load_dataset(manifest, filt)
+    return cfg_d, manifest, record, load_dataset(manifest, record.filter)
+
+
+def _stamp(rec: RunRecord, seed: int | None = None, **scope) -> str:
+    """The comment line that stamps an artifact of run `rec`: the record's
+    hash, or with `scope` (what else the artifact depends on) the hash of the
+    record nested beside it; and the record's seed unless `seed` is given."""
+    h = config_hash({"run": rec, **scope} if scope else rec)
+    return f"config_hash={h} seed={rec.seed if seed is None else seed}"
 
 
 def cmd_train(args) -> int:
     # every input is validated before the output directory is made
-    cfg_d, manifest, (model_cfg, stage1, stage2, aug, filt), ds = _training_setup(
-        args, TRAIN_DEFAULTS)
+    _, manifest, rec, ds = _training_setup(args, TRAIN_DEFAULTS)
     out = Path(args.out_dir or "runs/train")
     out.mkdir(parents=True, exist_ok=True)
-    seed = cfg_d["seed"]
-    run_hash = config_hash({"model": to_jsonable(model_cfg),
-                            "stage1": to_jsonable(stage1),
-                            "stage2": to_jsonable(stage2),
-                            "filter": to_jsonable(filt)})
-    comment = f"config_hash={run_hash} seed={seed}"
 
     backbone = None
-    if model_cfg.pretrained:
+    if rec.model.pretrained:
         log.info("pretraining backbone on the grating pretext")
-        cw, cb, acc = pretrain_backbone(model_cfg, seed)
+        cw, cb, acc = pretrain_backbone(rec.model, rec.seed)
         backbone = (cw, cb)
         log.info("pretext held-out accuracy %.3f", acc)
 
     with open(out / "progress.jsonl", "w") as progress:
-        def plog(rec):
-            progress.write(json.dumps(rec, sort_keys=True) + "\n")
+        def plog(r):
+            progress.write(json.dumps(r, sort_keys=True) + "\n")
             log.info("fold %s stage %s epoch %s: train %.4f val %.4f",
-                     rec.get("fold"), rec.get("stage"), rec.get("epoch"),
-                     rec.get("train_loss"), rec.get("val_loss"))
+                     r.get("fold"), r.get("stage"), r.get("epoch"),
+                     r.get("train_loss"), r.get("val_loss"))
 
-        cv = run_cv(manifest, ds, model_cfg, stage1, stage2, aug,
-                    k=cfg_d["folds"], seed=seed, out_dir=out, log=plog,
+        cv = run_cv(manifest, ds, rec.model, rec.stage1, rec.stage2, rec.augment,
+                    k=rec.k, seed=rec.seed, out_dir=out, log=plog,
                     pretrained_backbone=backbone)
 
     export_predictions(out / "oof_predictions.csv", ds.segment_ids, cv.oof_probs,
-                       header_comment=comment)
+                       header_comment=_stamp(rec))
     summary = {
-        "config_hash": run_hash,
-        "seed": seed,
-        "k": cfg_d["folds"],
-        "variant": cfg_d["variant"],
-        "model": to_jsonable(model_cfg),
-        "stage1": to_jsonable(stage1),
-        "stage2": to_jsonable(stage2),
-        "filter": to_jsonable(filt),
+        **to_jsonable(rec),
+        "config_hash": config_hash(rec),
         "fold_val_loss": cv.fold_val_losses(),
         "fold_sizes": cv.fold_assignment.fold_sizes(),
         "n_segments": len(ds),
@@ -284,7 +271,7 @@ def cmd_train(args) -> int:
     with open(out / "cv_summary.json", "w") as f:
         json.dump(summary, f, sort_keys=True, indent=1)
         f.write("\n")
-    print(f"out-of-fold predictions and {cfg_d['folds']} checkpoints in {out}")
+    print(f"out-of-fold predictions and {rec.k} checkpoints in {out}")
     return 0
 
 
@@ -292,8 +279,7 @@ def cmd_evaluate(args) -> int:
     run_dir = Path(args.run_dir)
     out = Path(args.out_dir or run_dir / "eval")
     manifest = load_manifest(_data_dir(args) / "manifest.csv")
-    summary = _read_summary(run_dir)
-    k, seed = summary["k"], summary["seed"]
+    rec = _read_summary(run_dir)
     pred_path = run_dir / "oof_predictions.csv"
     ids, probs = load_predictions(pred_path)
     expected = [e.segment_id for e in manifest.entries]
@@ -302,7 +288,7 @@ def cmd_evaluate(args) -> int:
                             enumerate(zip(ids + [None], expected + [None])) if a != b)
         raise ValueError(f"{pred_path}: prediction row {i + 1} is segment {got!r}, "
                          f"the manifest lists {want!r}")
-    folds = split_folds(manifest, k=k, seed=seed)
+    folds = split_folds(manifest, k=rec.k, seed=rec.seed)
     fold_of_sample = np.array([folds.fold_of_patient[e.patient_id]
                                for e in manifest.entries])
     consensus = manifest.consensus_labels()
@@ -315,8 +301,7 @@ def cmd_evaluate(args) -> int:
         except ValueError:
             continue
         roc_points[name] = (fpr, tpr, thr, optimal_threshold(fpr, tpr, thr))
-    comment = f"config_hash={summary['config_hash']} seed={seed}"
-    emit_report(out, report=report, roc_points=roc_points, comment=comment)
+    emit_report(out, report=report, roc_points=roc_points, comment=_stamp(rec))
     print(f"mean KLD {report.mean_kld:.4f}, consensus accuracy "
           f"{report.consensus_accuracy:.3f}; report in {out}")
     return 0
@@ -332,20 +317,14 @@ ABLATE_DEFAULTS = dict(
 
 
 def cmd_ablate(args) -> int:
-    cfg_d, manifest, (model_cfg, stage1, stage2, aug, _), ds = _training_setup(
-        args, ABLATE_DEFAULTS, variant="full")
+    cfg_d, manifest, rec, ds = _training_setup(args, ABLATE_DEFAULTS, variant="full")
     out = Path(args.out_dir or "runs/ablation")
-    seeds = [cfg_d["seed"] + i for i in range(cfg_d["seeds"])]
+    seeds = [rec.seed + i for i in range(cfg_d["seeds"])]
     variants = tuple(str(cfg_d["variants"]).split(","))
-    rows = run_ablation(manifest, ds, model_cfg, stage1, stage2, aug,
-                        seeds=seeds, k=cfg_d["folds"], variants=variants,
-                        log=lambda rec: log.info("epoch %s", json.dumps(rec, sort_keys=True)))
-    run_hash = config_hash({"model": to_jsonable(model_cfg),
-                            "stage1": to_jsonable(stage1),
-                            "stage2": to_jsonable(stage2),
-                            "seeds": seeds})
-    comment = f"config_hash={run_hash} seed={cfg_d['seed']}"
-    emit_report(out, ablation_rows=rows, comment=comment)
+    rows = run_ablation(manifest, ds, rec.model, rec.stage1, rec.stage2, rec.augment,
+                        seeds=seeds, k=rec.k, variants=variants,
+                        log=lambda r: log.info("epoch %s", json.dumps(r, sort_keys=True)))
+    emit_report(out, ablation_rows=rows, comment=_stamp(rec, seeds=seeds, variants=variants))
     for r in rows:
         p = "" if r.p_vs_full is None else f"  p={r.p_vs_full:.4g}"
         print(f"{r.variant:12s} mean KLD {r.mean_kld:.4f}{p}")
@@ -358,33 +337,20 @@ TSNE_DEFAULTS = dict(seed=0, perplexity=30.0, iterations=1000, use_probs=False)
 def cmd_tsne(args) -> int:
     cfg_d = _effective(args, TSNE_DEFAULTS)
     out = Path(args.out_dir or Path(args.run_dir) / "eval")
-    manifest, param_sets, _, ds, x_scaled = _load_run(args)
+    manifest, param_sets, rec, ds, x_scaled = _load_run(args)
     emb = extract_embeddings(param_sets, x_scaled, use_probs=cfg_d["use_probs"])
     cfg = TsneConfig(perplexity=cfg_d["perplexity"], iterations=cfg_d["iterations"],
                      seed=cfg_d["seed"])
     result = tsne(emb, cfg)
-    comment = f"config_hash={config_hash(cfg)} seed={cfg_d['seed']}"
-    emit_report(out, tsne_data=(result.coords, manifest.consensus_labels(),
-                                ds.segment_ids), comment=comment)
+    emit_report(out, tsne_data=(result.coords, manifest.consensus_labels(), ds.segment_ids),
+                comment=_stamp(rec, cfg.seed, tsne=cfg))
     print(f"t-SNE coordinates for {len(ds)} segments in {out}")
     return 0
 
 
-SUMMARY_FIELDS = {"k": int, "seed": int, "config_hash": str, "filter": dict}
-
-
-def _read_summary(run_dir: Path) -> dict:
-    """cv_summary.json, checked for the fields evaluate, predict and tsne read."""
-    path = run_dir / "cv_summary.json"
-    with open(path) as f:
-        try:
-            summary = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not JSON: {e}") from None
-    for name, kind in SUMMARY_FIELDS.items():
-        if not isinstance(summary, dict) or type(summary.get(name)) is not kind:
-            raise ValueError(f"{path}: field {name!r} is missing or not {TYPE_NAMES[kind]}")
-    return summary
+def _read_summary(run_dir: Path) -> RunRecord:
+    """The run's record from cv_summary.json, checked against its config_hash."""
+    return read_record(run_dir / "cv_summary.json", RunRecord)[0]
 
 
 def _load_fold_models(run_dir: Path):
@@ -404,32 +370,23 @@ def _load_fold_models(run_dir: Path):
     return sets
 
 
-PREDICT_DEFAULTS = dict(seed=0)
-
-
 def _load_run(args):
-    """Manifest, fold models, cv_summary.json and the dataset filtered with
-    the run's recorded bandpass, so serving filters as training did; also
-    the segments scaled for the model."""
+    """Manifest, fold models, the run's record and the dataset filtered with
+    its recorded bandpass, so serving filters as training did; also the
+    segments scaled for the model."""
     run_dir = Path(args.run_dir)
     manifest = load_manifest(_data_dir(args) / "manifest.csv")
     param_sets = _load_fold_models(run_dir)
-    summary = _read_summary(run_dir)
-    try:
-        filt = FilterSpec(**summary["filter"])
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{run_dir / 'cv_summary.json'}: field 'filter': {e}") from None
-    ds = load_dataset(manifest, filt)
-    return manifest, param_sets, summary, ds, clip_scale_array(ds.x_uv)
+    rec = _read_summary(run_dir)
+    ds = load_dataset(manifest, rec.filter)
+    return manifest, param_sets, rec, ds, clip_scale_array(ds.x_uv)
 
 
 def cmd_predict(args) -> int:
-    cfg_d = _effective(args, PREDICT_DEFAULTS)
     out_path = Path(args.out or "predictions.csv")
-    _, param_sets, summary, ds, x_scaled = _load_run(args)
+    _, param_sets, rec, ds, x_scaled = _load_run(args)
     probs = ensemble_predict(param_sets, x_scaled)
-    comment = f"config_hash={summary['config_hash']} seed={cfg_d['seed']}"
-    export_predictions(out_path, ds.segment_ids, probs, header_comment=comment)
+    export_predictions(out_path, ds.segment_ids, probs, header_comment=_stamp(rec))
     print(f"wrote {len(ds)} ensemble predictions to {out_path}")
     return 0
 
@@ -471,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter-mode", dest="filter_mode",
                    choices=("zero_phase", "causal"), default=None)
 
-    p = _subcommand(sub, "evaluate", cmd_evaluate, help="metrics report from a training run")
+    p = _subcommand(sub, "evaluate", cmd_evaluate, help="metrics report from a training run",
+                    configurable=False)
     p.add_argument("--run-dir", type=Path, required=True)
 
     p = _subcommand(sub, "ablate", cmd_ablate, help="retrain component-removal variants")
@@ -488,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--use-probs", dest="use_probs", action="store_true",
                    default=None)
 
-    p = _subcommand(sub, "predict", cmd_predict, help="fold-ensemble inference to CSV")
+    p = _subcommand(sub, "predict", cmd_predict, help="fold-ensemble inference to CSV",
+                    configurable=False)
     p.add_argument("--run-dir", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None, help="output CSV path")
 

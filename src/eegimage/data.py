@@ -1,4 +1,4 @@
-"""Segments, annotations, montage, manifests, folds and cohort summaries.
+"""Segments, annotations, manifests, folds and cohort summaries.
 
 The six activity classes use one fixed order everywhere: labels, vote
 vectors, prediction vectors and report rows all index classes the same way.
@@ -10,7 +10,7 @@ import csv
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,11 +26,6 @@ class ClassId(enum.IntEnum):
 
 N_CLASSES = 6
 CLASS_NAMES = ("seizure", "lpd", "gpd", "lrda", "grda", "other")
-
-# Classic 10-20 scalp electrode labels.
-ELECTRODES_1020 = frozenset(
-    "Fp1 Fp2 F7 F3 Fz F4 F8 T3 C3 Cz C4 T4 T5 P3 Pz P4 T6 O1 O2".split()
-)
 
 SUBSET_LOW = "low_annotation"
 SUBSET_HIGH = "high_quality"
@@ -52,62 +47,6 @@ MANIFEST_COLUMNS = (
 
 LEFT_CHANNELS = (0, 1, 2, 3, 8, 9, 10, 11)
 RIGHT_CHANNELS = (4, 5, 6, 7, 12, 13, 14, 15)
-
-
-class MissingElectrodeError(KeyError):
-    """Raised when a montage names an electrode absent from the input."""
-
-
-@dataclass(frozen=True)
-class Montage:
-    """Ordered bipolar derivations: each output channel is anode - cathode."""
-
-    pairs: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        if len(self.pairs) != 16:
-            raise ValueError(f"montage must have 16 pairs, got {len(self.pairs)}")
-        for anode, cathode in self.pairs:
-            for name in (anode, cathode):
-                if name not in ELECTRODES_1020:
-                    raise ValueError(f"not a 10-20 electrode label: {name!r}")
-
-    @property
-    def chains(self) -> tuple[tuple[tuple[str, str], ...], ...]:
-        """Four front-to-back chains of four derivations each."""
-        return tuple(self.pairs[i : i + 4] for i in range(0, 16, 4))
-
-    @property
-    def electrodes(self) -> frozenset[str]:
-        return frozenset(e for pair in self.pairs for e in pair)
-
-
-def standard_double_banana() -> Montage:
-    """Longitudinal bipolar montage in chain-major order: LT, RT, LP, RP."""
-    return Montage(
-        pairs=(
-            ("Fp1", "F7"), ("F7", "T3"), ("T3", "T5"), ("T5", "O1"),
-            ("Fp2", "F8"), ("F8", "T4"), ("T4", "T6"), ("T6", "O2"),
-            ("Fp1", "F3"), ("F3", "C3"), ("C3", "P3"), ("P3", "O1"),
-            ("Fp2", "F4"), ("F4", "C4"), ("C4", "P4"), ("P4", "O2"),
-        )
-    )
-
-
-def apply_montage(
-    referential: np.ndarray, channel_names: Sequence[str], montage: Montage
-) -> np.ndarray:
-    """Re-reference an [electrodes x T] referential matrix to bipolar channels.
-
-    Row i of the result is anode_i - cathode_i.
-    """
-    index = {name: i for i, name in enumerate(channel_names)}
-    for anode, cathode in montage.pairs:
-        for name in (anode, cathode):
-            if name not in index:
-                raise MissingElectrodeError(name)
-    rows = [referential[index[a]] - referential[index[c]] for a, c in montage.pairs]
-    return np.stack(rows)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 import numpy as np
 
-from .util import config_hash, to_jsonable
+from .util import config_hash, read_record, to_jsonable
 
 CHECKPOINT_MAGIC = b"EEGIMG01"
 CHECKPOINT_VERSION = 1
@@ -712,14 +712,7 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, ModelConfig, dict]:
             dtype = np.dtype(_DTYPE_FROM_CODE[dcode])
             raw = read(int(np.prod(shape)) * dtype.itemsize, f"tensor {name!r}")
             tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    with open(path.with_suffix(path.suffix + ".json")) as f:
-        sidecar = json.load(f)
-    cfg_dict = dict(sidecar["config"])
-    cfg_dict["backbone_channels"] = tuple(cfg_dict["backbone_channels"])
-    cfg = ModelConfig(**cfg_dict)
-    if sidecar.get("config_hash") != config_hash(cfg):
-        raise ValueError(f"{path}: sidecar config_hash {sidecar.get('config_hash')!r} "
-                         f"does not match its config, which hashes to {config_hash(cfg)!r}")
+    cfg, sidecar = read_record(path.with_suffix(path.suffix + ".json"), ModelConfig, "config")
     shapes = param_shapes(cfg)
     for name in tensors:
         if name not in shapes:

@@ -1,7 +1,7 @@
 """Signal conditioning: Butterworth bandpass, amplitude clipping, 0-255 scaling.
 
-Order of operations is montage -> filter -> clip -> scale. Augmentations run
-in microvolt space, so scaling is the last step before the model.
+Order of operations is filter -> clip -> scale. Augmentations run in
+microvolt space, so scaling is the last step before the model.
 """
 
 from __future__ import annotations

@@ -92,6 +92,28 @@ def default_stage2(**overrides) -> StageConfig:
     return StageConfig(**base)
 
 
+@dataclass(frozen=True)
+class RunRecord:
+    """What a training run is, built once: its config_hash, cv_summary.json
+    and every artifact stamp come from this record. augment is None when
+    augmentation is off."""
+
+    model: ModelConfig
+    stage1: StageConfig
+    stage2: StageConfig
+    augment: AugmentConfig | None
+    filter: FilterSpec
+    k: int
+    seed: int
+    variant: str
+
+    def __post_init__(self):
+        for name in ("k", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name!r} must be an integer, got {value!r}")
+
+
 def kld_loss(y: np.ndarray, p: np.ndarray, weight: float = 1.0) -> float:
     """weight * KL(y || p) for one sample; y must already be normalized."""
     y = np.asarray(y, dtype=np.float64)

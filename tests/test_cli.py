@@ -3,6 +3,7 @@ and the gen/train/evaluate/predict/tsne round trip on a tiny dataset."""
 
 import csv
 import json
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -147,14 +148,21 @@ def test_unknown_config_keys_exit_1(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,want", [
+    ("{", "not JSON: Expecting property"),
+    ("[]", "not a JSON object, got []"),
+    ("42", "not a JSON object, got 42"),
+    ("null", "not a JSON object, got null"),
+    ('"abc"', 'not a JSON object, got "abc"'),
+])
 @pytest.mark.parametrize("command", ["gen", "train"])
-def test_config_file_that_is_not_json_exits_1_naming_it(tmp_path, capsys, command):
+def test_config_file_that_is_not_json_exits_1_naming_it(tmp_path, capsys, command, text, want):
     cfg, out = tmp_path / "bad.json", tmp_path / "out"
-    cfg.write_text("{")
+    cfg.write_text(text)
     rc = main([command, "--data-dir", str(tmp_path / "nowhere"), "--out-dir", str(out),
                "--config", str(cfg)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: {cfg}: not JSON: Expecting property")
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {want}")
     assert not out.exists()
 
 
@@ -503,6 +511,14 @@ def test_training_commands_accept_exactly_their_options(command, own):
     assert accepted == COMMON_OPTIONS | TRAINING_OPTIONS | own
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--config", "c.json"]])
+def test_commands_that_read_no_config_reject_seed_and_config(tmp_path, capsys, command, flag):
+    rc = main([command, "--data-dir", str(tmp_path), "--run-dir", str(tmp_path), *flag])
+    assert rc == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 # --- config value types ---
 
 
@@ -542,8 +558,9 @@ def test_config_values_of_the_default_type_are_accepted(tmp_path):
     values = {"backbone": [6, 8], "dropout": 0, "lr1": 0.002, "pretrain": False,
               "variant": "no_central", "folds": 2}
     cfg.write_text(json.dumps(values))
-    assert _effective(argparse.Namespace(config=cfg), TRAIN_DEFAULTS) == {
-        **TRAIN_DEFAULTS, **values}
+    merged = _effective(argparse.Namespace(config=cfg), TRAIN_DEFAULTS)
+    assert merged == {**TRAIN_DEFAULTS, **values, "backbone": (6, 8)}
+    assert type(merged["dropout"]) is float  # read as its default's type
     cfg.write_text(json.dumps({"perplexity": 5, "use_probs": True}))
     merged = _effective(argparse.Namespace(config=cfg, perplexity=7.5), TSNE_DEFAULTS)
     assert merged["perplexity"] == 7.5 and merged["use_probs"] is True
@@ -608,7 +625,8 @@ def test_evaluate_names_the_first_prediction_off_the_manifest_order(trained_run,
 
 
 SUMMARY_FAULTS = [("drop", "filter"), ("drop", "config_hash"), ("drop", "k"),
-                  ("string", "seed"), ("string", "filter"), ("not_json", None)]
+                  ("string", "seed"), ("string", "filter"), ("not_json", None),
+                  ("drop", "augment"), ("drop", "stage1"), ("edit_hash", "config_hash")]
 
 
 def _run_reader_args(command, tmp_path):
@@ -634,6 +652,8 @@ def test_a_malformed_cv_summary_fails_naming_the_file_and_field(trained_run, tmp
         summary[field] = "0"
     elif fault == "bad_filter":
         summary["filter"]["cutoff"] = 3.0
+    elif fault == "edit_hash":
+        summary["config_hash"] = "0" * 16
     path.write_text("{" if fault == "not_json" else json.dumps(summary))
     capsys.readouterr()
     rc = main([command, "--data-dir", str(data), "--run-dir", str(damaged),
@@ -654,3 +674,98 @@ def test_each_run_reader_reads_the_summary_once(trained_run, tmp_path, monkeypat
     assert main([command, "--data-dir", str(data), "--run-dir", str(run),
                  "--out-dir", str(tmp_path / "out"), *_run_reader_args(command, tmp_path)]) == 0
     assert calls == [run]
+
+
+# --- run records and stamps ---
+
+
+def test_train_stamps_augmentation_and_reads_back_the_record_it_built(tmp_path, monkeypatch):
+    import eegimage.cli as cli
+
+    built, orig = [], cli._training_setup
+    monkeypatch.setattr(cli, "_training_setup",
+                        lambda *a, **k: built.append(orig(*a, **k)) or built[-1])
+    data = tmp_path / "data"
+    assert run_gen(data, patients=6, segments=3) == 0
+    hashes = []
+    for name, extra in (("aug", []), ("noaug", ["--no-augment"])):
+        run = tmp_path / name
+        assert main(["train", "--data-dir", str(data), "--out-dir", str(run), "--folds", "2",
+                     "--stage1-epochs", "1", "--stage2-epochs", "1", "--batch-size", "8",
+                     "--backbone", "6,8", "--no-pretrain", "--seed", "0", *extra]) == 0
+        rec = built[-1][2]
+        assert (rec.augment is None) == bool(extra)
+        assert cli._read_summary(run) == rec
+        hashes.append(json.loads((run / "cv_summary.json").read_text())["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
+def test_ablate_stamps_its_folds(tmp_path, monkeypatch):
+    import eegimage.cli as cli
+    from eegimage.analysis import AblationRow
+
+    def canned(*a, **k):
+        return [AblationRow("full", 1.0, [1.0], None)]
+
+    monkeypatch.setattr(cli, "run_ablation", canned)
+    data = tmp_path / "data"
+    assert run_gen(data, patients=6, segments=3) == 0
+    stamps = []
+    for folds in ("2", "3"):
+        out = tmp_path / f"abl{folds}"
+        assert main(["ablate", "--data-dir", str(data), "--out-dir", str(out), "--seeds", "1",
+                     "--folds", folds, "--variants", "full"]) == 0
+        stamps.append((out / "ablation.csv").read_text().splitlines()[0])
+    assert stamps[0].startswith("# config_hash=") and stamps[0] != stamps[1]
+
+
+def test_every_stamp_in_a_served_run_is_its_summarys(trained_run, tmp_path):
+    from eegimage.cli import _read_summary
+    from eegimage.tsne import TsneConfig
+    from eegimage.util import config_hash
+
+    data, run = trained_run
+    served = tmp_path / "run"
+    shutil.copytree(run, served)
+    assert main(["evaluate", "--data-dir", str(data), "--run-dir", str(served),
+                 "--out-dir", str(served / "eval")]) == 0
+    assert main(["predict", "--data-dir", str(data), "--run-dir", str(served),
+                 "--out", str(served / "predictions.csv")]) == 0
+    summary = json.loads((served / "cv_summary.json").read_text())
+    stamps = {(str(p.relative_to(served)), m)
+              for p in served.rglob("*") if p.suffix in (".csv", ".svg", ".json")
+              for m in re.findall(r"config_hash=\w+ seed=\d+", p.read_text())}
+    assert {name for name, _ in stamps} >= {"oof_predictions.csv", "predictions.csv",
+                                            "eval/report.json", "eval/confusion.csv"}
+    assert {m for _, m in stamps} == {f"config_hash={summary['config_hash']} seed=0"}
+    # a t-SNE map is stamped with its run and its own config
+    assert main(["tsne", "--data-dir", str(data), "--run-dir", str(served),
+                 "--out-dir", str(tmp_path / "tsne"), "--perplexity", "4",
+                 "--iterations", "300"]) == 0
+    tsne_hash = config_hash({"run": _read_summary(served),
+                             "tsne": TsneConfig(perplexity=4.0, iterations=300, seed=0)})
+    for name in ("tsne.csv", "tsne.svg"):
+        assert f"config_hash={tsne_hash} seed=0" in (tmp_path / "tsne" / name).read_text()
+
+
+def test_a_run_with_integer_float_config_values_is_served(tmp_path):
+    data = tmp_path / "data"
+    assert run_gen(data, patients=6, segments=3) == 0
+    summaries = []
+    for name, values in (("ints", {"dropout": 0, "lr1": 1}),
+                         ("floats", {"dropout": 0.0, "lr1": 1.0})):
+        cfg, run = tmp_path / f"{name}.json", tmp_path / name
+        cfg.write_text(json.dumps(values))
+        assert main(["train", "--data-dir", str(data), "--out-dir", str(run), "--folds", "2",
+                     "--stage1-epochs", "1", "--stage2-epochs", "1", "--batch-size", "8",
+                     "--backbone", "6,8", "--no-pretrain", "--no-augment", "--seed", "0",
+                     "--config", str(cfg)]) == 0
+        summaries.append(json.loads((run / "cv_summary.json").read_text()))
+    assert summaries[0]["model"]["dropout_rate"] == 0.0
+    assert summaries[0]["config_hash"] == summaries[1]["config_hash"]
+    run = tmp_path / "ints"
+    assert main(["evaluate", "--data-dir", str(data), "--run-dir", str(run)]) == 0
+    assert main(["predict", "--data-dir", str(data), "--run-dir", str(run),
+                 "--out", str(tmp_path / "p.csv")]) == 0
+    assert main(["tsne", "--data-dir", str(data), "--run-dir", str(run),
+                 "--perplexity", "4", "--iterations", "300"]) == 0

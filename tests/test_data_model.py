@@ -1,4 +1,4 @@
-"""Segments, montage, labels, manifests and fold splitting."""
+"""Segments, labels, manifests and fold splitting."""
 
 import numpy as np
 import pytest
@@ -13,15 +13,12 @@ from eegimage.data import (
     DatasetManifest,
     EegSegment,
     ManifestEntry,
-    MissingElectrodeError,
-    apply_montage,
     consensus,
     load_manifest,
     read_signal,
     save_manifest,
     soft_label,
     split_folds,
-    standard_double_banana,
     subset_tag,
     summarize,
     write_signal,
@@ -34,80 +31,6 @@ def test_class_order_is_fixed():
     assert [c.name for c in ClassId] == ["SEIZURE", "LPD", "GPD", "LRDA", "GRDA", "OTHER"]
     assert [int(c) for c in ClassId] == [0, 1, 2, 3, 4, 5]
     assert CLASS_NAMES == ("seizure", "lpd", "gpd", "lrda", "grda", "other")
-
-
-# --- montage ---
-
-
-def test_double_banana_structure():
-    m = standard_double_banana()
-    assert len(m.pairs) == 16
-    assert m.pairs[0] == ("Fp1", "F7")
-    assert all(len(chain) == 4 for chain in m.chains)
-    assert len(m.chains) == 4
-    assert m.electrodes == frozenset(
-        "Fp1 Fp2 F3 F4 F7 F8 C3 C4 T3 T4 T5 T6 P3 P4 O1 O2".split()
-    )
-
-
-def test_montage_rejects_bad_labels():
-    from eegimage.data import Montage
-
-    pairs = list(standard_double_banana().pairs)
-    pairs[3] = ("Fp1", "XX9")
-    with pytest.raises(ValueError):
-        Montage(pairs=tuple(pairs))
-    with pytest.raises(ValueError):
-        Montage(pairs=tuple(pairs[:8]))
-
-
-def montage_inputs(seed=0):
-    m = standard_double_banana()
-    names = sorted(m.electrodes) + ["Cz", "Fz", "Pz"]
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(len(names), 100))
-    return m, names, x
-
-
-def test_apply_montage_zero_for_identical_signals():
-    m, names, x = montage_inputs()
-    x[:] = x[0]  # every electrode identical
-    out = apply_montage(x, names, m)
-    assert np.all(out == 0.0)
-
-
-def test_apply_montage_constant_anchor():
-    m, names, x = montage_inputs()
-    idx = {n: i for i, n in enumerate(names)}
-    x[:] = 0.0
-    x[idx["Fp1"]] = 1.0
-    x[idx["F7"]] = -1.0
-    out = apply_montage(x, names, m)
-    assert np.all(out[0] == 2.0)
-
-
-def test_apply_montage_matches_subtraction_oracle():
-    m, names, x = montage_inputs(seed=1)
-    out = apply_montage(x, names, m)
-    idx = {n: i for i, n in enumerate(names)}
-    for i, (a, c) in enumerate(m.pairs):
-        assert np.array_equal(out[i], x[idx[a]] - x[idx[c]])
-
-
-def test_apply_montage_missing_electrode():
-    m, names, x = montage_inputs()
-    names = ["Oz" if n == "O2" else n for n in names]
-    with pytest.raises(MissingElectrodeError):
-        apply_montage(x, names, m)
-
-
-def test_apply_montage_is_linear():
-    m, names, x = montage_inputs(seed=2)
-    _, _, y = montage_inputs(seed=3)
-    a, b = 2.5, -1.25
-    combined = apply_montage(a * x + b * y, names, m)
-    split = a * apply_montage(x, names, m) + b * apply_montage(y, names, m)
-    assert np.max(np.abs(combined - split)) < 1e-9
 
 
 # --- segments ---

@@ -5,6 +5,7 @@ the signal-to-image layer with naive loops, and the conv stages with a
 direct nested-loop convolution.
 """
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -1119,7 +1120,48 @@ def test_checkpoint_rejects_a_sidecar_whose_hash_does_not_match(tmp_path, edit):
     else:
         sidecar["config"]["dropout_rate"] = 0.5
     side.write_text(json.dumps(sidecar))
-    with pytest.raises(ValueError, match=r"m\.ckpt: sidecar config_hash"):
+    with pytest.raises(ValueError, match=r"m\.ckpt\.json: field 'config_hash' '"):
+        load_checkpoint(path)
+
+
+def test_a_checkpoint_whose_config_holds_an_int_for_a_float_loads(tmp_path):
+    cfg = replace(small_cfg(), dropout_rate=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_params(cfg, seed=0), cfg)
+    _, loaded, _ = load_checkpoint(path)
+    assert loaded == cfg and type(loaded.dropout_rate) is float
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("unknown_key", r"field 'config': unknown fields \['depth'\]"),
+    ("missing_config", r"field 'config': missing"),
+    ("missing_key", r"field 'config': field 'stride': missing"),
+    ("tuple_of_str", r"field 'config': field 'backbone_channels': must be an integer, got \"8\""),
+    ("bad_value", r"field 'config': dropout_rate must be in \[0, 1\)"),
+    ("not_json", r"not JSON: "),
+    ("not_an_object", r"not a JSON object, got \[\]"),
+])
+def test_a_damaged_sidecar_fails_naming_the_file_and_field(tmp_path, edit, message):
+    import json
+
+    cfg = small_cfg()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_params(cfg, seed=0), cfg)
+    side = path.with_suffix(".ckpt.json")
+    sidecar = json.loads(side.read_text())
+    if edit == "unknown_key":
+        sidecar["config"]["depth"] = 3
+    elif edit == "missing_config":
+        del sidecar["config"]
+    elif edit == "missing_key":
+        del sidecar["config"]["stride"]
+    elif edit == "tuple_of_str":
+        sidecar["config"]["backbone_channels"][0] = "8"
+    elif edit == "bad_value":
+        sidecar["config"]["dropout_rate"] = 1.5
+    text = {"not_json": "{", "not_an_object": "[]"}.get(edit, json.dumps(sidecar))
+    side.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(side))}: {message}"):
         load_checkpoint(path)
 
 

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_manifest
+from eegimage.augment import AugmentConfig
 from eegimage.data import HIGH_QUALITY_MIN_VOTES
 from eegimage.model import (
     ModelConfig,
@@ -29,6 +31,7 @@ from eegimage.train import (
     WEIGHT_UNIFORM,
     Adam,
     Dataset,
+    RunRecord,
     StageConfig,
     default_stage1,
     default_stage2,
@@ -43,7 +46,8 @@ from eegimage.train import (
     train_stage,
     validation_loss,
 )
-from eegimage.preprocess import clip_scale_array
+from eegimage.preprocess import FilterSpec, clip_scale_array
+from eegimage.util import config_hash
 
 
 def tiny_cfg(**kw):
@@ -220,6 +224,49 @@ def test_stage_config_validation(kw):
     base.update(kw)
     with pytest.raises(ValueError):
         StageConfig(**base)
+
+
+# --- run record ---
+
+
+def base_record(**kw):
+    return RunRecord(**{**dict(model=ModelConfig(), stage1=default_stage1(),
+                               stage2=default_stage2(), augment=AugmentConfig(),
+                               filter=FilterSpec(fs=100.0), k=5, seed=0, variant="full"),
+                        **kw})
+
+
+def test_flipping_any_one_run_record_field_changes_its_hash():
+    base = base_record()
+    flips = {"model": replace(base.model, dropout_rate=0.3),
+             "stage1": default_stage1(epochs=14), "stage2": default_stage2(epochs=4),
+             "augment": None, "filter": FilterSpec(fs=100.0, mode="causal"),
+             "k": 4, "seed": 1, "variant": "no_central"}
+    assert set(flips) == {f.name for f in fields(RunRecord)}
+    hashes = {name: config_hash(replace(base, **{name: v})) for name, v in flips.items()}
+    assert len(set(hashes.values())) == len(flips)
+    assert config_hash(base) not in hashes.values()
+
+
+def test_a_float_field_holding_an_int_hashes_and_reads_back_as_its_float():
+    import json
+
+    from eegimage.util import from_jsonable, to_jsonable
+
+    ints = base_record(model=replace(ModelConfig(), dropout_rate=0),
+                       stage1=default_stage1(lr_base=1))
+    floats = base_record(model=replace(ModelConfig(), dropout_rate=0.0),
+                         stage1=default_stage1(lr_base=1.0))
+    assert config_hash(ints) == config_hash(floats)
+    back = from_jsonable(RunRecord, json.loads(json.dumps(to_jsonable(ints))))
+    assert back == floats and type(back.model.dropout_rate) is float
+    assert config_hash(back) == config_hash(ints)
+
+
+@pytest.mark.parametrize("kw", [dict(k=True), dict(k=2.0), dict(seed="0"), dict(seed=None)])
+def test_a_run_record_rejects_a_k_or_seed_that_is_not_an_int(kw):
+    with pytest.raises(ValueError, match=f"'{next(iter(kw))}' must be an integer"):
+        base_record(**kw)
 
 
 # --- weighting and scope ---
