@@ -47,11 +47,16 @@ class PretextConfig:
 
 
 def grating_dataset(n: int, size: int, n_classes: int, channels: int,
-                    rng: np.random.Generator):
+                    rng: np.random.Generator, dtype=np.float64):
     """Procedural oriented gratings in the 0-255 range, one orientation bin
-    per class."""
+    per class.
+
+    Each image is built in float64 and stored into a dtype array, so the set
+    equals the float64 one cast to dtype without a float64 copy of it.
+    """
     u, v = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    x = np.empty((n, size, size, channels), dtype=np.float64)
+    x = np.empty((n, size, size, channels), dtype=dtype)
+    img = np.empty((size, size, channels))
     y = rng.integers(0, n_classes, size=n)
     for i in range(n):
         theta = y[i] * np.pi / n_classes + rng.uniform(-np.pi / 36, np.pi / 36)
@@ -61,17 +66,18 @@ def grating_dataset(n: int, size: int, n_classes: int, channels: int,
         wave = np.sin(2.0 * np.pi * freq * (u * np.cos(theta) + v * np.sin(theta)) + phase)
         for c in range(channels):
             scale = rng.uniform(0.8, 1.0)
-            x[i, :, :, c] = 127.5 + amp * scale * wave
-        x[i] += rng.normal(0.0, 8.0, size=(size, size, channels))
-    return np.clip(x, 0.0, 255.0, out=x), y
+            img[:, :, c] = 127.5 + amp * scale * wave
+        img += rng.normal(0.0, 8.0, size=(size, size, channels))
+        x[i] = np.clip(img, 0.0, 255.0, out=img)
+    return x, y
 
 
 def pretrain_backbone(cfg: ModelConfig, seed: int, pretext: PretextConfig | None = None):
     """Train the conv stack on the grating pretext and hand back its weights.
 
     The network is the model's own conv stack with full-width pooling, no
-    dropout and an n_orientations-way head, trained in float64 on one-hot
-    targets weighted 1/batch with :class:`train.Adam`.
+    dropout and an n_orientations-way head, trained in the model's dtype on
+    one-hot targets weighted 1/batch with :class:`train.Adam`.
 
     Returns (conv_w, conv_b, held_out_accuracy). Raises if accuracy lands
     under pretext.min_accuracy, which indicates a broken training loop rather
@@ -80,9 +86,9 @@ def pretrain_backbone(cfg: ModelConfig, seed: int, pretext: PretextConfig | None
     px = pretext or PretextConfig()
     _pin_malloc_thresholds()  # each step frees its cache before the next
     rng = np.random.default_rng([seed, 9001])
-    n_cls = px.n_orientations
+    n_cls, dt = px.n_orientations, cfg.np_dtype
     x_all, y_all = grating_dataset(
-        px.n_train + px.n_test, px.image_size, n_cls, cfg.groups, rng
+        px.n_train + px.n_test, px.image_size, n_cls, cfg.groups, rng, dt
     )
     x_tr, y_tr = x_all[: px.n_train], y_all[: px.n_train]
     x_te, y_te = x_all[px.n_train :], y_all[px.n_train :]
@@ -90,19 +96,19 @@ def pretrain_backbone(cfg: ModelConfig, seed: int, pretext: PretextConfig | None
     proto = init_params(cfg, seed=seed + 17)
     # the backbone of a fresh model under a grating head instead of its own
     net = ModelParams({
-        **{n: a.astype(np.float64) for n, a in proto.named_arrays() if n != "embedding"},
-        "dense_w": np.zeros((cfg.backbone_channels[-1], n_cls)),
-        "dense_b": np.zeros(n_cls),
+        **{n: a for n, a in proto.named_arrays() if n != "embedding"},
+        "dense_w": np.zeros((cfg.backbone_channels[-1], n_cls), dtype=dt),
+        "dense_b": np.zeros(n_cls, dtype=dt),
     })
     adam = Adam(net)
-    onehot = np.eye(n_cls)
+    onehot = np.eye(n_cls, dtype=dt)
     for _ in range(px.epochs):
         order = rng.permutation(px.n_train)
         for s in range(0, px.n_train, px.batch_size):
             sel = order[s : s + px.batch_size]
             _, _, cache = backbone_forward(x_tr[sel], net, cfg.conv_stride, want_cache=True)
             _, grads, _ = backbone_backward(
-                onehot[y_tr[sel]], np.full(sel.size, 1.0 / sel.size), net, cache
+                onehot[y_tr[sel]], np.full(sel.size, 1.0 / sel.size, dtype=dt), net, cache
             )
             adam.step(net, grads, px.lr)
             del cache, grads  # as in train.train_stage
@@ -117,9 +123,8 @@ def pretrain_backbone(cfg: ModelConfig, seed: int, pretext: PretextConfig | None
         raise RuntimeError(
             f"pretext accuracy {acc:.3f} below {px.min_accuracy}; training loop broken"
         )
-    dt = cfg.np_dtype
     layers = net.conv_layers()
-    return [w.astype(dt) for w, _ in layers], [b.astype(dt) for _, b in layers], acc
+    return [w for w, _ in layers], [b for _, b in layers], acc
 
 
 @dataclass

@@ -56,10 +56,11 @@ DATA_DIR_ENV = "EEGIMAGE_DATA_DIR"
 log = logging.getLogger("eegimage")
 
 
-def _subcommand(sub, name: str, func, help: str,
-                configurable: bool = True) -> argparse.ArgumentParser:
-    """The parser of one subcommand, with the flags every command takes, and
-    --seed and --config for a command that reads a config."""
+def _subcommand(sub, name: str, func, help: str, configurable: bool = True,
+                writes_dir: bool = True) -> argparse.ArgumentParser:
+    """The parser of one subcommand, with the flags every command takes,
+    --seed and --config for a command that reads a config, and --out-dir for
+    a command that writes a directory."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(func=func)
     if configurable:
@@ -68,7 +69,8 @@ def _subcommand(sub, name: str, func, help: str,
                        help="JSON config file; flags override its values")
     p.add_argument("--data-dir", type=Path, default=None,
                    help=f"dataset directory (default ${DATA_DIR_ENV} or ./data)")
-    p.add_argument("--out-dir", type=Path, default=None, help="output directory")
+    if writes_dir:
+        p.add_argument("--out-dir", type=Path, default=None, help="output directory")
     p.add_argument("-v", "--verbosity", action="count", default=0,
                    help="-v info, -vv debug")
     return p
@@ -447,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
 
     p = _subcommand(sub, "predict", cmd_predict, help="fold-ensemble inference to CSV",
-                    configurable=False)
+                    configurable=False, writes_dir=False)
     p.add_argument("--run-dir", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None, help="output CSV path")
 

@@ -182,21 +182,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams({n: a.copy() for n, a in self.arrays.items()})
 
-    def ravel(self, cfg: ModelConfig) -> np.ndarray:
-        return np.concatenate(
-            [self.get(n).ravel() for n in self.trainable_names(cfg)]
-        )
-
-    def set_from_ravel(self, cfg: ModelConfig, vec: np.ndarray) -> None:
-        i = 0
-        for name in self.trainable_names(cfg):
-            arr = self.get(name)
-            n = arr.size
-            self.set(name, vec[i : i + n].reshape(arr.shape).astype(arr.dtype))
-            i += n
-        if i != vec.size:
-            raise ValueError(f"parameter vector has {vec.size} entries, expected {i}")
-
 
 def init_params(
     cfg: ModelConfig,
@@ -393,29 +378,68 @@ def conv2d_backward(dout: np.ndarray, cache, want_dx: bool = True,
     return _col2im(dcols, kk, stride, pads, dims, dout.dtype), dw, db
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """1/(1+exp(-x)) in one buffer of x's dtype, within 4 ulp of
-    scipy.special.expit. For very negative x, exp overflows to inf and the
-    result is exactly 0."""
-    s = np.negative(x)
+SIGMOID_EXP_FLOOR = 40.0  # exp(-40) = 4.2e-18, under half an ulp of 1 in float64
+SILU_BLOCK = 32768  # elements per pass of silu: a block's x, s, h and g stay in L2
+
+
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1/(1+exp(-x)) in one buffer of x's dtype (out, if given), within 4 ulp
+    of scipy.special.expit. For very negative x, exp overflows to inf and the
+    result is exactly 0.
+
+    exp's argument is held at -SIGMOID_EXP_FLOOR or above: from there on
+    1 + exp(-x) rounds to 1 in float32 and float64 alike, so every result is
+    that of the unclamped formula, bit for bit, and exp never returns the
+    subnormals (x above 87 in float32) that make it an order slower.
+    """
+    s = np.negative(x, out=out)
+    np.maximum(s, -SIGMOID_EXP_FLOOR, out=s)
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
     s += 1.0
     return np.reciprocal(s, out=s)
 
 
+def silu_grad_cut(dtype) -> np.floating:
+    """½·ln(tiny) of a float dtype (-43.67 for float32, -354.2 for float64).
+
+    Below it SiLU's derivative is under about |x|·sqrt(tiny), so its
+    products with the gradients that reach it are often subnormal, and
+    subnormals slow every GEMM of the conv backward. :func:`silu` returns 0
+    there instead.
+    """
+    dtype = np.dtype(dtype)
+    return dtype.type(0.5 * np.log(np.finfo(dtype).tiny))
+
+
 def silu(x: np.ndarray, with_grad: bool = False):
     """x * sigmoid(x); with_grad also returns the local derivative
-    s + x*s*(1-s) that :func:`silu_backward` takes, from the same sigmoid."""
-    s = sigmoid(x)
-    h = x * s
-    if not with_grad:
-        return h
-    # h*(1-s) + s in place; h is exactly the x*s of the textbook form
-    g = 1.0 - s
-    g *= h
-    g += s
-    return h, g
+    s + x*s*(1-s) that :func:`silu_backward` takes, from the same sigmoid,
+    and ±0 where x < :func:`silu_grad_cut`.
+
+    Runs over blocks of SILU_BLOCK elements, so that each of its passes
+    reads and writes cache; every element gets the whole-array result, bit
+    for bit.
+    """
+    x = np.ascontiguousarray(x)
+    h = np.empty_like(x)
+    g = np.empty_like(x) if with_grad else None
+    cut = silu_grad_cut(x.dtype)
+    s_buf = np.empty(min(SILU_BLOCK, x.size), dtype=x.dtype)
+    keep_buf = np.empty(s_buf.size, dtype=bool)
+    xf, hf = x.reshape(-1), h.reshape(-1)
+    for a in range(0, x.size, SILU_BLOCK):
+        xb = xf[a : a + SILU_BLOCK]
+        s = sigmoid(xb, out=s_buf[: xb.size])
+        hb = np.multiply(xb, s, out=hf[a : a + SILU_BLOCK])
+        if with_grad:
+            # h*(1-s) + s in place; h is exactly the x*s of the textbook form
+            gb = np.subtract(1.0, s, out=g.reshape(-1)[a : a + SILU_BLOCK])
+            gb *= hb
+            gb += s
+            # a multiply by the mask: np.copyto(gb, 0, where=) is an order slower
+            gb *= np.greater_equal(xb, cut, out=keep_buf[: xb.size])
+    return (h, g) if with_grad else h
 
 
 def silu_backward(dout: np.ndarray, grad: np.ndarray) -> np.ndarray:

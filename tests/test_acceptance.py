@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import make_manifest
-from test_gradients import fd_gradient, make_problem
+from test_gradients import fd_gradient, make_problem, ravel
 from test_metrics import (
     auroc_pair_oracle,
     confusion_tally_oracle,
@@ -262,7 +262,7 @@ def test_criterion_gradient_correctness(capsys):
     cfg, params, x, y, weights = make_problem(seed=1)
     _, _, cache = forward_batch(x, params, cfg, want_cache=True)
     _, grads = backward_batch(y, weights, params, cfg, cache)
-    analytic = grads.ravel(cfg)
+    analytic = ravel(grads, cfg)
     numeric = fd_gradient(x, y, weights, params, cfg)
     elapsed = time.time() - t0
 

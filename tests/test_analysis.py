@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_manifest
+from test_model import textbook_silu
 from eegimage.analysis import (
     AblationRow,
     PretextConfig,
@@ -20,12 +21,21 @@ from eegimage.analysis import (
 )
 from eegimage.data import CLASS_NAMES
 from eegimage.metrics import evaluate, optimal_threshold, roc_curve
-from eegimage.model import ModelConfig, forward_batch, init_params, kl_div_rows
+from eegimage.model import (
+    ModelConfig,
+    ModelParams,
+    backbone_backward,
+    backbone_forward,
+    forward_batch,
+    init_params,
+    kl_div_rows,
+)
 from eegimage.train import (
     SCOPE_ALL,
     SCOPE_HIGH_QUALITY,
     WEIGHT_ANNOTATORS,
     WEIGHT_UNIFORM,
+    Adam,
     Dataset,
     StageConfig,
     train_stage,
@@ -103,6 +113,88 @@ def test_grating_dataset_holds_one_copy_of_its_images():
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * x.nbytes
+
+
+def test_float32_grating_dataset_is_the_float64_one_cast():
+    a, ya = grating_dataset(24, 16, 8, 3, np.random.default_rng(4))
+    b, yb = grating_dataset(24, 16, 8, 3, np.random.default_rng(4), np.float32)
+    assert a.dtype == np.float64 and b.dtype == np.float32
+    assert np.array_equal(b, a.astype(np.float32)) and np.array_equal(ya, yb)
+
+
+def test_float32_grating_dataset_holds_no_float64_copy():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        x, _ = grating_dataset(128, 32, 8, 3, np.random.default_rng(0), np.float32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.dtype == np.float32 and peak <= 1.1 * x.nbytes
+
+
+def float64_pretext_reference(cfg, seed, px):
+    """The pretext loop with every array in float64 and the textbook SiLU
+    derivative, whatever cfg.dtype says: the conv stack it trains."""
+    rng = np.random.default_rng([seed, 9001])
+    n_cls = px.n_orientations
+    x, y = grating_dataset(px.n_train + px.n_test, px.image_size, n_cls, cfg.groups, rng)
+    proto = init_params(cfg, seed=seed + 17)
+    net = ModelParams({
+        **{n: a.astype(np.float64) for n, a in proto.named_arrays() if n != "embedding"},
+        "dense_w": np.zeros((cfg.backbone_channels[-1], n_cls)),
+        "dense_b": np.zeros(n_cls),
+    })
+    adam = Adam(net)
+    for _ in range(px.epochs):
+        order = rng.permutation(px.n_train)
+        for s in range(0, px.n_train, px.batch_size):
+            sel = order[s : s + px.batch_size]
+            _, _, cache = backbone_forward(x[sel], net, cfg.conv_stride, want_cache=True)
+            _, grads, _ = backbone_backward(np.eye(n_cls)[y[sel]],
+                                            np.full(sel.size, 1.0 / sel.size), net, cache)
+            adam.step(net, grads, px.lr)
+    return net.conv_layers()
+
+
+def test_float64_pretraining_is_the_float64_reference_byte_for_byte(monkeypatch):
+    import eegimage.model as model
+
+    px = PretextConfig(n_train=192, n_test=64, epochs=2, min_accuracy=0.0)
+    cfg = ModelConfig(dtype="float64")
+    conv_w, conv_b, _ = pretrain_backbone(cfg, seed=1, pretext=px)
+    with monkeypatch.context() as m:
+        m.setattr(model, "silu", textbook_silu)
+        want = float64_pretext_reference(cfg, 1, px)
+    assert len(want) == len(conv_w) == 4
+    for got, ref in zip(conv_w + conv_b, [w for w, _ in want] + [b for _, b in want]):
+        assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
+
+
+def test_float32_pretraining_feeds_the_conv_backward_no_subnormals(monkeypatch):
+    import eegimage.model as model
+
+    bwd, seen = model.conv2d_backward, []
+
+    def spy(dout, cache, *a, **k):
+        tiny = np.finfo(dout.dtype).tiny
+        seen.append((dout.dtype, cache[0].dtype,
+                     int(np.count_nonzero((dout != 0) & (np.abs(dout) < tiny)))))
+        return bwd(dout, cache, *a, **k)
+
+    monkeypatch.setattr(model, "conv2d_backward", spy)
+    cfg = ModelConfig(backbone_channels=(6, 8))
+    px = PretextConfig(n_train=256, n_test=64, epochs=2, min_accuracy=0.0)
+    conv_w, conv_b, _ = pretrain_backbone(cfg, seed=0, pretext=px)
+    assert seen and {(d, c) for d, c, _ in seen} == {(cfg.np_dtype, cfg.np_dtype)}
+    assert sum(n for _, _, n in seen) == 0
+    assert all(a.dtype == cfg.np_dtype for a in conv_w + conv_b)
+    # the same run without the cut does make them
+    seen.clear()
+    monkeypatch.setattr(model, "silu", textbook_silu)
+    pretrain_backbone(cfg, seed=0, pretext=px)
+    assert sum(n for _, _, n in seen) > 0
 
 
 def test_pretext_held_out_pass_runs_in_training_batches(monkeypatch):

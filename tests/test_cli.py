@@ -519,6 +519,18 @@ def test_commands_that_read_no_config_reject_seed_and_config(tmp_path, capsys, c
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+def test_predict_rejects_out_dir_it_would_ignore(tmp_path, capsys, monkeypatch):
+    """predict writes one CSV to --out; an --out-dir would leave it in the
+    working directory instead of where the caller asked."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "runs" / "x"
+    rc = main(["predict", "--data-dir", str(tmp_path), "--run-dir", str(tmp_path),
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert f"unrecognized arguments: --out-dir {out}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- config value types ---
 
 
@@ -630,8 +642,9 @@ SUMMARY_FAULTS = [("drop", "filter"), ("drop", "config_hash"), ("drop", "k"),
 
 
 def _run_reader_args(command, tmp_path):
-    return {"predict": ["--out", str(tmp_path / "p.csv")],
-            "tsne": ["--perplexity", "4", "--iterations", "300"]}.get(command, [])
+    out_dir = ["--out-dir", str(tmp_path / "out")]
+    return {"evaluate": out_dir, "predict": ["--out", str(tmp_path / "p.csv")],
+            "tsne": [*out_dir, "--perplexity", "4", "--iterations", "300"]}[command]
 
 
 # evaluate reads no field of the filter spec
@@ -657,7 +670,7 @@ def test_a_malformed_cv_summary_fails_naming_the_file_and_field(trained_run, tmp
     path.write_text("{" if fault == "not_json" else json.dumps(summary))
     capsys.readouterr()
     rc = main([command, "--data-dir", str(data), "--run-dir", str(damaged),
-               "--out-dir", str(tmp_path / "out"), *_run_reader_args(command, tmp_path)])
+               *_run_reader_args(command, tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
@@ -672,7 +685,7 @@ def test_each_run_reader_reads_the_summary_once(trained_run, tmp_path, monkeypat
     calls, orig = [], cli._read_summary
     monkeypatch.setattr(cli, "_read_summary", lambda d: calls.append(d) or orig(d))
     assert main([command, "--data-dir", str(data), "--run-dir", str(run),
-                 "--out-dir", str(tmp_path / "out"), *_run_reader_args(command, tmp_path)]) == 0
+                 *_run_reader_args(command, tmp_path)]) == 0
     assert calls == [run]
 
 

@@ -45,6 +45,23 @@ def make_problem(seed=0, n=2):
     return cfg, params, x, y, weights
 
 
+def ravel(params, cfg):
+    """The trainable arrays of params as one flat vector, in store order."""
+    return np.concatenate([params.get(n).ravel() for n in params.trainable_names(cfg)])
+
+
+def set_from_ravel(params, cfg, vec):
+    """Inverse of :func:`ravel`: refill the trainable arrays of params from vec."""
+    i = 0
+    for name in params.trainable_names(cfg):
+        arr = params.get(name)
+        n = arr.size
+        params.set(name, vec[i : i + n].reshape(arr.shape).astype(arr.dtype))
+        i += n
+    if i != vec.size:
+        raise ValueError(f"parameter vector has {vec.size} entries, expected {i}")
+
+
 def batch_loss(x, y, weights, params, cfg):
     _, _, cache = forward_batch(x, params, cfg, want_cache=True)
     loss, _ = backward_batch(y, weights, params, cfg, cache)
@@ -52,16 +69,16 @@ def batch_loss(x, y, weights, params, cfg):
 
 
 def fd_gradient(x, y, weights, params, cfg, h=1e-4):
-    base = params.ravel(cfg)
+    base = ravel(params, cfg)
     grad = np.zeros_like(base)
     probe = params.copy()
     for i in range(base.size):
         v = base.copy()
         v[i] = base[i] + h
-        probe.set_from_ravel(cfg, v)
+        set_from_ravel(probe, cfg, v)
         up = batch_loss(x, y, weights, probe, cfg)
         v[i] = base[i] - h
-        probe.set_from_ravel(cfg, v)
+        set_from_ravel(probe, cfg, v)
         down = batch_loss(x, y, weights, probe, cfg)
         grad[i] = (up - down) / (2 * h)
     return grad
@@ -72,7 +89,7 @@ def test_gradients_match_finite_differences():
     t0 = time.time()
     _, _, cache = forward_batch(x, params, cfg, want_cache=True)
     _, grads = backward_batch(y, weights, params, cfg, cache)
-    analytic = grads.ravel(cfg)
+    analytic = ravel(grads, cfg)
     numeric = fd_gradient(x, y, weights, params, cfg)
     elapsed = time.time() - t0
 

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
+from test_gradients import ravel, set_from_ravel
 
 from eegimage.model import (
     ABLATION_VARIANTS,
@@ -44,6 +45,7 @@ from eegimage.model import (
     sigmoid,
     silu,
     silu_backward,
+    silu_grad_cut,
     softmax,
     variant_config,
 )
@@ -339,6 +341,65 @@ def test_silu_backward_is_bit_equal_to_the_textbook_derivative(dtype):
     assert h.dtype == grad.dtype == dtype
     assert np.array_equal(h, silu(x))
     assert np.array_equal(silu_backward(dout, grad), dout * (s + x * s * (1.0 - s)))
+
+
+def textbook_silu(x, with_grad=False):
+    """SiLU and its derivative (1-s)·h + s over whole arrays, with no cut."""
+    s = sigmoid(x)
+    h = x * s
+    return (h, (1.0 - s) * h + s) if with_grad else h
+
+
+def test_silu_grad_cut_is_half_the_log_of_tiny():
+    assert silu_grad_cut(np.float32).dtype == np.float32
+    assert abs(silu_grad_cut(np.float32) - (-43.668)) < 1e-3
+    assert abs(silu_grad_cut(np.float64) - (-354.198)) < 1e-3
+
+
+def test_float32_silu_derivative_is_cut_to_zero_and_textbook_above_the_cut():
+    cut = silu_grad_cut(np.float32)
+    # the cut and its float32 neighbours are on the grid
+    x = np.concatenate([np.linspace(-120.0, 40.0, 399_997, dtype=np.float32),
+                        [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]])
+    x = x.astype(np.float32).reshape(-1, 8)
+    h, g = silu(x, with_grad=True)
+    assert h.dtype == g.dtype == np.float32
+    # silu runs over blocks; each element is the whole-array result
+    assert np.array_equal(h, x * sigmoid(x)) and np.array_equal(silu(x), h)
+    assert all(np.array_equal(a.T, b) for a, b in zip(silu(x.T, with_grad=True), (h, g)))
+
+    def subnormal(a):
+        return ((a != 0) & (np.abs(a) < np.finfo(np.float32).tiny)).any()
+
+    assert not subnormal(g)
+    _, old = textbook_silu(x, with_grad=True)
+    keep = x >= cut
+    assert np.array_equal(g[keep], old[keep])
+    assert not g[~keep].any() and (~keep).sum() > 0
+    # the chain rule multiplies the derivatives of successive stages: the
+    # textbook ones make subnormal products, the cut ones cannot
+    assert subnormal(old * old) and not subnormal(g * g)
+
+
+def test_float64_silu_derivative_is_textbook_down_to_minus_300():
+    x = np.linspace(-300.0, 40.0, 340_005).reshape(-1, 5)
+    h, g = silu(x, with_grad=True)
+    assert np.array_equal(h, x * sigmoid(x))
+    assert np.array_equal(g, textbook_silu(x, with_grad=True)[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_the_unclamped_formula_bit_for_bit(dtype):
+    # every float32 from 39 to 41 (the clamp's edge), a grid to 800 (where
+    # float32 exp(-x) is subnormal or 0, float64's subnormal from 708 on),
+    # infinities and nan
+    edge = np.arange(np.float32(39.0).view(np.int32), np.float32(41.0).view(np.int32),
+                     dtype=np.int32).view(np.float32)
+    x = np.concatenate([edge, -edge, np.linspace(-800.0, 800.0, 640_001),
+                        [np.inf, -np.inf, np.nan, 0.0, -0.0]]).astype(dtype)
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-x))
+    assert np.array_equal(sigmoid(x), want, equal_nan=True)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -987,11 +1048,11 @@ def test_ravel_round_trip():
     params = init_params(cfg, seed=7)
     rng = np.random.default_rng(7)
     params.set("dense_w", rng.normal(size=params.get("dense_w").shape))
-    vec = params.ravel(cfg)
+    vec = ravel(params, cfg)
     assert vec.size == sum(params.get(n).size for n in params.trainable_names(cfg))
     clone = init_params(cfg, seed=99)
-    clone.set_from_ravel(cfg, vec)
-    assert np.array_equal(clone.ravel(cfg), vec)
+    set_from_ravel(clone, cfg, vec)
+    assert np.array_equal(ravel(clone, cfg), vec)
     for name in params.trainable_names(cfg):
         assert np.array_equal(clone.get(name), params.get(name))
 
@@ -1000,7 +1061,7 @@ def test_frozen_embedding_not_trainable():
     cfg = small_cfg(learnable_embedding=False)
     params = init_params(cfg, seed=0)
     assert "embedding" not in params.trainable_names(cfg)
-    assert params.ravel(cfg).size == sum(
+    assert ravel(params, cfg).size == sum(
         a.size for n, a in params.named_arrays() if n != "embedding")
 
 
