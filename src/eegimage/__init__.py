@@ -19,7 +19,6 @@ from .data import (  # noqa: F401
     consensus,
     soft_label,
     split_folds,
-    summarize,
 )
 from .metrics import EvalReport, evaluate, mean_kld, wilcoxon_rank_sum  # noqa: F401
 from .model import ModelConfig, init_params  # noqa: F401

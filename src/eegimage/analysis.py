@@ -226,14 +226,15 @@ def ablation_to_csv(rows: list[AblationRow], comment: str | None = None) -> str:
 
 
 def extract_embeddings(
-    param_sets, x_scaled: np.ndarray, use_probs: bool = False, batch_size: int = 64
+    param_sets, x_uv: np.ndarray, use_probs: bool = False, batch_size: int = 64
 ) -> np.ndarray:
-    """Fold-averaged model outputs for t-SNE, in the model dtype: pooled
-    penultimate features by default, softmax probabilities behind the flag
-    (cast back exactly from predict_batched's float64)."""
+    """Fold-averaged model outputs for t-SNE of filtered segments in
+    microvolts, in the model dtype: pooled penultimate features by default,
+    softmax probabilities behind the flag (cast back exactly from
+    predict_batched's float64)."""
     outs = []
     for params, cfg in param_sets:
-        probs, feats = predict_batched(x_scaled, params, cfg, batch_size, with_features=True)
+        probs, feats = predict_batched(x_uv, params, cfg, batch_size, with_features=True)
         outs.append(probs.astype(feats.dtype) if use_probs else feats)
     return np.mean(outs, axis=0)
 

@@ -36,7 +36,7 @@ from .data import (
 )
 from .metrics import evaluate, optimal_threshold, roc_curve
 from .model import ModelConfig, load_checkpoint, variant_config
-from .preprocess import FilterSpec, clip_scale_array, design_bandpass, filter_segment
+from .preprocess import PREPROCESS_META, FilterSpec, design_bandpass, filter_segment
 from .synthgen import SynthConfig, generate
 from .train import (
     RunRecord,
@@ -176,7 +176,7 @@ def cmd_preprocess(args) -> int:
     h = config_hash(spec)
     comment = f"config_hash={h} seed={cfg_d['seed']}"
     save_manifest(manifest, out / "manifest.csv", header_comment=comment)
-    with open(out / "preprocess_meta.json", "w") as f:
+    with open(out / PREPROCESS_META, "w") as f:
         json.dump({"filter": to_jsonable(spec), "config_hash": h,
                    "seed": cfg_d["seed"]}, f, sort_keys=True, indent=1)
         f.write("\n")
@@ -339,8 +339,8 @@ TSNE_DEFAULTS = dict(seed=0, perplexity=30.0, iterations=1000, use_probs=False)
 def cmd_tsne(args) -> int:
     cfg_d = _effective(args, TSNE_DEFAULTS)
     out = Path(args.out_dir or Path(args.run_dir) / "eval")
-    manifest, param_sets, rec, ds, x_scaled = _load_run(args)
-    emb = extract_embeddings(param_sets, x_scaled, use_probs=cfg_d["use_probs"])
+    manifest, param_sets, rec, ds = _load_run(args)
+    emb = extract_embeddings(param_sets, ds.x_uv, use_probs=cfg_d["use_probs"])
     cfg = TsneConfig(perplexity=cfg_d["perplexity"], iterations=cfg_d["iterations"],
                      seed=cfg_d["seed"])
     result = tsne(emb, cfg)
@@ -374,20 +374,18 @@ def _load_fold_models(run_dir: Path):
 
 def _load_run(args):
     """Manifest, fold models, the run's record and the dataset filtered with
-    its recorded bandpass, so serving filters as training did; also the
-    segments scaled for the model."""
+    its recorded bandpass, so serving filters as training did."""
     run_dir = Path(args.run_dir)
     manifest = load_manifest(_data_dir(args) / "manifest.csv")
     param_sets = _load_fold_models(run_dir)
     rec = _read_summary(run_dir)
-    ds = load_dataset(manifest, rec.filter)
-    return manifest, param_sets, rec, ds, clip_scale_array(ds.x_uv)
+    return manifest, param_sets, rec, load_dataset(manifest, rec.filter)
 
 
 def cmd_predict(args) -> int:
     out_path = Path(args.out or "predictions.csv")
-    _, param_sets, rec, ds, x_scaled = _load_run(args)
-    probs = ensemble_predict(param_sets, x_scaled)
+    _, param_sets, rec, ds = _load_run(args)
+    probs = ensemble_predict(param_sets, ds.x_uv)
     export_predictions(out_path, ds.segment_ids, probs, header_comment=_stamp(rec))
     print(f"wrote {len(ds)} ensemble predictions to {out_path}")
     return 0
@@ -410,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-rms", dest="noise_rms", type=float, default=None,
                    help="sensor pink-noise RMS in microvolts")
 
-    p = _subcommand(sub, "preprocess", cmd_preprocess, help="bandpass-filter a dataset in place")
+    p = _subcommand(sub, "preprocess", cmd_preprocess,
+                    help="write a bandpass-filtered copy of a dataset to --out-dir")
     p.add_argument("--filter-mode", dest="filter_mode",
                    choices=("zero_phase", "causal"), default=None)
     p.add_argument("--low-hz", dest="low_hz", type=float, default=None)

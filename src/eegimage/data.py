@@ -1,4 +1,4 @@
-"""Segments, annotations, manifests, folds and cohort summaries.
+"""Segments, annotations, manifests and folds.
 
 The six activity classes use one fixed order everywhere: labels, vote
 vectors, prediction vectors and report rows all index classes the same way.
@@ -266,47 +266,6 @@ def split_folds(
     return FoldAssignment(assignment, k)
 
 
-@dataclass
-class CohortSummary:
-    """Per-class segment counts and percentages for one column of the cohort
-    table."""
-
-    label: str
-    n_patients: int
-    n_segments: int
-    class_counts: tuple[int, ...]
-
-    @property
-    def class_percent(self) -> tuple[float, ...]:
-        if self.n_segments == 0:
-            return tuple(0.0 for _ in CLASS_NAMES)
-        return tuple(100.0 * c / self.n_segments for c in self.class_counts)
-
-
-def summarize(manifest: DatasetManifest) -> list[CohortSummary]:
-    """Count segments by consensus class for the whole cohort and each subset."""
-    if not manifest.entries:
-        raise ValueError("empty manifest")
-    columns = []
-    for label, entries in (
-        ("whole", manifest.entries),
-        (SUBSET_LOW, [e for e in manifest.entries if e.subset == SUBSET_LOW]),
-        (SUBSET_HIGH, [e for e in manifest.entries if e.subset == SUBSET_HIGH]),
-    ):
-        counts = [0] * N_CLASSES
-        for e in entries:
-            counts[int(consensus(e.votes_array()))] += 1
-        columns.append(
-            CohortSummary(
-                label=label,
-                n_patients=len({e.patient_id for e in entries}),
-                n_segments=len(entries),
-                class_counts=tuple(counts),
-            )
-        )
-    return columns
-
-
 # --- per-segment signal files: 8-line text header + raw float32 samples ---
 
 SIGNAL_MAGIC = "eegimage-signal v1"
@@ -374,8 +333,7 @@ def read_signal(path: Path) -> EegSegment:
     )
 
 
-def read_segments(manifest: DatasetManifest, fs: float | None = None,
-                  data_dir: Path | None = None):
+def read_segments(manifest: DatasetManifest, fs: float | None = None):
     """Yield the segment of every manifest entry, in order.
 
     Each segment must be sampled at fs (the first segment's rate when fs is
@@ -384,7 +342,7 @@ def read_segments(manifest: DatasetManifest, fs: float | None = None,
     """
     first = None
     for e in manifest.entries:
-        p = Path(data_dir) / e.path if data_dir is not None else manifest.segment_path(e)
+        p = manifest.segment_path(e)
         seg = read_signal(p)
         if first is None:
             first = (p, seg.samples.shape)

@@ -1,7 +1,9 @@
 """Signal conditioning: Butterworth bandpass, amplitude clipping, 0-255 scaling.
 
 Order of operations is filter -> clip -> scale. Augmentations run in
-microvolt space, so scaling is the last step before the model.
+microvolt space, so scaling is the last step before the model: train.py
+clips and scales each batch as it enters forward_batch, and every other
+caller hands the model filtered microvolts.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from .data import EegSegment
 
 CLIP_UV = 1024.0
 SCALE_MAX = 255.0
+# the preprocess command's record of the FilterSpec its output went through
+PREPROCESS_META = "preprocess_meta.json"
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,11 @@ def filter_segment(seg: EegSegment, spec: FilterSpec,
 
 
 def clip_scale_array(x: np.ndarray) -> np.ndarray:
-    """Clip to +-1024 uV then map linearly onto [0, 255]."""
+    """Clip to +-1024 uV then map linearly onto [0, 255], in the one new
+    array np.clip returns."""
     if np.any(np.isnan(x)):
         raise ValueError("NaN in input samples")
-    clipped = np.clip(x, -CLIP_UV, CLIP_UV)
-    return (clipped + CLIP_UV) * (SCALE_MAX / (2 * CLIP_UV))
+    out = np.clip(x, -CLIP_UV, CLIP_UV)
+    out += CLIP_UV
+    out *= SCALE_MAX / (2 * CLIP_UV)
+    return out

@@ -6,7 +6,7 @@ learning rate, per-epoch validation, and best-checkpoint retention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 from typing import Callable
@@ -31,8 +31,9 @@ from .model import (
     project_rows_simplex,
     save_checkpoint,
 )
-from .preprocess import FilterSpec, clip_scale_array, design_bandpass, filter_array
-from .util import _pin_malloc_thresholds
+from .preprocess import (PREPROCESS_META, FilterSpec, clip_scale_array, design_bandpass,
+                         filter_array)
+from .util import _pin_malloc_thresholds, read_record
 
 WEIGHT_ANNOTATORS = "annotator_count"
 WEIGHT_UNIFORM = "uniform"
@@ -189,23 +190,41 @@ class Dataset:
         return self.x_uv.shape[0]
 
 
-def load_dataset(manifest: DatasetManifest, spec: FilterSpec,
-                 data_dir: Path | None = None) -> Dataset:
+def prefiltered(manifest: DatasetManifest, spec: FilterSpec) -> bool:
+    """Whether the manifest's directory holds the preprocess command's output
+    filtered with spec. Its record filtered with any other spec is an error
+    naming the file, the field and each attribute that differs."""
+    if manifest.root is None or not (path := manifest.root / PREPROCESS_META).exists():
+        return False
+    done, _ = read_record(path, FilterSpec, field="filter")
+    diff = [f"{f.name} {getattr(done, f.name)!r} differs from the run's "
+            f"{getattr(spec, f.name)!r}"
+            for f in fields(FilterSpec) if getattr(done, f.name) != getattr(spec, f.name)]
+    if diff:
+        raise ValueError(f"{path}: field 'filter': {'; '.join(diff)}; these segments "
+                         "are already filtered")
+    return True
+
+
+def load_dataset(manifest: DatasetManifest, spec: FilterSpec) -> Dataset:
     """Read and bandpass every segment of the manifest; each must be sampled
     at spec.fs and shaped like the first (see :func:`read_segments`).
 
     Filters FILTER_BLOCK stacked segments per call; each row is filtered
-    alone, so the result is bit-identical to one call per segment.
+    alone, so the result is bit-identical to one call per segment, and to
+    the preprocess command's output, whose segments are stacked as read
+    (see :func:`prefiltered`).
     """
     n = len(manifest.entries)
     if n == 0:
         raise ValueError("manifest lists no segments")
-    sos = design_bandpass(spec)
-    segs = read_segments(manifest, spec.fs, data_dir)
+    sos = None if prefiltered(manifest, spec) else design_bandpass(spec)
+    segs = read_segments(manifest, spec.fs)
     x_uv = None
     for start in range(0, n, FILTER_BLOCK):
         block = np.stack([seg.samples for seg in islice(segs, FILTER_BLOCK)])
-        block = filter_array(block, spec, sos)
+        if sos is not None:
+            block = filter_array(block, spec, sos)
         if x_uv is None:
             x_uv = np.empty((n,) + block.shape[1:], dtype=np.float32)
         x_uv[start : start + len(block)] = block
@@ -230,24 +249,25 @@ def scope_indices(n_votes: np.ndarray, scope: str) -> np.ndarray:
     return np.arange(len(n_votes))
 
 
-def predict_batched(x_scaled: np.ndarray, params: ModelParams, cfg: ModelConfig,
+def predict_batched(x_uv: np.ndarray, params: ModelParams, cfg: ModelConfig,
                     batch_size: int = 64, with_features: bool = False):
-    """Eval-mode probabilities (float64) of already-scaled segments; with
-    with_features, the pair (probabilities, pooled features in the model dtype)."""
-    n = x_scaled.shape[0]
+    """Eval-mode probabilities (float64) of filtered segments in microvolts,
+    each batch clipped and scaled as it enters the model; with with_features,
+    the pair (probabilities, pooled features in the model dtype)."""
+    n = x_uv.shape[0]
     probs = np.empty((n, cfg.n_classes))
     feats = np.empty((n, cfg.backbone_channels[-1]), cfg.np_dtype)
     for i in range(0, n, batch_size):
         probs[i : i + batch_size], feats[i : i + batch_size] = forward_batch(
-            x_scaled[i : i + batch_size], params, cfg)
+            clip_scale_array(x_uv[i : i + batch_size]), params, cfg)
     return (probs, feats) if with_features else probs
 
 
-def validation_loss(x_scaled: np.ndarray, y: np.ndarray, params: ModelParams,
+def validation_loss(x_uv: np.ndarray, y: np.ndarray, params: ModelParams,
                     cfg: ModelConfig) -> tuple[float, np.ndarray]:
-    """(unweighted mean KLD, predicted probabilities) on already-scaled
-    validation segments."""
-    probs = predict_batched(x_scaled, params, cfg)
+    """(unweighted mean KLD, predicted probabilities) on filtered validation
+    segments in microvolts."""
+    probs = predict_batched(x_uv, params, cfg)
     return float(kl_div_rows(y, probs).mean()), probs
 
 
@@ -266,7 +286,7 @@ def train_stage(
     stage: StageConfig,
     train_ds: Dataset,
     train_idx: np.ndarray,
-    x_val_scaled: np.ndarray,
+    x_val_uv: np.ndarray,
     y_val: np.ndarray,
     augment_cfg: AugmentConfig | None,
     rng: np.random.Generator,
@@ -274,6 +294,7 @@ def train_stage(
 ) -> StageResult:
     """One stage of optimization. Mutates params in place and returns the
     best-validation snapshot (which is also copied back into params).
+    x_val_uv holds the filtered validation segments in microvolts.
 
     Batch objective: sum_i w_i KLD_i / sum_i w_i. Embedding kernels are
     re-projected onto the simplex after every optimizer step.
@@ -326,7 +347,7 @@ def train_stage(
             # one step's cache at a time: else it lives through the next
             # step's forward and, after the last step, the validation pass
             del cache, grads
-        val, val_probs = validation_loss(x_val_scaled, y_val, params, model_cfg)
+        val, val_probs = validation_loss(x_val_uv, y_val, params, model_cfg)
         record = {
             "epoch": epoch,
             "step": step,
@@ -414,9 +435,7 @@ def run_cv(
         rng = np.random.default_rng([seed, f])
         backbone = pretrained_backbone if model_cfg.pretrained else None
         params = init_params(model_cfg, seed=seed * 1000 + f, backbone=backbone)
-        # scaled per fold: clip_scale_array is elementwise, and scaling all N
-        # at once would hold a second copy of the dataset
-        x_val = clip_scale_array(ds.x_uv[val_idx])
+        x_val = ds.x_uv[val_idx]
         y_val = ds.y[val_idx]
 
         def plog(rec, fold=f, stage_name=None):
@@ -463,16 +482,17 @@ def run_cv(
 
 
 def ensemble_predict(
-    param_sets: list[tuple[ModelParams, ModelConfig]], x_scaled: np.ndarray
+    param_sets: list[tuple[ModelParams, ModelConfig]], x_uv: np.ndarray
 ) -> np.ndarray:
-    """Arithmetic mean of per-model probabilities; renormalizes only when the
-    mean drifts off the simplex by more than 1e-12."""
+    """Arithmetic mean of per-model probabilities of filtered segments in
+    microvolts; renormalizes only when the mean drifts off the simplex by more
+    than 1e-12."""
     if not param_sets:
         raise ValueError("need at least one model")
     all_probs = []
     ref_shape = None
     for params, cfg in param_sets:
-        p = predict_batched(x_scaled, params, cfg)
+        p = predict_batched(x_uv, params, cfg)
         if ref_shape is None:
             ref_shape = p.shape
         elif p.shape != ref_shape:

@@ -295,8 +295,6 @@ def test_criterion_simplex_invariant(capsys):
     stage = StageConfig(lr_base=1e-3, epochs=200, batch_size=32,
                         sample_weighting=WEIGHT_ANNOTATORS, data_scope=SCOPE_ALL)
     params = init_params(cfg, seed=0)
-    from eegimage.preprocess import clip_scale_array
-
     worst = {"min_w": 0.0, "sum_gap": 0.0, "steps": 0}
 
     def check(_record):
@@ -307,7 +305,7 @@ def test_criterion_simplex_invariant(capsys):
         worst["steps"] += 1
 
     train_stage(params, cfg, stage, ds, np.arange(n),
-                clip_scale_array(ds.x_uv[:6]), ds.y[:6], None,
+                ds.x_uv[:6], ds.y[:6], None,
                 np.random.default_rng(0), log=check)
     ok = (worst["steps"] == 200 and worst["min_w"] >= -1e-9
           and worst["sum_gap"] <= 1e-9)

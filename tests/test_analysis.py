@@ -21,6 +21,7 @@ from eegimage.analysis import (
 )
 from eegimage.data import CLASS_NAMES
 from eegimage.metrics import evaluate, optimal_threshold, roc_curve
+from eegimage.preprocess import clip_scale_array
 from eegimage.model import (
     ModelConfig,
     ModelParams,
@@ -311,9 +312,7 @@ def test_pretrained_and_random_backbones_diverge_in_training():
     conv_w, conv_b, _ = pretrain_backbone(
         cfg, seed=0, pretext=PretextConfig(n_train=256, n_test=64, epochs=2, min_accuracy=0.0)
     )
-    from eegimage.preprocess import clip_scale_array
-
-    x_val = clip_scale_array(ds.x_uv[12:])
+    x_val = ds.x_uv[12:]
     y_val = ds.y[12:]
     losses = {}
     for tag, backbone in (("pretrained", (conv_w, conv_b)), ("random", None)):
@@ -344,12 +343,12 @@ def test_ablation_csv_layout():
 
 def test_extract_embeddings_averages_folds():
     cfg = tiny_cfg()
-    x = np.random.default_rng(1).uniform(0, 255, size=(10, 4, 100))
+    x = np.random.default_rng(1).uniform(-1200, 1200, size=(10, 4, 100))
     sets = [(init_params(cfg, seed=s), cfg) for s in (0, 1)]
     out = extract_embeddings(sets, x, batch_size=4)
     singles = []
     for params, c in sets:
-        _, feat = forward_batch(x, params, c)
+        _, feat = forward_batch(clip_scale_array(x), params, c)
         singles.append(feat)
     np.testing.assert_allclose(out, np.mean(singles, axis=0), atol=1e-12)
     assert out.shape == (10, cfg.backbone_channels[-1])
@@ -357,7 +356,7 @@ def test_extract_embeddings_averages_folds():
 
 def test_extract_embeddings_probs_flag():
     cfg = tiny_cfg()
-    x = np.random.default_rng(2).uniform(0, 255, size=(6, 4, 100))
+    x = np.random.default_rng(2).uniform(-1200, 1200, size=(6, 4, 100))
     sets = [(init_params(cfg, seed=0), cfg)]
     out = extract_embeddings(sets, x, use_probs=True)
     assert out.shape == (6, cfg.n_classes)
@@ -449,10 +448,10 @@ def test_emit_report_reruns_byte_identical(tmp_path):
 @pytest.mark.parametrize("use_probs", [False, True])
 def test_extract_embeddings_is_the_float32_fold_mean_of_the_forward_outputs(use_probs):
     cfg = tiny_cfg()
-    x = np.random.default_rng(3).uniform(0, 255, size=(7, 4, 100))
+    x = np.random.default_rng(3).uniform(-1200, 1200, size=(7, 4, 100))
     sets = [(init_params(cfg, seed=s), cfg) for s in (0, 1, 2)]
     out = extract_embeddings(sets, x, use_probs=use_probs, batch_size=3)
-    chunks = [[forward_batch(x[i : i + 3], params, c)[int(not use_probs)]
+    chunks = [[forward_batch(clip_scale_array(x[i : i + 3]), params, c)[int(not use_probs)]
                for i in range(0, 7, 3)] for params, c in sets]
     expected = np.mean([np.concatenate(c) for c in chunks], axis=0)
     assert out.dtype == np.float32 and np.array_equal(out, expected)

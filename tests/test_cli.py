@@ -5,6 +5,7 @@ import csv
 import json
 import re
 import shutil
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from eegimage.cli import DATA_DIR_ENV, main
 from eegimage.data import load_manifest, read_signal, write_signal
 from eegimage.model import init_params, load_checkpoint, save_checkpoint
-from eegimage.preprocess import FilterSpec, clip_scale_array
+from eegimage.preprocess import FilterSpec
 from eegimage.train import ensemble_predict, load_dataset, load_predictions
 
 
@@ -37,21 +38,18 @@ def tree_bytes(root):
     }
 
 
+TINY_TRAIN = ["--folds", "2", "--stage1-epochs", "1", "--stage2-epochs", "1",
+              "--batch-size", "8", "--backbone", "6,8", "--no-pretrain", "--no-augment",
+              "--seed", "0"]
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     """A 2-fold training run on 18 tiny synthetic segments."""
     data = tmp_path_factory.mktemp("cli_data")
     assert run_gen(data, patients=6, segments=3) == 0
     run = tmp_path_factory.mktemp("cli_run")
-    rc = main(
-        [
-            "train", "--data-dir", str(data), "--out-dir", str(run),
-            "--folds", "2", "--stage1-epochs", "1", "--stage2-epochs", "1",
-            "--batch-size", "8", "--backbone", "6,8",
-            "--no-pretrain", "--no-augment", "--seed", "0",
-        ]
-    )
-    assert rc == 0
+    assert main(["train", "--data-dir", str(data), "--out-dir", str(run), *TINY_TRAIN]) == 0
     return data, run
 
 
@@ -182,6 +180,44 @@ def test_preprocess_writes_filtered_copy(tmp_path):
     assert not np.allclose(after.samples, before.samples)  # filter did something
     meta = json.loads((out / "preprocess_meta.json").read_text())
     assert meta["filter"]["mode"] == "zero_phase"
+
+
+def test_training_on_a_preprocess_output_equals_training_on_its_source(tmp_path,
+                                                                      monkeypatch):
+    import eegimage.train as train
+
+    data, filtered = tmp_path / "d", tmp_path / "filtered"
+    assert run_gen(data, patients=6, segments=3) == 0
+    assert main(["preprocess", "--data-dir", str(data), "--out-dir", str(filtered)]) == 0
+    filter_calls, orig = [], train.filter_array
+    monkeypatch.setattr(train, "filter_array",
+                        lambda *a, **k: filter_calls.append(len(a[0])) or orig(*a, **k))
+    runs, filtered_rows = {}, {}
+    for name, d in (("raw", data), ("filtered", filtered)):
+        runs[name] = tmp_path / f"run_{name}"
+        filter_calls.clear()
+        assert main(["train", "--data-dir", str(d), "--out-dir", str(runs[name]),
+                     *TINY_TRAIN]) == 0
+        filtered_rows[name] = sum(filter_calls)
+    # the preprocess output is stacked as read, not bandpassed a second time
+    assert filtered_rows == {"raw": 18, "filtered": 0}
+    for artifact in ("oof_predictions.csv", "cv_summary.json", "fold0.ckpt", "fold1.ckpt"):
+        assert (runs["raw"] / artifact).read_bytes() == \
+            (runs["filtered"] / artifact).read_bytes(), artifact
+
+
+def test_training_a_preprocess_output_under_another_filter_exits_1(tmp_path, capsys):
+    data, filtered, run = tmp_path / "d", tmp_path / "filtered", tmp_path / "run"
+    assert run_gen(data, patients=6, segments=3) == 0
+    assert main(["preprocess", "--data-dir", str(data), "--out-dir", str(filtered)]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--data-dir", str(filtered), "--out-dir", str(run), *TINY_TRAIN,
+               "--filter-mode", "causal"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {filtered / 'preprocess_meta.json'}: field 'filter': mode 'zero_phase' "
+        "differs from the run's 'causal'; these segments are already filtered\n")
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("fault", ["fs", "shape"])
@@ -374,11 +410,36 @@ def test_predict_serves_the_recorded_causal_filter(tmp_path):
 
     def ensemble(mode):
         ds = load_dataset(manifest, FilterSpec(fs=100.0, mode=mode))
-        return ensemble_predict(models, clip_scale_array(ds.x_uv))
+        return ensemble_predict(models, ds.x_uv)
 
     # predictions.csv holds 12 decimals
     assert np.abs(served - ensemble("causal")).max() < 1e-11
     assert np.abs(served - ensemble("zero_phase")).max() > 1e-6
+
+
+def test_no_command_scales_more_than_one_batch(tmp_path, monkeypatch):
+    """Segments are clipped and scaled a batch at a time as they enter the
+    model: no caller holds a scaled copy of a fold or of the served set."""
+    from eegimage.preprocess import clip_scale_array
+
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert run_gen(data, patients=8, segments=10) == 0  # 80 segments
+    rows = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eegimage.") and \
+                getattr(module, "clip_scale_array", None) is clip_scale_array:
+            monkeypatch.setattr(module, "clip_scale_array",
+                                lambda x: rows.append(len(x)) or clip_scale_array(x))
+    for command, args in (
+        ("train", ["--out-dir", str(run), *TINY_TRAIN]),
+        ("predict", ["--run-dir", str(run), "--out", str(tmp_path / "p.csv")]),
+        ("tsne", ["--run-dir", str(run), "--out-dir", str(tmp_path / "t"),
+                  "--perplexity", "4", "--iterations", "300"]),
+    ):
+        rows.clear()
+        assert main([command, "--data-dir", str(data), *args]) == 0
+        # 64 is predict_batched's batch, 8 the training batch
+        assert rows and max(rows) <= 64, (command, rows)
 
 
 def test_non_finite_loss_exits_1_naming_where(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,6 @@ from eegimage.data import (
     soft_label,
     split_folds,
     subset_tag,
-    summarize,
     write_signal,
 )
 
@@ -210,57 +209,6 @@ def test_fold_hygiene_property(k, seed):
     assert all(len(v) == 1 for v in by_patient.values())
     sizes = folds.fold_sizes()
     assert max(sizes) - min(sizes) <= 1
-
-
-# --- cohort summary ---
-
-
-def test_summary_single_class_is_100_percent():
-    entries = [
-        ManifestEntry(f"s{i}", f"r{i}", f"p{i}", (3, 0, 0, 0, 0, 0),
-                      "low_annotation", "x")
-        for i in range(5)
-    ]
-    cols = summarize(DatasetManifest(entries))
-    whole = cols[0]
-    assert whole.class_counts == (5, 0, 0, 0, 0, 0)
-    assert whole.class_percent[0] == 100.0
-
-
-def test_summary_counts_match_tally_oracle():
-    manifest = make_manifest(n_patients=12, segments_per_patient=4, seed=5)
-    cols = summarize(manifest)
-    tally = [0] * 6
-    for e in manifest.entries:
-        tally[int(np.argmax(e.votes))] += 1
-    assert cols[0].class_counts == tuple(tally)
-    for col in cols:
-        if col.n_segments:
-            assert abs(sum(col.class_percent) - 100.0) < 0.1
-
-
-def test_summary_development_cohort_proportions():
-    # whole-cohort class counts: 20,933 seizure of 106,800 segments = 19.6%
-    counts = [20933, 14856, 16702, 16640, 18861, 18808]
-    entries = []
-    i = 0
-    for cls, n in enumerate(counts):
-        votes = tuple(1 if j == cls else 0 for j in range(6))
-        for _ in range(n):
-            entries.append(
-                ManifestEntry(f"s{i}", "r0", "p0", votes, "low_annotation", "x")
-            )
-            i += 1
-    cols = summarize(DatasetManifest(entries))
-    whole = cols[0]
-    assert whole.n_segments == 106_800
-    assert whole.class_counts == tuple(counts)
-    assert round(whole.class_percent[0], 1) == 19.6
-
-
-def test_summary_rejects_empty_manifest():
-    with pytest.raises(ValueError):
-        summarize(DatasetManifest([]))
 
 
 # --- signal files ---

@@ -219,6 +219,21 @@ def test_scale_output_range():
     assert y.min() >= 0.0 and y.max() <= SCALE_MAX
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+def test_scale_in_place_matches_the_out_of_place_expression(dtype):
+    """The in-place arithmetic is bit-identical to clip, shift, multiply as
+    three new arrays, and leaves the caller's array (often a view of the
+    dataset) untouched."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(scale=1500.0, size=(4, 7, 50)).astype(dtype)
+    before = x.copy()
+    want = (np.clip(x, -CLIP_UV, CLIP_UV) + CLIP_UV) * (SCALE_MAX / (2 * CLIP_UV))
+    y = clip_scale_array(x[1:3])
+    assert y.dtype == want.dtype
+    np.testing.assert_array_equal(y, want[1:3])
+    np.testing.assert_array_equal(x, before)
+
+
 def test_scale_rejects_nan():
     x = np.zeros((2, 10))
     x[1, 3] = np.nan

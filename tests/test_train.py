@@ -376,7 +376,7 @@ def stage_inputs(seed=0, dropout=0.0):
     params = init_params(cfg, seed=seed)
     n = len(ds)
     train_idx = np.arange(n - 4)
-    x_val = clip_scale_array(ds.x_uv[n - 4 :])
+    x_val = ds.x_uv[n - 4 :]
     y_val = ds.y[n - 4 :]
     return cfg, params, ds, train_idx, x_val, y_val
 
@@ -554,10 +554,9 @@ def test_run_cv_checkpoint_reproduces_val_loss(tmp_path):
         default_stage2(epochs=1, batch_size=8),
         None, k=2, seed=4, out_dir=tmp_path,
     )
-    x_scaled = clip_scale_array(ds.x_uv)
     for fr in cv.folds:
         params, cfg, meta = load_checkpoint(fr.checkpoint)
-        reloaded, _ = validation_loss(x_scaled[fr.val_indices], ds.y[fr.val_indices],
+        reloaded, _ = validation_loss(ds.x_uv[fr.val_indices], ds.y[fr.val_indices],
                                       params, cfg)
         assert reloaded == meta["best_val_loss"] == fr.best_val_loss
 
@@ -586,10 +585,9 @@ def test_run_cv_takes_the_oof_rows_from_the_best_validation_pass(tmp_path, monke
     )
     # one validation pass per epoch of each stage, no extra pass for the OOF rows
     assert calls == [len(f.val_indices) for f in cv.folds for _ in range(3 + 2)]
-    x_scaled = clip_scale_array(ds.x_uv)
     for fr in cv.folds:
         params, cfg, _ = load_checkpoint(fr.checkpoint)
-        fresh = onto_simplex(predict_batched(x_scaled[fr.val_indices], params, cfg))
+        fresh = onto_simplex(predict_batched(ds.x_uv[fr.val_indices], params, cfg))
         assert np.array_equal(cv.oof_probs[fr.val_indices], fresh)
         assert np.array_equal(fr.oof_probs, fresh)
 
@@ -616,10 +614,9 @@ def test_run_cv_recomputes_the_oof_rows_when_stage_2_never_improves(tmp_path, mo
     # stage 2 restored its starting point, stage 1's best, and the OOF rows
     # are predicted again from it
     assert calls == [len(f.val_indices) for f in cv.folds for _ in range(3 + 1)]
-    x_scaled = clip_scale_array(ds.x_uv)
     for fr in cv.folds:
         params, cfg, _ = load_checkpoint(fr.checkpoint)
-        fresh = onto_simplex(predict_batched(x_scaled[fr.val_indices], params, cfg))
+        fresh = onto_simplex(predict_batched(ds.x_uv[fr.val_indices], params, cfg))
         assert np.array_equal(cv.oof_probs[fr.val_indices], fresh)
 
 
@@ -655,20 +652,24 @@ def test_train_stage_holds_one_step_cache_at_a_time(monkeypatch):
 
 
 def test_run_cv_scales_each_fold_not_the_whole_dataset(monkeypatch):
+    """run_cv hands each fold's validation rows over in microvolts; they are
+    scaled a batch at a time as they enter the model, never as a fold copy."""
     import eegimage.train as train
 
     manifest, ds = tiny_problem(n_patients=6, segs=3, seed=7)
-    rows, scale = [], train.clip_scale_array
+    rows, rescaled, scale = [], [], train.clip_scale_array
 
     def spy(x):
         rows.append(len(x))
+        rescaled.append(bool(x.min() >= 0 and x.max() <= 255))
         return scale(x)
 
     monkeypatch.setattr(train, "clip_scale_array", spy)
     cv = run_cv(manifest, ds, tiny_cfg(), default_stage1(epochs=1, batch_size=8),
                 default_stage2(epochs=1, batch_size=8), None, k=3, seed=0)
-    assert rows and max(rows) < len(ds)
-    # every fold's validation rows were scaled, in one call each
+    assert rows and max(rows) <= 8 < len(ds)
+    assert not any(rescaled), "a batch was scaled twice"
+    # each fold's validation rows fit one eval batch: one call per pass
     for fr in cv.folds:
         assert len(fr.val_indices) in rows
 
@@ -767,8 +768,7 @@ def test_run_cv_checks_every_stage_before_training_any_fold(tmp_path, monkeypatc
 def test_ensemble_identical_models_is_identity():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=0)
-    x = clip_scale_array(np.random.default_rng(0).normal(scale=30, size=(3, 4, 100))
-                         .astype(np.float32))
+    x = np.random.default_rng(0).normal(scale=30, size=(3, 4, 100)).astype(np.float32)
     single = ensemble_predict([(params, cfg)], x)
     triple = ensemble_predict([(params, cfg)] * 3, x)
     assert np.allclose(single, triple, atol=1e-15)
@@ -782,9 +782,9 @@ def test_ensemble_mean_matches_oracle():
         p = init_params(cfg, seed=s)
         p.set("dense_w", rng.normal(size=p.get("dense_w").shape) * 0.05)
         sets.append((p, cfg))
-    x = clip_scale_array(rng.normal(scale=30, size=(4, 4, 100)).astype(np.float32))
+    x = rng.normal(scale=600, size=(4, 4, 100)).astype(np.float32)
     got = ensemble_predict(sets, x)
-    want = np.mean([forward_batch(x, p, c)[0] for p, c in sets], axis=0)
+    want = np.mean([forward_batch(clip_scale_array(x), p, c)[0] for p, c in sets], axis=0)
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.allclose(got.sum(axis=1), 1.0, atol=1e-9)
 
