@@ -232,11 +232,10 @@ def extract_embeddings(
     microvolts, in the model dtype: pooled penultimate features by default,
     softmax probabilities behind the flag (cast back exactly from
     predict_batched's float64)."""
-    outs = []
-    for params, cfg in param_sets:
-        probs, feats = predict_batched(x_uv, params, cfg, batch_size, with_features=True)
-        outs.append(probs.astype(feats.dtype) if use_probs else feats)
-    return np.mean(outs, axis=0)
+    probs, feats = predict_batched(x_uv, param_sets, batch_size, with_features=True)
+    if use_probs:
+        return np.mean([p.astype(f.dtype) for p, f in zip(probs, feats)], axis=0)
+    return np.mean(feats, axis=0)
 
 
 def emit_report(

@@ -249,17 +249,21 @@ def scope_indices(n_votes: np.ndarray, scope: str) -> np.ndarray:
     return np.arange(len(n_votes))
 
 
-def predict_batched(x_uv: np.ndarray, params: ModelParams, cfg: ModelConfig,
+def predict_batched(x_uv: np.ndarray, param_sets: list[tuple[ModelParams, ModelConfig]],
                     batch_size: int = 64, with_features: bool = False):
-    """Eval-mode probabilities (float64) of filtered segments in microvolts,
-    each batch clipped and scaled as it enters the model; with with_features,
-    the pair (probabilities, pooled features in the model dtype)."""
+    """Eval-mode probabilities (float64) of filtered segments in microvolts
+    under each (params, cfg) of param_sets, one array per model. Each batch
+    is clipped and scaled once as it enters the models; with with_features,
+    the pair (probabilities, pooled features in each model's dtype), each a
+    list over models."""
     n = x_uv.shape[0]
-    probs = np.empty((n, cfg.n_classes))
-    feats = np.empty((n, cfg.backbone_channels[-1]), cfg.np_dtype)
+    probs = [np.empty((n, cfg.n_classes)) for _, cfg in param_sets]
+    feats = [np.empty((n, cfg.backbone_channels[-1]), cfg.np_dtype) for _, cfg in param_sets]
     for i in range(0, n, batch_size):
-        probs[i : i + batch_size], feats[i : i + batch_size] = forward_batch(
-            clip_scale_array(x_uv[i : i + batch_size]), params, cfg)
+        xb = clip_scale_array(x_uv[i : i + batch_size])
+        for (params, cfg), p, f in zip(param_sets, probs, feats):
+            p[i : i + batch_size], f[i : i + batch_size] = forward_batch(xb, params, cfg)
+        del xb  # else it is alive while the next batch is scaled
     return (probs, feats) if with_features else probs
 
 
@@ -267,7 +271,7 @@ def validation_loss(x_uv: np.ndarray, y: np.ndarray, params: ModelParams,
                     cfg: ModelConfig) -> tuple[float, np.ndarray]:
     """(unweighted mean KLD, predicted probabilities) on filtered validation
     segments in microvolts."""
-    probs = predict_batched(x_uv, params, cfg)
+    [probs] = predict_batched(x_uv, [(params, cfg)])
     return float(kl_div_rows(y, probs).mean()), probs
 
 
@@ -456,7 +460,7 @@ def run_cv(
         # r2.best_val_probs; recompute only if no epoch improved (NaN losses)
         val_probs = r2.best_val_probs
         if val_probs is None:
-            val_probs = predict_batched(x_val, params, model_cfg)
+            [val_probs] = predict_batched(x_val, [(params, model_cfg)])
         oof[val_idx] = onto_simplex(val_probs)
         ckpt = None
         if out_dir is not None:
@@ -489,16 +493,10 @@ def ensemble_predict(
     than 1e-12."""
     if not param_sets:
         raise ValueError("need at least one model")
-    all_probs = []
-    ref_shape = None
-    for params, cfg in param_sets:
-        p = predict_batched(x_uv, params, cfg)
-        if ref_shape is None:
-            ref_shape = p.shape
-        elif p.shape != ref_shape:
-            raise ValueError(f"prediction shape mismatch: {p.shape} vs {ref_shape}")
-        all_probs.append(p)
-    return onto_simplex(np.mean(all_probs, axis=0))
+    n_classes = {cfg.n_classes for _, cfg in param_sets}
+    if len(n_classes) > 1:
+        raise ValueError(f"prediction shape mismatch: n_classes {sorted(n_classes)}")
+    return onto_simplex(np.mean(predict_batched(x_uv, param_sets), axis=0))
 
 
 def onto_simplex(probs: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_manifest
 from test_model import textbook_silu
+from test_train import per_fold_outputs, spy_clip_scale
 from eegimage.analysis import (
     AblationRow,
     PretextConfig,
@@ -352,6 +353,21 @@ def test_extract_embeddings_averages_folds():
         singles.append(feat)
     np.testing.assert_allclose(out, np.mean(singles, axis=0), atol=1e-12)
     assert out.shape == (10, cfg.backbone_channels[-1])
+
+
+@pytest.mark.parametrize("use_probs", [False, True])
+def test_extract_embeddings_scales_each_batch_once_for_every_fold(monkeypatch, use_probs):
+    import eegimage.train as train
+
+    cfg = tiny_cfg()
+    x = np.random.default_rng(4).uniform(-1200, 1200, size=(9, 4, 100)).astype(np.float32)
+    sets = [(init_params(cfg, seed=s), cfg) for s in (0, 1)]
+    want = per_fold_outputs(x, sets, batch_size=4)
+    rows = spy_clip_scale(monkeypatch, train)
+    out = extract_embeddings(sets, x, use_probs=use_probs, batch_size=4)
+    assert rows == [4, 4, 1]
+    folds = [p.astype(f.dtype) if use_probs else f for p, f in want]
+    assert out.dtype == np.float32 and np.array_equal(out, np.mean(folds, axis=0))
 
 
 def test_extract_embeddings_probs_flag():

@@ -419,7 +419,8 @@ def test_predict_serves_the_recorded_causal_filter(tmp_path):
 
 def test_no_command_scales_more_than_one_batch(tmp_path, monkeypatch):
     """Segments are clipped and scaled a batch at a time as they enter the
-    model: no caller holds a scaled copy of a fold or of the served set."""
+    model: no caller holds a scaled copy of a fold or of the served set, and
+    a served batch is scaled once for all fold models."""
     from eegimage.preprocess import clip_scale_array
 
     data, run = tmp_path / "data", tmp_path / "run"
@@ -440,6 +441,8 @@ def test_no_command_scales_more_than_one_batch(tmp_path, monkeypatch):
         assert main([command, "--data-dir", str(data), *args]) == 0
         # 64 is predict_batched's batch, 8 the training batch
         assert rows and max(rows) <= 64, (command, rows)
+        if command != "train":  # 80 segments, 2 folds
+            assert rows == [64, 16], (command, rows)
 
 
 def test_non_finite_loss_exits_1_naming_where(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,8 @@ class signatures that make the pipeline learnable."""
 import numpy as np
 import pytest
 
+import eegimage.synthgen as synthgen
+from eegimage.cli import main
 from eegimage.data import (
     LEFT_CHANNELS,
     RIGHT_CHANNELS,
@@ -70,6 +72,125 @@ def test_config_rejects_bad_label_noise():
 def test_config_rejects_duration_not_divisible_by_five():
     with pytest.raises(ValueError):
         SynthConfig(t_total_s=7.0)
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--fs", "0", "fs"),
+    ("--fs", "-100", "fs"),
+    ("--duration", "0", "t_total_s"),
+    ("--patients", "0", "n_patients"),
+    ("--segments", "0", "segments_per_patient"),
+    ("--noise-rms", "-5", "noise_rms_uv"),
+])
+def test_gen_rejects_a_bad_value_naming_its_field(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "data"
+    assert main(["gen", "--out-dir", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be "), err
+    assert not out.exists()
+
+
+# --- reference: the per-channel generator ---
+
+
+def reference_pink_noise(rng, n, rms):
+    """One channel of 1/f noise: one rfft/irfft per row."""
+    white = rng.standard_normal(n)
+    spec = np.fft.rfft(white)
+    freqs = np.fft.rfftfreq(n)
+    freqs[0] = freqs[1]
+    spec = spec / np.sqrt(freqs)
+    spec[0] = 0.0
+    x = np.fft.irfft(spec, n)
+    return x * (rms / np.sqrt(np.mean(x**2)))
+
+
+def reference_periodic_discharges(rng, t, amp):
+    """Biphasic transients added onto zeros one center at a time."""
+    rate = rng.uniform(1.0, 2.5)
+    width = rng.uniform(0.04, 0.07)
+    phase0 = rng.uniform(0, 1 / rate)
+    x = np.zeros_like(t)
+    t_rel = t - t[0] + phase0
+    for c in np.arange(0, t_rel[-1] + 1 / rate, 1 / rate):
+        d = t_rel - c
+        x += -d / width * np.exp(0.5 - (d / width) ** 2 / 2)
+    return amp * 1.6 * x
+
+
+def reference_segment_samples(cls, cfg, rng):
+    """The generator channel by channel, drawing in the same order."""
+    n = cfg.n_samples
+    x = np.stack([reference_pink_noise(rng, n, cfg.noise_rms_uv) for _ in range(16)])
+    if cls == ClassId.OTHER:
+        return x.astype(np.float32)
+    sl = synthgen._center_slice(n)
+    t = np.arange(sl.start, sl.stop) / cfg.fs
+    amp = cfg.signature_amp_uv * rng.uniform(0.8, 1.2)
+    if cls in (ClassId.LPD, ClassId.LRDA):
+        channels = LEFT_CHANNELS if rng.random() < 0.5 else RIGHT_CHANNELS
+    else:
+        channels = tuple(range(16))
+    for ch in channels:
+        ch_amp = amp * rng.uniform(0.85, 1.15)
+        if cls == ClassId.SEIZURE:
+            sig = synthgen._seizure_signature(rng, t, ch_amp)
+        elif cls in (ClassId.LPD, ClassId.GPD):
+            sig = reference_periodic_discharges(rng, t, ch_amp)
+        else:
+            sig = synthgen._rhythmic_delta(rng, t, ch_amp)
+        x[ch, sl] += sig
+    return x.astype(np.float32)
+
+
+@pytest.mark.parametrize("fs,duration,noise_rms", [
+    (100.0, 10.0, 15.0),
+    (100.0, 5.0, 40.0),
+    (101.0, 5.0, 15.0),  # 505 samples: odd length
+])
+@pytest.mark.parametrize("cls", list(ClassId))
+def test_generate_writes_the_per_channel_generators_bytes(
+        tmp_path, monkeypatch, cls, fs, duration, noise_rms):
+    cfg = one_class_config(cls, n_patients=2, segments_per_patient=3, fs=fs,
+                           t_total_s=duration, noise_rms_uv=noise_rms,
+                           label_noise=0.3, seed=int(cls) + 21)
+    generate(cfg, tmp_path / "vectorised", header_comment="x")
+    monkeypatch.setattr(synthgen, "synth_segment_samples", reference_segment_samples)
+    generate(cfg, tmp_path / "reference", header_comment="x")
+    a = sorted(p.relative_to(tmp_path / "vectorised")
+               for p in (tmp_path / "vectorised").rglob("*") if p.is_file())
+    b = sorted(p.relative_to(tmp_path / "reference")
+               for p in (tmp_path / "reference").rglob("*") if p.is_file())
+    assert a == b and len(a) == 7  # manifest.csv and six signal files
+    for rel in a:
+        assert ((tmp_path / "vectorised" / rel).read_bytes()
+                == (tmp_path / "reference" / rel).read_bytes()), rel
+
+
+@pytest.mark.parametrize("fs,duration", [(100.0, 10.0), (101.0, 5.0), (256.0, 10.0)])
+def test_periodic_discharges_sum_the_centers_in_order(fs, duration):
+    # the signal files are float32, which hides a float64 sum taken in
+    # another order; the waveform itself must match bit for bit
+    n = int(round(fs * duration))
+    sl = synthgen._center_slice(n)
+    t = np.arange(sl.start, sl.stop) / fs
+    for seed in range(300):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = synthgen._periodic_discharges(rng_a, t, 80.0)
+        want = reference_periodic_discharges(rng_b, t, 80.0)
+        assert np.array_equal(got, want), seed
+        assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("n", [5, 500, 505, 1000])
+def test_pink_noise_rows_equal_one_row_calls(n):
+    rng_a, rng_b = np.random.default_rng(n), np.random.default_rng(n)
+    rows = pink_noise(rng_a, (16, n), 15.0)
+    singles = np.stack([reference_pink_noise(rng_b, n, 15.0) for _ in range(16)])
+    assert rows.shape == (16, n) and np.array_equal(rows, singles)
+    assert rng_a.random() == rng_b.random()
+    one = pink_noise(np.random.default_rng(n), n, 15.0)
+    assert one.shape == (n,) and np.array_equal(one, singles[0])
 
 
 # --- votes and labels ---

@@ -587,7 +587,7 @@ def test_run_cv_takes_the_oof_rows_from_the_best_validation_pass(tmp_path, monke
     assert calls == [len(f.val_indices) for f in cv.folds for _ in range(3 + 2)]
     for fr in cv.folds:
         params, cfg, _ = load_checkpoint(fr.checkpoint)
-        fresh = onto_simplex(predict_batched(ds.x_uv[fr.val_indices], params, cfg))
+        fresh = onto_simplex(predict_batched(ds.x_uv[fr.val_indices], [(params, cfg)])[0])
         assert np.array_equal(cv.oof_probs[fr.val_indices], fresh)
         assert np.array_equal(fr.oof_probs, fresh)
 
@@ -616,7 +616,7 @@ def test_run_cv_recomputes_the_oof_rows_when_stage_2_never_improves(tmp_path, mo
     assert calls == [len(f.val_indices) for f in cv.folds for _ in range(3 + 1)]
     for fr in cv.folds:
         params, cfg, _ = load_checkpoint(fr.checkpoint)
-        fresh = onto_simplex(predict_batched(ds.x_uv[fr.val_indices], params, cfg))
+        fresh = onto_simplex(predict_batched(ds.x_uv[fr.val_indices], [(params, cfg)])[0])
         assert np.array_equal(cv.oof_probs[fr.val_indices], fresh)
 
 
@@ -787,6 +787,62 @@ def test_ensemble_mean_matches_oracle():
     want = np.mean([forward_batch(clip_scale_array(x), p, c)[0] for p, c in sets], axis=0)
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.allclose(got.sum(axis=1), 1.0, atol=1e-9)
+
+
+def per_fold_outputs(x_uv, param_sets, batch_size=64):
+    """The eval batch loop run once per fold, each batch clipped and scaled
+    again for every fold: [(float64 probs, feats in the model dtype)] per
+    model."""
+    out = []
+    for params, cfg in param_sets:
+        probs, feats = zip(*(forward_batch(clip_scale_array(x_uv[i : i + batch_size]),
+                                           params, cfg)
+                             for i in range(0, len(x_uv), batch_size)))
+        out.append((np.concatenate(probs).astype(np.float64), np.concatenate(feats)))
+    return out
+
+
+def spy_clip_scale(monkeypatch, module):
+    rows = []
+    monkeypatch.setattr(module, "clip_scale_array",
+                        lambda x: rows.append(len(x)) or clip_scale_array(x))
+    return rows
+
+
+def test_predict_batched_scales_each_batch_once_for_every_fold(monkeypatch):
+    import eegimage.train as train
+
+    rng = np.random.default_rng(4)
+    cfg = tiny_cfg()
+    sets = [(init_params(cfg, seed=s), cfg) for s in range(3)]
+    x = rng.uniform(-1200, 1200, size=(10, 4, 100)).astype(np.float32)
+    want = per_fold_outputs(x, sets, batch_size=4)
+    rows = spy_clip_scale(monkeypatch, train)
+    probs, feats = predict_batched(x, sets, batch_size=4, with_features=True)
+    assert rows == [4, 4, 2]
+    for (p, f), (wp, wf) in zip(zip(probs, feats), want):
+        assert p.dtype == wp.dtype and np.array_equal(p, wp)
+        assert f.dtype == wf.dtype and np.array_equal(f, wf)
+
+    rows.clear()
+    got = ensemble_predict(sets, x)
+    assert rows == [10]  # predict_batched's default batch of 64
+    want = per_fold_outputs(x, sets)
+    assert np.array_equal(got, onto_simplex(np.mean([p for p, _ in want], axis=0)))
+
+    rows.clear()
+    y = np.full((10, cfg.n_classes), 1 / cfg.n_classes)
+    loss, probs = validation_loss(x, y, *sets[1])
+    assert rows == [10] and np.array_equal(probs, want[1][0])
+    assert loss == float(kl_div_rows(y, want[1][0]).mean())
+
+
+def test_ensemble_rejects_models_with_different_class_counts():
+    cfg = tiny_cfg()
+    other = replace(cfg, n_classes=5)
+    sets = [(init_params(cfg, seed=0), cfg), (init_params(other, seed=0), other)]
+    with pytest.raises(ValueError, match=r"n_classes \[5, 6\]"):
+        ensemble_predict(sets, np.zeros((1, 4, 100), np.float32))
 
 
 def test_ensemble_requires_models():
