@@ -334,18 +334,21 @@ def cmd_ablate(args) -> int:
 
 
 TSNE_DEFAULTS = dict(seed=0, perplexity=30.0, iterations=1000, use_probs=False)
+TSNE_TRACE_EVERY = 50  # the objective is evaluated only for the printed summary
 
 
 def cmd_tsne(args) -> int:
     cfg_d = _effective(args, TSNE_DEFAULTS)
+    cfg = TsneConfig(perplexity=cfg_d["perplexity"], iterations=cfg_d["iterations"],
+                     seed=cfg_d["seed"])
     out = Path(args.out_dir or Path(args.run_dir) / "eval")
     manifest, param_sets, rec, ds = _load_run(args)
     emb = extract_embeddings(param_sets, ds.x_uv, use_probs=cfg_d["use_probs"])
-    cfg = TsneConfig(perplexity=cfg_d["perplexity"], iterations=cfg_d["iterations"],
-                     seed=cfg_d["seed"])
-    result = tsne(emb, cfg)
+    result = tsne(emb, cfg, trace_every=TSNE_TRACE_EVERY)
     emit_report(out, tsne_data=(result.coords, manifest.consensus_labels(), ds.segment_ids),
                 comment=_stamp(rec, cfg.seed, tsne=cfg))
+    trace = result.objective_trace
+    print(f"KL {trace[0]:.2f} -> {trace[-1]:.2f} over {cfg.iterations} iterations")
     print(f"t-SNE coordinates for {len(ds)} segments in {out}")
     return 0
 

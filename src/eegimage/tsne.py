@@ -1,8 +1,13 @@
 """Exact t-SNE (no tree approximation) for visualizing model embeddings.
 
-Small-n only: O(n^2) affinities, binary-searched per-point bandwidths, early
-exaggeration, momentum with per-coordinate gains, and an objective trace so
-tests can assert the KL actually decreases.
+Small-n only: O(n^2) affinities, per-point bandwidths binary-searched for all
+points at once, early exaggeration, momentum with per-coordinate gains, and an
+objective trace so tests can assert the KL actually decreases.
+
+The trace runs on a schedule: ``tsne(x, cfg, trace_every=k)`` evaluates
+KL(P || Q) at every k-th iteration and at the last one. The library default,
+1, traces every iteration; the ``tsne`` command traces every 50th, as
+openTSNE and scikit-learn do. The schedule never changes the map.
 
 The default step size scales with n: learning_rate="auto" resolves to
 max(n / (4 * exaggeration), 50), the rule of Belkina et al. 2019 (Nat.
@@ -33,55 +38,90 @@ class TsneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.perplexity <= 1.0:
-            raise ValueError("perplexity must exceed 1")
+        for name, ok, rule in (
+            ("perplexity", _is_real(self.perplexity) and self.perplexity > 1.0,
+             "a finite number > 1"),
+            ("iterations", _is_int(self.iterations) and self.iterations > 0,
+             "a positive integer"),
+            ("exaggeration", _is_real(self.exaggeration) and self.exaggeration >= 1.0,
+             "a finite number >= 1"),
+            ("exaggeration_iters", _is_int(self.exaggeration_iters)
+             and self.exaggeration_iters >= 0, "an integer >= 0"),
+            ("learning_rate", self.learning_rate == "auto"
+             or _is_real(self.learning_rate) and self.learning_rate > 0,
+             "a positive finite number or 'auto'"),
+            ("momentum_early", _is_real(self.momentum_early)
+             and 0.0 <= self.momentum_early < 1.0, "a number in [0, 1)"),
+            ("momentum_late", _is_real(self.momentum_late)
+             and 0.0 <= self.momentum_late < 1.0, "a number in [0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.iterations <= self.exaggeration_iters:
-            raise ValueError("iterations must exceed the exaggeration phase")
-        if self.exaggeration < 1.0:
-            raise ValueError("exaggeration factor must be >= 1")
-        lr = self.learning_rate
-        if lr != "auto" and not (isinstance(lr, numbers.Real) and not isinstance(lr, bool)
-                                 and math.isfinite(lr) and lr > 0):
             raise ValueError(
-                f"learning_rate must be a positive finite number or 'auto', got {lr!r}"
+                f"iterations ({self.iterations}) must exceed the exaggeration phase "
+                f"(exaggeration_iters={self.exaggeration_iters})"
             )
 
 
-def _entropy_probs(dist_row: np.ndarray, beta: float):
-    """Shannon entropy (nats) and conditional probabilities for one point."""
-    p = np.exp(-dist_row * beta)
-    s = p.sum()
-    if s <= 0:
-        return 0.0, np.zeros_like(p)
-    p = p / s
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _entropies(dist: np.ndarray, beta: np.ndarray):
+    """Shannon entropies (nats) and conditional probabilities, one row per
+    point, each with the operations of a one-row search in the same order."""
+    p = np.exp(-dist * beta[:, None])
+    s = p.sum(axis=1)
+    empty = s <= 0
+    p /= np.where(empty, 1.0, s)[:, None]  # an empty row stays all zeros
     nz = p > 0
-    h = -np.sum(p[nz] * np.log(p[nz]))
+    terms = p * np.log(np.where(nz, p, 1.0))
+    h = -terms.sum(axis=1)
+    # a row with zeros sums only its nonzero terms, which pairs them otherwise
+    for i in np.flatnonzero(~nz.all(axis=1) & ~empty):
+        h[i] = -np.sum(terms[i][nz[i]])
+    h[empty] = 0.0
     return h, p
 
 
 def conditional_affinities(x: np.ndarray, perplexity: float, tol: float = 1e-5,
                            max_iter: int = 60) -> np.ndarray:
     """Per-point bandwidths found by binary search so each row's perplexity
-    matches the target."""
+    matches the target.
+
+    All rows are searched at once. Each row halves its own bracket by the
+    rules of a one-row search and leaves the search once its entropy is
+    within tol of the target, keeping the probabilities of that step.
+    """
     n = x.shape[0]
     sq = np.sum(x * x, axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    dist = _off_diagonal(d2).reshape(n, n - 1)  # row i: d2[i] without entry i
     target = np.log(perplexity)
+    beta, lo, hi = np.ones(n), np.zeros(n), np.full(n, np.inf)
+    p_rows = np.empty((n, n - 1))
+    rows = np.arange(n)  # the rows still searching
+    for _ in range(max_iter):
+        h, p_rows[rows] = _entropies(dist[rows], beta[rows])
+        searching = ~(np.abs(h - target) < tol)
+        rows, h = rows[searching], h[searching]
+        if not rows.size:
+            break
+        b, low, high = beta[rows], lo[rows], hi[rows]
+        sharpen = h > target  # too spread out
+        low = np.where(sharpen, b, low)
+        high = np.where(sharpen, high, b)
+        mid = 0.5 * (low + high)
+        beta[rows] = np.where(sharpen, np.where(np.isinf(high), b * 2.0, mid),
+                              np.where(low == 0.0, b / 2.0, mid))
+        lo[rows], hi[rows] = low, high
     p_cond = np.zeros((n, n))
-    for i in range(n):
-        row = np.delete(d2[i], i)
-        beta, lo, hi = 1.0, 0.0, np.inf
-        for _ in range(max_iter):
-            h, p = _entropy_probs(row, beta)
-            if abs(h - target) < tol:
-                break
-            if h > target:  # too spread out -> sharpen
-                lo = beta
-                beta = beta * 2.0 if np.isinf(hi) else 0.5 * (lo + hi)
-            else:
-                hi = beta
-                beta = beta / 2.0 if lo == 0.0 else 0.5 * (lo + hi)
-        p_cond[i, np.arange(n) != i] = p
+    _off_diagonal(p_cond)[...] = p_rows.reshape(n - 1, n)
     return p_cond
 
 
@@ -140,15 +180,20 @@ def kl_objective(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) ->
 @dataclass
 class TsneResult:
     coords: np.ndarray  # (n, 2), zero-mean
-    objective_trace: np.ndarray  # KL(P||Q) per iteration, unexaggerated P
+    objective_trace: np.ndarray  # KL(P||Q) at trace_iterations, unexaggerated P
+    trace_iterations: np.ndarray  # int, ascending; holds 0 and the last iteration
 
 
-def tsne(embeddings: np.ndarray, cfg: TsneConfig) -> TsneResult:
+def tsne(embeddings: np.ndarray, cfg: TsneConfig, trace_every: int = 1) -> TsneResult:
     """Reduce (n, d) embeddings to centered 2-D coordinates.
 
     Deterministic per cfg.seed. The returned trace holds the objective
-    against the true (unexaggerated) affinities at every iteration.
+    against the true (unexaggerated) affinities at every trace_every-th
+    iteration and at the last one; the coordinates do not depend on
+    trace_every.
     """
+    if not (_is_int(trace_every) and trace_every > 0):
+        raise ValueError(f"trace_every must be a positive integer, got {trace_every!r}")
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("embeddings must be 2-D (n, d)")
@@ -174,7 +219,8 @@ def tsne(embeddings: np.ndarray, cfg: TsneConfig) -> TsneResult:
     y -= y.mean(axis=0)
     inc = np.zeros_like(y)
     gains = np.ones_like(y)
-    trace = np.empty(cfg.iterations)
+    last = cfg.iterations - 1
+    trace, trace_iterations = [], []
     # every n x n array of the loop lives here; each step writes in place
     q_buf = np.empty((3, n, n))
     pq = np.empty((n, n))
@@ -199,9 +245,12 @@ def tsne(embeddings: np.ndarray, cfg: TsneConfig) -> TsneResult:
         y -= y.mean(axis=0)  # keep translation-centered every iteration
         # the Q of the new map serves both this trace entry and the next step
         q, num = _low_dim_q(y, q_buf)
-        trace[it] = kl_objective(p_true, q, kl_terms)
+        if it % trace_every == 0 or it == last:
+            trace.append(kl_objective(p_true, q, kl_terms))
+            trace_iterations.append(it)
 
-    return TsneResult(coords=y, objective_trace=trace)
+    return TsneResult(coords=y, objective_trace=np.array(trace),
+                      trace_iterations=np.array(trace_iterations))
 
 
 def tsne_to_csv(coords: np.ndarray, labels: np.ndarray, ids: list[str]) -> str:

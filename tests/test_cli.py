@@ -477,6 +477,44 @@ def test_tsne_subcommand(trained_run, tmp_path, capsys):
     assert (out / "tsne.svg").exists()
 
 
+def test_tsne_prints_its_objective_and_writes_only_the_map(trained_run, tmp_path, capsys,
+                                                          monkeypatch):
+    import eegimage.cli as cli
+
+    data, run = trained_run
+    results, orig = [], cli.tsne
+
+    def spy(*a, **k):
+        results.append((k, orig(*a, **k)))
+        return results[-1][1]
+
+    monkeypatch.setattr(cli, "tsne", spy)
+    printed = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        capsys.readouterr()
+        assert main(["tsne", "--data-dir", str(data), "--run-dir", str(run),
+                     "--out-dir", str(out), "--perplexity", "4", "--iterations", "300"]) == 0
+        printed.append(capsys.readouterr().out.splitlines()[0])
+        assert sorted(p.name for p in out.iterdir()) == ["tsne.csv", "tsne.svg"]
+    assert printed[0] == printed[1]
+    kwargs, result = results[0]
+    assert kwargs == {"trace_every": 50}
+    np.testing.assert_array_equal(result.trace_iterations, [0, 50, 100, 150, 200, 250, 299])
+    trace = result.objective_trace
+    assert printed[0] == f"KL {trace[0]:.2f} -> {trace[-1]:.2f} over 300 iterations"
+
+
+def test_tsne_with_a_nan_perplexity_exits_1_naming_it(trained_run, tmp_path, capsys):
+    data, run = trained_run
+    out = tmp_path / "viz"
+    capsys.readouterr()
+    rc = main(["tsne", "--data-dir", str(data), "--run-dir", str(run),
+               "--out-dir", str(out), "--perplexity", "nan", "--iterations", "300"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: perplexity must be a finite number > 1, got nan\n"
+    assert not (out / "tsne.csv").exists()
+
+
 def test_ablate_with_config_file(tmp_path, capsys):
     data = tmp_path / "d"
     assert run_gen(data, patients=6, segments=3) == 0

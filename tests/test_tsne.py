@@ -60,6 +60,25 @@ def test_config_rejects_bad_values():
             TsneConfig(learning_rate=bad)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("perplexity", float("nan")), ("perplexity", float("inf")), ("perplexity", True),
+    ("exaggeration", float("nan")), ("exaggeration", float("inf")),
+    ("momentum_early", float("nan")), ("momentum_late", float("nan")),
+    ("momentum_late", 1.0), ("momentum_early", -0.1),
+    ("iterations", 1000.5), ("iterations", np.float64(1000.0)), ("iterations", 0),
+    ("exaggeration_iters", -3), ("exaggeration_iters", 2.5),
+])
+def test_config_rejects_a_bad_value_naming_its_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        TsneConfig(**{field: value})
+
+
+def test_config_accepts_numpy_scalars():
+    cfg = TsneConfig(perplexity=np.float64(5.0), iterations=np.int64(300),
+                     exaggeration_iters=np.int32(100), momentum_late=np.float32(0.8))
+    assert cfg.iterations == 300
+
+
 def test_rejects_too_few_points():
     with pytest.raises(ValueError, match="at least 10"):
         tsne(np.zeros((5, 3)), TsneConfig(perplexity=2.0))
@@ -81,6 +100,90 @@ def test_rejects_non_finite_and_wrong_rank():
 
 
 # --- affinity contracts ---
+
+
+def reference_entropy_probs(dist_row, beta):
+    """Shannon entropy (nats) and conditional probabilities for one point."""
+    p = np.exp(-dist_row * beta)
+    s = p.sum()
+    if s <= 0:
+        return 0.0, np.zeros_like(p)
+    p = p / s
+    nz = p > 0
+    h = -np.sum(p[nz] * np.log(p[nz]))
+    return h, p
+
+
+def reference_conditional_affinities(x, perplexity, tol=1e-5, max_iter=60):
+    """The perplexity search one row at a time."""
+    n = x.shape[0]
+    sq = np.sum(x * x, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    target = np.log(perplexity)
+    p_cond = np.zeros((n, n))
+    for i in range(n):
+        row = np.delete(d2[i], i)
+        beta, lo, hi = 1.0, 0.0, np.inf
+        for _ in range(max_iter):
+            h, p = reference_entropy_probs(row, beta)
+            if abs(h - target) < tol:
+                break
+            if h > target:  # too spread out -> sharpen
+                lo = beta
+                beta = beta * 2.0 if np.isinf(hi) else 0.5 * (lo + hi)
+            else:
+                hi = beta
+                beta = beta / 2.0 if lo == 0.0 else 0.5 * (lo + hi)
+        p_cond[i, np.arange(n) != i] = p
+    return p_cond
+
+
+def far_clusters():
+    rng = np.random.default_rng(6)
+    return np.vstack([rng.normal(size=(60, 4)), rng.normal(size=(60, 4)) + 45.0])
+
+
+def five_copies_each():
+    return np.repeat(np.random.default_rng(7).normal(size=(12, 3)), 5, axis=0)
+
+
+SEARCH_CASES = {
+    "gaussian": (lambda: np.random.default_rng(5).normal(size=(120, 16)), 30.0),
+    # many probabilities underflow to 0 at the searched bandwidths
+    "far_clusters": (far_clusters, 30.0),
+    # each row's four copies hold entropy above log(3) at any bandwidth, so
+    # the search sharpens until it runs out of steps
+    "five_copies_each": (five_copies_each, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_all_rows_search_is_bit_identical_to_the_per_row_loop(case):
+    make_x, perplexity = SEARCH_CASES[case]
+    x = make_x()
+    got = conditional_affinities(x, perplexity)
+    assert np.array_equal(got, reference_conditional_affinities(x, perplexity))
+    if case == "far_clusters":
+        assert np.count_nonzero(got == 0.0) > 10 * len(x)
+    if case == "five_copies_each":  # one more step would move the rows
+        assert not np.array_equal(got, conditional_affinities(x, perplexity, max_iter=61))
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_row_entropies_equal_one_row_calls(case):
+    # a row with zero probabilities must sum only its nonzero terms, as the
+    # one-row search does; summing the zeros too pairs the terms otherwise
+    make_x, _ = SEARCH_CASES[case]
+    x = make_x()
+    n = len(x)
+    d2 = ((x[:, None] - x[None]) ** 2).sum(-1)
+    dist = d2[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    for beta in np.geomspace(1e-4, 1e4, 25):
+        betas = np.full(n, beta)
+        h, p = tsne_module()._entropies(dist, betas)
+        for i in range(n):
+            h_ref, p_ref = reference_entropy_probs(dist[i], beta)
+            assert h[i] == h_ref and np.array_equal(p[i], p_ref), (beta, i)
 
 
 def test_conditional_rows_hit_target_perplexity():
@@ -196,6 +299,25 @@ def test_q_and_objective_match_the_reference_with_and_without_buffers():
             assert kl_objective(p, q, out) == reference_kl(p, q_ref)
 
 
+def tsne_module():
+    # the package exports the function tsne, which shadows the module's name
+    return importlib.import_module("eegimage.tsne")
+
+
+def count_calls(monkeypatch):
+    tsne_mod = tsne_module()
+    calls = {"_low_dim_q": 0, "kl_objective": 0}
+    for name in calls:
+        orig = getattr(tsne_mod, name)
+
+        def counted(*a, orig=orig, name=name, **k):
+            calls[name] += 1
+            return orig(*a, **k)
+
+        monkeypatch.setattr(tsne_mod, name, counted)
+    return calls
+
+
 def test_each_iteration_evaluates_q_and_the_objective_once(monkeypatch):
     # the package exports the function tsne, which shadows the module's name
     tsne_mod = importlib.import_module("eegimage.tsne")
@@ -212,6 +334,42 @@ def test_each_iteration_evaluates_q_and_the_objective_once(monkeypatch):
     tsne(np.random.default_rng(0).normal(size=(30, 4)), cfg)
     # one Q for the initial map, then one Q and one objective per iteration
     assert calls == {"_low_dim_q": cfg.iterations + 1, "kl_objective": cfg.iterations}
+
+
+# --- the objective on a schedule ---
+
+
+@pytest.mark.parametrize("case", ["n61_duplicated_fixed_lr", "n40_exaggeration_to_the_end",
+                                  "n240_d128"])
+def test_a_scheduled_trace_leaves_the_map_and_samples_the_full_trace(case):
+    make_x, cfg = REFERENCE_CASES[case]
+    x = make_x()
+    full = tsne(x, cfg)
+    np.testing.assert_array_equal(full.trace_iterations, np.arange(cfg.iterations))
+    sched = tsne(x, cfg, trace_every=50)
+    assert np.array_equal(sched.coords, full.coords)
+    its = sched.trace_iterations
+    assert its.dtype.kind == "i" and its[0] == 0 and its[-1] == cfg.iterations - 1
+    want = sorted({*range(0, cfg.iterations, 50), cfg.iterations - 1})
+    np.testing.assert_array_equal(its, want)
+    assert np.array_equal(sched.objective_trace, full.objective_trace[its])
+
+
+def test_a_scheduled_trace_evaluates_the_objective_only_where_it_is_kept(monkeypatch):
+    calls = count_calls(monkeypatch)
+    cfg = TsneConfig(perplexity=5.0, iterations=120, exaggeration_iters=60)
+    res = tsne(np.random.default_rng(0).normal(size=(30, 4)), cfg, trace_every=50)
+    np.testing.assert_array_equal(res.trace_iterations, [0, 50, 100, 119])
+    assert calls == {"_low_dim_q": cfg.iterations + 1,
+                     "kl_objective": len(res.trace_iterations)}
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, True, 50.0, "50", None])
+def test_rejects_a_bad_trace_schedule(bad):
+    x = np.random.default_rng(0).normal(size=(20, 3))
+    with pytest.raises(ValueError, match="trace_every"):
+        tsne(x, TsneConfig(perplexity=5.0, iterations=60, exaggeration_iters=30),
+             trace_every=bad)
 
 
 # --- the benchmark ---
