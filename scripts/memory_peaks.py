@@ -22,9 +22,10 @@ interpreter's own, and its bookkeeping adds to ru_maxrss and ru_minflt.
 
 With --commands W there is no tracemalloc: this process sets up the
 perfbench workload W (train_cv, ablate_small or serve) once and runs its
-timed commands --rounds times, as perfbench's rounds do. One line per
-command and round gives its minor faults, system and user seconds and
-ru_maxrss after it. To compare two checkouts, run each workload in a fresh
+timed commands --rounds times, as perfbench's rounds do. A first line gives
+ru_maxrss after the set-up; then one line per command and round gives its
+minor faults, system and user seconds and ru_maxrss after it, so a reader
+can tell whether the set-up or a timed command set the peak. To compare two checkouts, run each workload in a fresh
 process per checkout.
 
 --quick makes the inputs small (6 x 3 segments, 5 s long for training;
@@ -151,6 +152,8 @@ def phases(out: Path, quick: bool):
 
 def commands(out: Path, name: str, rounds: int, quick: bool):
     timed = workload(out, name, quick)
+    # the set-up's own peak, so a round's line shows whether it set a new one
+    print(f"setup maxrss_mib {usage().ru_maxrss / 1024:6.1f}")
     for r in range(rounds):
         for cmd, argv in timed:
             before = usage()

@@ -35,7 +35,7 @@ from .data import (
     write_signal,
 )
 from .metrics import evaluate, optimal_threshold, roc_curve
-from .model import ModelConfig, load_checkpoint, variant_config
+from .model import ModelConfig, central_cone, load_checkpoint, variant_config
 from .preprocess import PREPROCESS_META, FilterSpec, design_bandpass, filter_segment
 from .synthgen import SynthConfig, generate
 from .train import (
@@ -197,13 +197,35 @@ def _backbone_tuple(s) -> tuple[int, ...]:
     return s if isinstance(s, tuple) else tuple(int(v) for v in s.split(","))
 
 
+def _check_fits_model(path: Path, t: int, cfg: ModelConfig) -> None:
+    """Fail, naming the segment file, its sample count and the field to
+    change, when the model cannot run on segments of t samples."""
+    try:
+        width = cfg.image_width(t)
+    except ValueError:
+        raise ValueError(f"{path}: {t} samples are not a multiple of the embedding "
+                         f"stride {cfg.stride}") from None
+    if cfg.pool_full_width:
+        return
+    try:
+        central_cone(width, len(cfg.backbone_channels), cfg.conv_kernel, cfg.conv_stride,
+                     cfg.central_fraction)
+    except ValueError as e:
+        spec = ",".join(map(str, cfg.backbone_channels))
+        raise ValueError(f"{path}: {t} samples are too short for backbone {spec} "
+                         f"({e}); give `backbone` fewer stages or use longer "
+                         f"segments") from None
+
+
 def _training_setup(args, defaults: dict, variant: str | None = None):
     """Merged config, manifest, the run's record for `variant` (the config's
     own when None) and the filtered dataset; the bandpass takes fs from the
-    first segment."""
+    first segment, and the record's model must fit its sample count before
+    anything is loaded."""
     cfg_d = _effective(args, defaults)
     manifest = load_manifest(_data_dir(args) / "manifest.csv")
-    fs = read_signal(manifest.segment_path(manifest.entries[0])).fs
+    first_path = manifest.segment_path(manifest.entries[0])
+    first = read_signal(first_path)
     variant = variant or cfg_d["variant"]
     record = RunRecord(
         model=variant_config(
@@ -220,11 +242,12 @@ def _training_setup(args, defaults: dict, variant: str | None = None):
         stage2=default_stage2(lr_base=cfg_d["lr2"], epochs=cfg_d["stage2_epochs"],
                               batch_size=cfg_d["batch_size"]),
         augment=AugmentConfig() if cfg_d["augment"] else None,
-        filter=FilterSpec(fs=fs, mode=cfg_d["filter_mode"]),
+        filter=FilterSpec(fs=first.fs, mode=cfg_d["filter_mode"]),
         k=cfg_d["folds"],
         seed=cfg_d["seed"],
         variant=variant,
     )
+    _check_fits_model(first_path, first.samples.shape[-1], record.model)
     log.info("loading and filtering %d segments", len(manifest))
     return cfg_d, manifest, record, load_dataset(manifest, record.filter)
 

@@ -490,6 +490,8 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 # --- full network ---
 
+EVAL_BLOCK = 8  # segments an eval forward_batch carries through the conv stack at once
+
 
 @dataclass
 class ForwardCache:
@@ -507,6 +509,30 @@ class ForwardCache:
 def _stage_pads(cone: list | None, n_stages: int) -> list[tuple[int, int]]:
     """Each stage's (left, right) column pads."""
     return [pads for _, _, pads in cone] if cone is not None else [FULL_PADS] * n_stages
+
+
+def _stages_and_pool(h: np.ndarray, params: ModelParams, conv_stride: int, cone: list | None,
+                     caches: tuple[list, list] | None = None, out: np.ndarray | None = None):
+    """The conv stages with SiLU over an image batch, then the average over
+    the whole last feature map, written into out if given.
+
+    With caches = (conv_caches, silu_grads), each stage appends its conv
+    cache and SiLU derivative for :func:`backbone_backward`; without, each
+    stage's im2col columns are freed as soon as its GEMM returns. Returns
+    (feats, last map's shape).
+    """
+    layers = params.conv_layers()
+    for (w, b), pads in zip(layers, _stage_pads(cone, len(layers))):
+        z, cc = conv2d_forward(h, w, b, conv_stride, pads)
+        if caches is not None:
+            h, g = silu(z, with_grad=True)
+            caches[0].append(cc)
+            caches[1].append(g)
+        else:
+            del cc  # an eval forward's columns die with their GEMM, before the SiLU
+            h = silu(z)
+        del z
+    return np.divide(h.sum(axis=(1, 2)), float(h.shape[1] * h.shape[2]), out=out), h.shape
 
 
 def backbone_forward(
@@ -528,22 +554,9 @@ def backbone_forward(
     want_cache, the cache for :func:`backbone_backward`; without it each
     stage's im2col columns are freed as soon as its GEMM returns.
     """
-    h = img
     conv_caches, silu_grads = [], []
-    layers = params.conv_layers()
-    for (w, b), pads in zip(layers, _stage_pads(cone, len(layers))):
-        z, cc = conv2d_forward(h, w, b, conv_stride, pads)
-        if want_cache:
-            h, g = silu(z, with_grad=True)
-            conv_caches.append(cc)
-            silu_grads.append(g)
-        else:
-            del cc  # an eval forward's columns die with their GEMM, before the SiLU
-            h = silu(z)
-        del z
-
-    denom = float(h.shape[1] * h.shape[2])
-    feat = h.sum(axis=(1, 2)) / denom
+    feat, fmap_shape = _stages_and_pool(img, params, conv_stride, cone,
+                                        (conv_caches, silu_grads) if want_cache else None)
 
     if dropout_rate > 0.0:
         if rng is None:
@@ -561,9 +574,9 @@ def backbone_forward(
     cache = ForwardCache(
         conv_caches=conv_caches,
         silu_grads=silu_grads,
-        fmap_shape=h.shape,
+        fmap_shape=fmap_shape,
         cone=cone,
-        pool_denominator=denom,
+        pool_denominator=float(fmap_shape[1] * fmap_shape[2]),
         dropout_mask=mask,
         feat_dropped=feat_dropped,
         probs=probs,
@@ -638,6 +651,11 @@ def forward_batch(
     :func:`central_cone` is embedded and each stage computes only its cone.
     The pooled central columns equal a full-width pass's, bit for bit where
     BLAS rounds each GEMM row the same whatever the row count.
+
+    An eval forward (neither train nor want_cache) embeds and runs the conv
+    stack over blocks of EVAL_BLOCK segments, so its working set does not
+    grow with the batch; the head then runs once over all pooled rows, as a
+    per-block head would round differently on a block of a few rows.
     """
     x = np.asarray(x)
     cone = None
@@ -648,6 +666,13 @@ def forward_batch(
         # these samples make exactly image columns a0 .. b0-1
         a0, b0, _ = cone[0]
         x = x[..., a0 * cfg.stride : b0 * cfg.stride]
+    if not (train or want_cache):
+        feat = np.empty((x.shape[0], cfg.backbone_channels[-1]), dtype=cfg.np_dtype)
+        for a in range(0, x.shape[0], EVAL_BLOCK):
+            xb = np.asarray(x[a : a + EVAL_BLOCK], dtype=cfg.np_dtype)
+            img, _ = eeg_to_image_batch(xb, params.embedding, cfg.row_layout, cfg.stride)
+            _stages_and_pool(img, params, cfg.conv_stride, cone, out=feat[a : a + EVAL_BLOCK])
+        return softmax(feat @ params.get("dense_w") + params.get("dense_b")), feat
     x = np.asarray(x, dtype=cfg.np_dtype)
     img, image_cache = eeg_to_image_batch(x, params.embedding, cfg.row_layout, cfg.stride)
     out = backbone_forward(

@@ -358,6 +358,30 @@ def test_predict_rejects_segments_at_another_rate(trained_run, tmp_path, capsys)
     assert "s000000.eeg" in err and "200.0 Hz" in err
 
 
+@pytest.mark.parametrize("fs, want", [
+    ("100", ["500 samples", "backbone 16,32,64,128", "`backbone`"]),
+    ("101", ["505 samples", "stride 10"]),
+])
+def test_train_on_segments_too_short_for_the_model_fails_before_any_work(tmp_path, capsys,
+                                                                          monkeypatch, fs, want):
+    """At the default backbone a 5-s segment leaves a last feature map too
+    narrow for the central columns; the command fails on the first segment's
+    sample count before it loads, pretrains or writes anything."""
+    import eegimage.cli as cli
+
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run_gen(data, patients=3, segments=2, extra=["--fs", fs]) == 0
+    capsys.readouterr()
+    for name in ("load_dataset", "pretrain_backbone"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: pytest.fail(_name))
+    rc = main(["train", "--data-dir", str(data), "--out-dir", str(out), "--seed", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / 'signals' / 's000000.eeg'}: "), err
+    assert all(w in err for w in want), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ragged", ["channels", "samples"])
 def test_train_rejects_a_ragged_segment_naming_it(tmp_path, capsys, ragged):
     data = tmp_path / "data"
@@ -692,7 +716,8 @@ def test_a_truncated_signal_file_fails_naming_it(trained_run, tmp_path, capsys, 
     path.write_bytes(path.read_bytes()[:-6])
     capsys.readouterr()
     args = (["--run-dir", str(run), "--out", str(tmp_path / "p.csv")] if command == "predict"
-            else ["--out-dir", str(tmp_path / "run"), "--folds", "2", "--no-pretrain"])
+            else ["--out-dir", str(tmp_path / "run"), "--folds", "2", "--no-pretrain",
+                  "--backbone", "6,8"])
     assert main([command, "--data-dir", str(data), *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: samples: ")

@@ -20,6 +20,7 @@ from test_gradients import ravel, set_from_ravel
 from eegimage.model import (
     ABLATION_VARIANTS,
     CONV_PAD,
+    EVAL_BLOCK,
     FULL_PADS,
     ModelConfig,
     ModelParams,
@@ -1012,6 +1013,59 @@ def test_eval_forward_keeps_one_stage_of_im2col_columns(monkeypatch):
     seen.clear(), peak.clear()
     forward_batch(x, params, cfg, want_cache=True)
     assert max(peak) == sum(stages)
+
+
+EVAL_BLOCK_CFGS = {
+    "float32": ModelConfig(),
+    "float64": ModelConfig(dtype="float64"),
+    "float32_full_width": ModelConfig(pool_full_width=True),
+    "float64_full_width": ModelConfig(dtype="float64", pool_full_width=True),
+}
+
+
+def eval_block_problem(name, n, seed=0):
+    cfg = EVAL_BLOCK_CFGS[name]
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, seed)
+    params.set("embedding", project_rows_simplex(rng.random(params.embedding.shape)))
+    params.set("dense_w", (rng.normal(size=params.get("dense_w").shape) * 0.3).astype(cfg.np_dtype))
+    params.set("dense_b", rng.normal(size=cfg.n_classes).astype(cfg.np_dtype))
+    return cfg, params, rng.normal(size=(n, cfg.n_channels, 1000)) * 50 + 127.5
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_BLOCK_CFGS))
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 19, 64])
+def test_blocked_eval_forward_equals_the_whole_batch_forward(name, n):
+    """An eval forward runs the conv stack EVAL_BLOCK segments at a time and
+    the head once over every row; its output is that of the cache path,
+    which runs the whole batch at once, bit for bit. A head per block would
+    round its tail block of a few rows differently."""
+    assert EVAL_BLOCK == 8  # the sizes above then leave tail blocks of 1, 2, 3 and 8 rows
+    cfg, params, x = eval_block_problem(name, n)
+    probs, feats = forward_batch(x, params, cfg)
+    want_probs, want_feats, _ = forward_batch(x, params, cfg, want_cache=True)
+    assert feats.dtype == cfg.np_dtype and feats.shape == (n, cfg.backbone_channels[-1])
+    assert np.array_equal(feats, want_feats) and np.array_equal(probs, want_probs)
+
+
+@pytest.mark.parametrize("name", ["float32", "float32_full_width"])
+def test_eval_forward_memory_does_not_grow_with_the_batch(name):
+    """The live-allocation peak of one eval forward of 64 segments stays
+    within 1.25x that of one EVAL_BLOCK; the input is made beforehand."""
+    import tracemalloc
+
+    cfg, params, x = eval_block_problem(name, 64)
+    peaks = []
+    for rows in (EVAL_BLOCK, 64):
+        xb = np.ascontiguousarray(x[:rows])
+        tracemalloc.start()
+        try:
+            forward_batch(xb, params, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_dropout_scaling_preserves_expectation():

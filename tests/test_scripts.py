@@ -93,9 +93,10 @@ def test_memory_peaks_quick_reports_every_phase_and_command(tmp_path):
     res = run_script("memory_peaks.py", "--out", tmp_path / "serve", "--quick",
                      "--commands", "serve", "--rounds", 1)
     assert res.returncode == 0, res.stderr
-    assert [line.split()[2] for line in res.stdout.splitlines()] == ["predict", "tsne"]
-    assert all(re.search(r"minflt +\d+ +sys_s +[\d.]+ +user_s", line)
-               for line in res.stdout.splitlines())
+    setup, *rounds = res.stdout.splitlines()
+    assert re.fullmatch(r"setup maxrss_mib +[\d.]+", setup), setup
+    assert [line.split()[2] for line in rounds] == ["predict", "tsne"]
+    assert all(re.search(r"minflt +\d+ +sys_s +[\d.]+ +user_s", line) for line in rounds)
 
 
 def test_perfbench_tracer_finds_every_function_it_wraps():
