@@ -22,11 +22,12 @@ interpreter's own, and its bookkeeping adds to ru_maxrss and ru_minflt.
 
 With --commands W there is no tracemalloc: this process sets up the
 perfbench workload W (train_cv, ablate_small or serve) once and runs its
-timed commands --rounds times, as perfbench's rounds do. A first line gives
-ru_maxrss after the set-up; then one line per command and round gives its
-minor faults, system and user seconds and ru_maxrss after it, so a reader
-can tell whether the set-up or a timed command set the peak. To compare two checkouts, run each workload in a fresh
-process per checkout.
+timed commands --rounds times, as perfbench's rounds do. One line per
+set-up command (``gen``; for serve ``gen``, ``train``, ``gen``) gives
+ru_maxrss after it; then one line per command and round gives its minor
+faults, system and user seconds and ru_maxrss after it, so a reader can
+tell which command set the peak. To compare two checkouts, run each
+workload in a fresh process per checkout.
 
 --quick makes the inputs small (6 x 3 segments, 5 s long for training;
 backbone 8,16,32, batch 8; two ablation variants) for a smoke run of a few
@@ -108,34 +109,36 @@ class PhasePeaks:
 
 
 def workload(out: Path, name: str, quick: bool):
-    """Set up perfbench's workload `name` once, from perfbench's own inputs,
-    as its set-up does; return its timed commands as (command, argv) pairs."""
+    """Perfbench's workload `name`, from perfbench's own inputs: its set-up
+    commands and its timed commands, each a list of (command, argv) pairs."""
     data, run = out / "data", out / "run"
     if name == "train_cv":
-        quiet("gen", "--out-dir", data, "--seed", 0,
-              *(QUICK_GEN if quick else bench._flags(bench.TRAIN_CV_GEN)))
+        gen = QUICK_GEN if quick else bench._flags(bench.TRAIN_CV_GEN)
         train = QUICK_TRAIN if quick else bench._flags(bench.TRAIN_CV_TRAIN)
-        return [("train", ["--data-dir", data, "--out-dir", run, "--seed", 0, *train]),
-                ("evaluate", ["--data-dir", data, "--run-dir", run])]
+        return ([("gen", ["--out-dir", data, "--seed", 0, *gen])],
+                [("train", ["--data-dir", data, "--out-dir", run, "--seed", 0, *train]),
+                 ("evaluate", ["--data-dir", data, "--run-dir", run])])
     if name == "ablate_small":
         gen = bench._flags(bench.ABLATE_GEN)
-        quiet("gen", "--out-dir", data, "--seed", 0, *(gen + QUICK_GEN if quick else gen))
         flags = QUICK_TRAIN + ["--variants", "full,no_eeg2img"] if quick else []
-        return [("ablate", ["--data-dir", data, "--out-dir", out / "ablation",
-                            "--seeds", bench.ABLATE_SEEDS, "--seed", 0, *flags])]
-    quiet("gen", "--out-dir", out / "train_data", "--seed", 0,
-          *bench._flags(bench.SERVE_TRAIN_GEN))
-    quiet("train", "--data-dir", out / "train_data", "--out-dir", run, "--seed", 0,
-          "--no-pretrain", *bench._flags(bench.SERVE_TRAIN))
-    quiet("gen", "--out-dir", data, "--seed", bench.SERVE_SEED_OFFSET,
-          *(QUICK_GEN[:4] if quick else bench._flags(bench.SERVE_GEN)))  # 10 s long
+        return ([("gen", ["--out-dir", data, "--seed", 0, *(gen + QUICK_GEN if quick else gen)])],
+                [("ablate", ["--data-dir", data, "--out-dir", out / "ablation",
+                             "--seeds", bench.ABLATE_SEEDS, "--seed", 0, *flags])])
     tsne = ["--perplexity", 4, "--iterations", 300] if quick else []
-    return [("predict", ["--data-dir", data, "--run-dir", run, "--out", out / "pred.csv"]),
-            ("tsne", ["--data-dir", data, "--run-dir", run, "--out-dir", out / "tsne", *tsne])]
+    return ([("gen", ["--out-dir", out / "train_data", "--seed", 0,
+                      *bench._flags(bench.SERVE_TRAIN_GEN)]),
+             ("train", ["--data-dir", out / "train_data", "--out-dir", run, "--seed", 0,
+                        "--no-pretrain", *bench._flags(bench.SERVE_TRAIN)]),
+             ("gen", ["--out-dir", data, "--seed", bench.SERVE_SEED_OFFSET,
+                      *(QUICK_GEN[:4] if quick else bench._flags(bench.SERVE_GEN))])],  # 10 s long
+            [("predict", ["--data-dir", data, "--run-dir", run, "--out", out / "pred.csv"]),
+             ("tsne", ["--data-dir", data, "--run-dir", run, "--out-dir", out / "tsne", *tsne])])
 
 
 def phases(out: Path, quick: bool):
-    (cmd, argv), _ = workload(out, "train_cv", quick)
+    setup, [(cmd, argv), _] = workload(out, "train_cv", quick)
+    for c, a in setup:
+        quiet(c, *a)
     peaks = PhasePeaks()
     saved = [(mod, name, getattr(mod, name)) for name, mod in PHASES]
     for mod, name, func in saved:
@@ -151,9 +154,12 @@ def phases(out: Path, quick: bool):
 
 
 def commands(out: Path, name: str, rounds: int, quick: bool):
-    timed = workload(out, name, quick)
-    # the set-up's own peak, so a round's line shows whether it set a new one
-    print(f"setup maxrss_mib {usage().ru_maxrss / 1024:6.1f}")
+    setup, timed = workload(out, name, quick)
+    # the peak after each set-up command, so a reader can tell which set it
+    # and whether a round's line sets a new one
+    for cmd, argv in setup:
+        quiet(cmd, *argv)
+        print(f"setup {cmd:9s} maxrss_mib {usage().ru_maxrss / 1024:6.1f}")
     for r in range(rounds):
         for cmd, argv in timed:
             before = usage()

@@ -27,6 +27,7 @@ from .analysis import (
 from .augment import AugmentConfig
 from .data import (
     CLASS_NAMES,
+    DatasetManifest,
     load_manifest,
     read_segments,
     read_signal,
@@ -365,14 +366,16 @@ def cmd_tsne(args) -> int:
     cfg = TsneConfig(perplexity=cfg_d["perplexity"], iterations=cfg_d["iterations"],
                      seed=cfg_d["seed"])
     out = Path(args.out_dir or Path(args.run_dir) / "eval")
-    manifest, param_sets, rec, ds = _load_run(args)
-    emb = extract_embeddings(param_sets, ds.x_uv, use_probs=cfg_d["use_probs"])
+    manifest, param_sets, rec = _load_run(args)
+    emb = _serve(manifest, rec.filter, lambda x_uv: extract_embeddings(
+        param_sets, x_uv, use_probs=cfg_d["use_probs"]))
     result = tsne(emb, cfg, trace_every=TSNE_TRACE_EVERY)
-    emit_report(out, tsne_data=(result.coords, manifest.consensus_labels(), ds.segment_ids),
+    ids = [e.segment_id for e in manifest.entries]
+    emit_report(out, tsne_data=(result.coords, manifest.consensus_labels(), ids),
                 comment=_stamp(rec, cfg.seed, tsne=cfg))
     trace = result.objective_trace
     print(f"KL {trace[0]:.2f} -> {trace[-1]:.2f} over {cfg.iterations} iterations")
-    print(f"t-SNE coordinates for {len(ds)} segments in {out}")
+    print(f"t-SNE coordinates for {len(ids)} segments in {out}")
     return 0
 
 
@@ -399,21 +402,39 @@ def _load_fold_models(run_dir: Path):
 
 
 def _load_run(args):
-    """Manifest, fold models, the run's record and the dataset filtered with
-    its recorded bandpass, so serving filters as training did."""
+    """Manifest, fold models and the run's record."""
     run_dir = Path(args.run_dir)
     manifest = load_manifest(_data_dir(args) / "manifest.csv")
-    param_sets = _load_fold_models(run_dir)
-    rec = _read_summary(run_dir)
-    return manifest, param_sets, rec, load_dataset(manifest, rec.filter)
+    return manifest, _load_fold_models(run_dir), _read_summary(run_dir)
+
+
+SERVE_BLOCK = 64  # segments predict and tsne load at a time: predict_batched's batch
+
+
+def _serve(manifest: DatasetManifest, spec: FilterSpec, outputs) -> np.ndarray:
+    """outputs(x_uv) of the served set, loaded SERVE_BLOCK segments at a
+    time and filtered with spec, the run's recorded bandpass, so serving
+    filters as training did; the blocks' rows are concatenated. Each block
+    is freed before the next is loaded, so serving holds one, not the whole
+    set. Every segment must have the set's first segment's shape; the first
+    that does not fails naming its file, as a whole-set load would."""
+    first, out = None, []
+    for i in range(0, len(manifest), SERVE_BLOCK):
+        block = DatasetManifest(manifest.entries[i : i + SERVE_BLOCK], manifest.root)
+        x_uv = load_dataset(block, spec, first).x_uv
+        first = first or (manifest.segment_path(manifest.entries[0]), x_uv.shape[1:])
+        out.append(outputs(x_uv))
+        del x_uv  # else it is alive while the next block loads
+    return np.concatenate(out)
 
 
 def cmd_predict(args) -> int:
     out_path = Path(args.out or "predictions.csv")
-    _, param_sets, rec, ds = _load_run(args)
-    probs = ensemble_predict(param_sets, ds.x_uv)
-    export_predictions(out_path, ds.segment_ids, probs, header_comment=_stamp(rec))
-    print(f"wrote {len(ds)} ensemble predictions to {out_path}")
+    manifest, param_sets, rec = _load_run(args)
+    probs = _serve(manifest, rec.filter, lambda x_uv: ensemble_predict(param_sets, x_uv))
+    ids = [e.segment_id for e in manifest.entries]
+    export_predictions(out_path, ids, probs, header_comment=_stamp(rec))
+    print(f"wrote {len(ids)} ensemble predictions to {out_path}")
     return 0
 
 

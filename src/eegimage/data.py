@@ -333,21 +333,24 @@ def read_signal(path: Path) -> EegSegment:
     )
 
 
-def read_segments(manifest: DatasetManifest, fs: float | None = None):
+def read_segments(manifest: DatasetManifest, fs: float | None = None,
+                  first: tuple[Path, tuple[int, int]] | None = None):
     """Yield the segment of every manifest entry, in order.
 
     Each segment must be sampled at fs (the first segment's rate when fs is
     None) and have the first segment's (channels, samples) shape; the first
-    that does not fails naming its file and the field.
+    that does not fails naming its file and the field. first = (path,
+    shape) names that first segment when it is not in this manifest, as
+    for a block of a larger set.
     """
-    first = None
+    expected = "the filter expects"
     for e in manifest.entries:
         p = manifest.segment_path(e)
         seg = read_signal(p)
         if first is None:
             first = (p, seg.samples.shape)
-            expected = "the filter expects" if fs is not None else f"the first segment {p} is"
-            fs = seg.fs if fs is None else fs
+        if fs is None:
+            fs, expected = seg.fs, f"the first segment {p} is"
         if seg.fs != fs:
             raise ValueError(f"{p}: fs: sampled at {seg.fs} Hz, {expected} {fs} Hz")
         if seg.samples.shape != first[1]:

@@ -365,12 +365,16 @@ def conv2d_backward(dout: np.ndarray, cache, want_dx: bool = True,
                     pads: tuple[int, int] = FULL_PADS):
     """(dx, dw, db) of a conv2d_forward that used these column pads. dx is
     None when want_dx is False, which skips the second GEMM and the col2im
-    scatter."""
+    scatter. The cache's im2col columns are released right after the dW
+    GEMM, so they are freed then when the caller passed the only reference
+    (as :func:`backbone_backward` does)."""
     cols, w, stride, dims = cache
+    del cache  # so that the columns die with the dW GEMM if no caller holds them
     kk = w.shape[0]
     cout = w.shape[3]
     dflat = dout.reshape(-1, cout)
     dw = (cols.T @ dflat).reshape(w.shape)
+    del cols
     db = dflat.sum(axis=0)
     if not want_dx:
         return None, dw, db
@@ -504,6 +508,7 @@ class ForwardCache:
     feat_dropped: np.ndarray
     probs: np.ndarray
     image_cache: tuple | None = None  # set by forward_batch
+    consumed: bool = False  # set by backbone_backward, which frees the stages
 
 
 def _stage_pads(cone: list | None, n_stages: int) -> list[tuple[int, int]]:
@@ -592,6 +597,13 @@ def kl_div_rows(y: np.ndarray, p: np.ndarray, clip: float = 1e-15) -> np.ndarray
     return terms.sum(axis=-1)
 
 
+def _take_columns(conv_caches: list, i: int) -> tuple:
+    """conv_caches[i], which is left in the list without its im2col columns."""
+    cc = conv_caches[i]
+    conv_caches[i] = (None,) + cc[1:]
+    return cc
+
+
 def backbone_backward(
     y: np.ndarray,
     weights: np.ndarray,
@@ -604,13 +616,23 @@ def backbone_backward(
     Returns (loss, grads, dz0): grads mirrors params (an embedding, if
     present, is left at zero) and dz0 is the gradient w.r.t. stage 0's
     pre-activation. No stage builds the gradient w.r.t. the image.
+
+    Consumes the cache: each stage's SiLU derivative is dropped once its dz
+    is formed, and its im2col columns once its dW GEMM has run, so the
+    backward's working set shrinks as it goes. The conv caches keep their
+    weights and shapes (stage 0's for :func:`eeg_to_image_backward`). A
+    second backward on the same cache raises ValueError.
     """
+    if cache.consumed:
+        raise ValueError("this forward cache was consumed by an earlier backward; "
+                         "run the forward again")
     probs = cache.probs
     loss = float((weights * kl_div_rows(y, probs)).sum())
     if not np.isfinite(loss):
         raise FloatingPointError(
             f"non-finite loss {loss}; prob range [{probs.min()}, {probs.max()}]"
         )
+    cache.consumed = True
 
     grads = params.zeros_like()
     dlogits = (weights[:, None] * (probs - y)).astype(probs.dtype)
@@ -627,7 +649,8 @@ def backbone_backward(
     pads = _stage_pads(cache.cone, len(cache.conv_caches))
     for i in reversed(range(len(cache.conv_caches))):
         dz = silu_backward(dh, cache.silu_grads[i])
-        dh, dw, db = conv2d_backward(dz, cache.conv_caches[i], i > 0, pads[i])
+        cache.silu_grads[i] = dh = None
+        dh, dw, db = conv2d_backward(dz, _take_columns(cache.conv_caches, i), i > 0, pads[i])
         grads.get(f"conv{i}_w")[...] = dw
         grads.get(f"conv{i}_b")[...] = db
     return loss, grads, dz

@@ -469,6 +469,98 @@ def test_no_command_scales_more_than_one_batch(tmp_path, monkeypatch):
             assert rows == [64, 16], (command, rows)
 
 
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_served_blocks_give_the_whole_set_outputs(trained_run, tmp_path, monkeypatch, n):
+    """predict and tsne load the served set SERVE_BLOCK (64) segments at a
+    time; the probabilities they write and the features t-SNE maps are
+    those of one load_dataset and one ensemble_predict / extract_embeddings
+    over every row, byte for byte."""
+    import eegimage.cli as cli
+    from eegimage.analysis import extract_embeddings
+
+    _, run = trained_run
+    data = tmp_path / "data"
+    assert run_gen(data, patients=n, segments=1) == 0
+    seen, export, tsne = {}, cli.export_predictions, cli.tsne
+
+    def export_spy(path, ids, probs, **k):
+        seen.update(ids=ids, probs=probs)
+        return export(path, ids, probs, **k)
+
+    def tsne_spy(emb, *a, **k):
+        seen["emb"] = emb
+        return tsne(emb, *a, **k)
+
+    monkeypatch.setattr(cli, "export_predictions", export_spy)
+    monkeypatch.setattr(cli, "tsne", tsne_spy)
+    assert main(["predict", "--data-dir", str(data), "--run-dir", str(run),
+                 "--out", str(tmp_path / "p.csv")]) == 0
+    rc = main(["tsne", "--data-dir", str(data), "--run-dir", str(run),
+               "--out-dir", str(tmp_path / "t"), "--perplexity", "4", "--iterations", "300"])
+    assert rc == (1 if n == 1 else 0)  # t-SNE needs 10 points
+
+    manifest = load_manifest(data / "manifest.csv")
+    models = [load_checkpoint(p)[:2] for p in sorted(run.glob("fold*.ckpt"))]
+    ds = load_dataset(manifest, FilterSpec(fs=100.0))
+    assert seen["ids"] == ds.segment_ids
+    assert same_bytes(seen["probs"], ensemble_predict(models, ds.x_uv))
+    assert same_bytes(seen["emb"], extract_embeddings(models, ds.x_uv))
+
+
+def test_predict_memory_does_not_grow_with_the_served_set(trained_run, tmp_path):
+    """predict holds one SERVE_BLOCK of served segments, not the whole set:
+    its live-allocation peak on 256 segments stays within 1.25x its peak on
+    64."""
+    import tracemalloc
+
+    _, run = trained_run
+    peaks = []
+    for patients in (8, 32):  # 8 segments each
+        data = tmp_path / f"data{patients}"
+        assert run_gen(data, patients=patients, segments=8) == 0
+        tracemalloc.start()
+        try:
+            assert main(["predict", "--data-dir", str(data), "--run-dir", str(run),
+                         "--out", str(tmp_path / "p.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("command", ["predict", "tsne"])
+def test_serving_names_a_segment_shaped_unlike_the_first_in_a_later_block(trained_run,
+                                                                          tmp_path, capsys,
+                                                                          command):
+    """Blocks are checked against the set's first segment, not their own: a
+    set whose segments from index 64 on hold 400 samples, not 500, fails on
+    the first of them."""
+    _, run = trained_run
+    data = tmp_path / "data"
+    assert run_gen(data, patients=8, segments=10) == 0
+    manifest = load_manifest(data / "manifest.csv")
+    for e in manifest.entries[64:]:
+        path = manifest.segment_path(e)
+        seg = read_signal(path)
+        write_signal(path, replace(seg, samples=seg.samples[:, :400], t_total_s=4.0,
+                                   t_center_s=0.8))
+    capsys.readouterr()
+    out = (["--out", str(tmp_path / "p.csv")] if command == "predict" else
+           ["--out-dir", str(tmp_path / "t"), "--perplexity", "4", "--iterations", "300"])
+    rc = main([command, "--data-dir", str(data), "--run-dir", str(run), *out])
+    assert rc == 1
+    first, bad = (manifest.segment_path(manifest.entries[i]) for i in (0, 64))
+    assert capsys.readouterr().err == (
+        f"error: {bad}: shape: (16, 400) (channels, samples), the first segment "
+        f"{first} is (16, 500)\n")
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "t").exists()
+
+
 def test_non_finite_loss_exits_1_naming_where(tmp_path, capsys, monkeypatch):
     import eegimage.train as train
 

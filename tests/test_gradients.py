@@ -113,10 +113,20 @@ def test_weight_doubling_doubles_gradients():
     cfg, params, x, y, weights = make_problem(seed=3)
     _, _, cache = forward_batch(x, params, cfg, want_cache=True)
     loss1, g1 = backward_batch(y, weights, params, cfg, cache)
+    # a backward consumes its cache; the eval-mode forward is deterministic
+    _, _, cache = forward_batch(x, params, cfg, want_cache=True)
     loss2, g2 = backward_batch(y, 2.0 * weights, params, cfg, cache)
     assert loss2 == 2.0 * loss1
     for name, arr in g1.named_arrays():
         assert np.array_equal(g2.get(name), 2.0 * arr)
+
+
+def test_a_second_backward_on_one_cache_raises():
+    cfg, params, x, y, weights = make_problem(seed=3)
+    _, _, cache = forward_batch(x, params, cfg, want_cache=True)
+    backward_batch(y, weights, params, cfg, cache)
+    with pytest.raises(ValueError, match="consumed"):
+        backward_batch(y, weights, params, cfg, cache)
 
 
 def test_prediction_equals_target_is_stationary():

@@ -1068,6 +1068,31 @@ def test_eval_forward_memory_does_not_grow_with_the_batch(name):
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
+def test_backward_frees_each_stage_as_it_goes():
+    """A batch-32 training step at the default model: the backward consumes
+    the forward's cache, freeing each stage's SiLU derivative and im2col
+    columns as soon as they are used, so its live-allocation peak (the cache
+    included) stays within 1.05x the training forward's."""
+    import tracemalloc
+
+    cfg = ModelConfig()
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    x = (rng.normal(size=(32, cfg.n_channels, 1000)) * 30 + 127.5).astype(np.float32)
+    y = rng.dirichlet(np.ones(cfg.n_classes), size=32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, _, cache = forward_batch(x, params, cfg, train=True, rng=rng, want_cache=True)
+        forward_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        backward_batch(y, np.ones(32), params, cfg, cache)
+        backward_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert backward_peak <= 1.05 * forward_peak, (backward_peak, forward_peak)
+
+
 def test_dropout_scaling_preserves_expectation():
     cfg = small_cfg(dropout_rate=0.5)
     params = init_params(cfg, seed=0)

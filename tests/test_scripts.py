@@ -93,8 +93,10 @@ def test_memory_peaks_quick_reports_every_phase_and_command(tmp_path):
     res = run_script("memory_peaks.py", "--out", tmp_path / "serve", "--quick",
                      "--commands", "serve", "--rounds", 1)
     assert res.returncode == 0, res.stderr
-    setup, *rounds = res.stdout.splitlines()
-    assert re.fullmatch(r"setup maxrss_mib +[\d.]+", setup), setup
+    lines = res.stdout.splitlines()
+    setup, rounds = lines[:3], lines[3:]
+    assert all(re.fullmatch(r"setup \w+ +maxrss_mib +[\d.]+", line) for line in setup), setup
+    assert [line.split()[1] for line in setup] == ["gen", "train", "gen"]
     assert [line.split()[2] for line in rounds] == ["predict", "tsne"]
     assert all(re.search(r"minflt +\d+ +sys_s +[\d.]+ +user_s", line) for line in rounds)
 

@@ -26,6 +26,7 @@ from eegimage.model import (
     load_checkpoint,
 )
 from eegimage.train import (
+    FILTER_BLOCK,
     SCOPE_HIGH_QUALITY,
     WEIGHT_ANNOTATORS,
     WEIGHT_UNIFORM,
@@ -877,7 +878,9 @@ def test_load_dataset_designs_the_bandpass_once(tmp_path, monkeypatch, mode):
     assert np.array_equal(ds.x_uv, np.stack(per_segment).astype(np.float32))
 
 
-@pytest.mark.parametrize("n_segments", [1, 31, 32, 33, 70])
+# one segment, the edges of one block, and two full blocks and a tail
+@pytest.mark.parametrize("n_segments", [1, FILTER_BLOCK - 1, FILTER_BLOCK, FILTER_BLOCK + 1,
+                                        2 * FILTER_BLOCK + 6])
 @pytest.mark.parametrize("mode", ["zero_phase", "causal"])
 def test_load_dataset_filters_blocks_bit_identical_to_each_segment(tmp_path, monkeypatch,
                                                                     mode, n_segments):
