@@ -4,6 +4,12 @@ Small-n only: O(n^2) affinities, per-point bandwidths binary-searched for all
 points at once, early exaggeration, momentum with per-coordinate gains, and an
 objective trace so tests can assert the KL actually decreases.
 
+The bandwidth search and the joint affinities P run in float64. The map runs
+in float32, as scikit-learn's does: P is cast once, and the map, its momentum
+and gains and every n x n array of the loop are float32, which halves the
+loop's memory traffic. The reported objective is summed in float64, and the
+returned coordinates are a float64 copy of the map, re-centred in float64.
+
 The trace runs on a schedule: ``tsne(x, cfg, trace_every=k)`` evaluates
 KL(P || Q) at every k-th iteration and at the last one. The library default,
 1, traces every iteration; the ``tsne`` command traces every 50th, as
@@ -143,11 +149,11 @@ def _low_dim_q(y: np.ndarray, buf: np.ndarray | None = None):
     """Student-t affinities Q of the map y, floored at _EPS, and their
     unnormalised kernel (zero diagonal).
 
-    buf, a (3, n, n) float64 array, holds the work and the two results, so a
-    loop calling this every iteration allocates no n x n array.
+    buf, a (3, n, n) array of y's dtype, holds the work and the two results,
+    so a loop calling this every iteration allocates no n x n array.
     """
     n = y.shape[0]
-    gram, num, q = np.empty((3, n, n)) if buf is None else buf
+    gram, num, q = np.empty((3, n, n), dtype=y.dtype) if buf is None else buf
     sq = np.sum(y * y, axis=1)
     np.matmul(y, y.T, out=gram)
     gram *= 2.0
@@ -165,21 +171,22 @@ def _low_dim_q(y: np.ndarray, buf: np.ndarray | None = None):
 def kl_objective(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> float:
     """KL(P || Q) over the off-diagonal entries, for Q from :func:`_low_dim_q`.
 
-    out, an (n-1, n) float64 array, receives the terms; they are summed as
-    one flat array, in the order of the boolean-mask gather.
+    out, an (n-1, n) array of the inputs' dtype, receives the terms; they are
+    summed in float64 as one flat array, in the order of the boolean-mask
+    gather.
     """
     p_off, q_off = _off_diagonal(p), _off_diagonal(q)
     if out is None:
-        out = np.empty(p_off.shape)
+        out = np.empty(p_off.shape, dtype=np.result_type(p, q))
     np.divide(p_off, q_off, out=out)
     np.log(out, out=out)
     out *= p_off
-    return float(out.reshape(-1).sum())
+    return float(out.reshape(-1).sum(dtype=np.float64))
 
 
 @dataclass
 class TsneResult:
-    coords: np.ndarray  # (n, 2), zero-mean
+    coords: np.ndarray  # (n, 2) float64, zero-mean
     objective_trace: np.ndarray  # KL(P||Q) at trace_iterations, unexaggerated P
     trace_iterations: np.ndarray  # int, ascending; holds 0 and the last iteration
 
@@ -207,24 +214,27 @@ def tsne(embeddings: np.ndarray, cfg: TsneConfig, trace_every: int = 1) -> TsneR
             f"perplexity {cfg.perplexity} infeasible for n={n}; need < (n-1)/3"
         )
 
+    # Python floats, so a numpy scalar in cfg cannot promote the map to float64
+    exaggeration = float(cfg.exaggeration)
     if cfg.learning_rate == "auto":
-        learning_rate = max(n / (4.0 * cfg.exaggeration), 50.0)
+        learning_rate = max(n / (4.0 * exaggeration), 50.0)
     else:
-        learning_rate = cfg.learning_rate
+        learning_rate = float(cfg.learning_rate)
+    momentum_early, momentum_late = float(cfg.momentum_early), float(cfg.momentum_late)
 
-    p_true = joint_affinities(x, cfg.perplexity)
-    p_exaggerated = p_true * cfg.exaggeration
+    p_true = joint_affinities(x, cfg.perplexity).astype(np.float32)
+    p_exaggerated = p_true * exaggeration
     rng = np.random.default_rng(cfg.seed)
-    y = rng.normal(0.0, 1e-4, size=(n, 2))
+    y = rng.normal(0.0, 1e-4, size=(n, 2)).astype(np.float32)
     y -= y.mean(axis=0)
     inc = np.zeros_like(y)
     gains = np.ones_like(y)
     last = cfg.iterations - 1
     trace, trace_iterations = [], []
     # every n x n array of the loop lives here; each step writes in place
-    q_buf = np.empty((3, n, n))
-    pq = np.empty((n, n))
-    kl_terms = np.empty((n - 1, n))
+    q_buf = np.empty((3, n, n), dtype=np.float32)
+    pq = np.empty((n, n), dtype=np.float32)
+    kl_terms = np.empty((n - 1, n), dtype=np.float32)
     q, num = _low_dim_q(y, q_buf)
 
     for it in range(cfg.iterations):
@@ -236,7 +246,7 @@ def tsne(embeddings: np.ndarray, cfg: TsneConfig, trace_every: int = 1) -> TsneR
         np.negative(pq, out=pq)
         pq.reshape(-1)[:: n + 1] = row_sums
         grad = 4.0 * (pq @ y)
-        momentum = cfg.momentum_early if it < cfg.exaggeration_iters else cfg.momentum_late
+        momentum = momentum_early if it < cfg.exaggeration_iters else momentum_late
         flips = np.sign(grad) != np.sign(inc)
         gains = np.where(flips, gains + 0.2, gains * 0.8)
         np.clip(gains, 0.01, None, out=gains)
@@ -249,7 +259,9 @@ def tsne(embeddings: np.ndarray, cfg: TsneConfig, trace_every: int = 1) -> TsneR
             trace.append(kl_objective(p_true, q, kl_terms))
             trace_iterations.append(it)
 
-    return TsneResult(coords=y, objective_trace=np.array(trace),
+    coords = y.astype(np.float64)
+    coords -= coords.mean(axis=0)
+    return TsneResult(coords=coords, objective_trace=np.array(trace),
                       trace_iterations=np.array(trace_iterations))
 
 
