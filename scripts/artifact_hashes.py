@@ -27,6 +27,7 @@ The recipe (seed 0 everywhere):
   with the acceptance determinism gate's flags (2 folds, 2 + 1 epochs,
   batch 8, backbone 8,16,32), ``run_nopre`` the same with --no-pretrain; each
   is evaluated, predicted and t-SNE'd (perplexity 4, 300 iterations);
+  ``small_pre`` is its default ``preprocess`` output;
 - ``big``: 16 x 10 segments; ``run_big`` trains the default model with
   pretraining, 2 folds, 5 + 1 epochs, then evaluate, predict, default t-SNE;
 - ``abl``: 9 x 6 segments at 40 uV noise, 5 s; ``ablation`` runs all four
@@ -71,6 +72,7 @@ def run(out: Path, quick: bool) -> None:
         serve(small, out / name, SMALL_TSNE)
     if quick:
         return
+    step("preprocess", "--data-dir", small, "--out-dir", out / "small_pre")
     big = out / "big"
     step("gen", "--out-dir", big, "--patients", 16, "--segments", 10, "--seed", 0)
     step("train", "--data-dir", big, "--out-dir", out / "run_big", *BIG_TRAIN)

@@ -1,8 +1,9 @@
-"""The step both pipeline scripts chain commands with: echo one eegimage
-command, run it through ``eegimage.cli.main`` and exit with its code if it
-fails."""
+"""What every script chains eegimage commands with: ``step`` echoes one
+command, runs it through ``eegimage.cli.main`` and exits with its code if it
+fails; ``read_ablation`` reads back the table ``eegimage ablate`` wrote."""
 
 import contextlib
+import csv
 import sys
 
 from eegimage.cli import main as cli
@@ -17,3 +18,11 @@ def step(*argv, stdout=None):
         rc = cli(argv)
     if rc:
         sys.exit(rc)
+
+
+def read_ablation(out_dir):
+    """The rows of out_dir/ablation.csv, by variant, as strings: mean_kld,
+    p_vs_full (empty for full) and kld_seed0, kld_seed1, ..."""
+    with open(f"{out_dir}/ablation.csv", newline="") as f:
+        rows = csv.DictReader(line for line in f if not line.startswith("#"))
+        return {r["variant"]: r for r in rows}

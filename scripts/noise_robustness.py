@@ -5,7 +5,9 @@ Trains the full model and the fixed-interleave variant (no_eeg2img) across a
 sweep of pink-noise RMS levels and reports out-of-fold KLD for each. At low
 noise both embeddings work; as noise rises, the simplex-constrained kernels
 (smoothing filters by construction) keep denoising while the fixed interleave
-passes noise straight into the image.
+passes noise straight into the image. Each level L runs ``eegimage gen`` into
+data_rms<L>/ and ``eegimage ablate`` into ablation_rms<L>/; noise_sweep.csv
+carries the 6-decimal KLDs of each level's ablation.csv.
 
     python3 scripts/noise_robustness.py --out runs/noise_sweep   # ~4 min
 """
@@ -13,14 +15,8 @@ passes noise straight into the image.
 import argparse
 import csv
 import time
-from pathlib import Path
 
-from eegimage.analysis import run_ablation
-from eegimage.augment import AugmentConfig
-from eegimage.model import ModelConfig
-from eegimage.preprocess import FilterSpec
-from eegimage.synthgen import SynthConfig, generate
-from eegimage.train import default_stage1, default_stage2, load_dataset
+from cli_step import read_ablation, step
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -30,37 +26,25 @@ if __name__ == "__main__":
     ap.add_argument("--seeds", type=int, default=2)
     args = ap.parse_args()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out
     results = []
     for noise in args.noise_levels:
         t0 = time.time()
-        synth = SynthConfig(n_patients=24, segments_per_patient=8, fs=100.0,
-                            t_total_s=5.0, label_noise=0.1, seed=0,
-                            noise_rms_uv=noise)
-        manifest = generate(synth, out / f"data_rms{noise:g}")
-        ds = load_dataset(manifest, FilterSpec(fs=synth.fs))
-        rows = run_ablation(
-            manifest, ds, ModelConfig(backbone_channels=(8, 16, 32)),
-            default_stage1(epochs=6, batch_size=16),
-            default_stage2(epochs=2, batch_size=16),
-            AugmentConfig(), seeds=list(range(args.seeds)), k=3,
-            variants=("full", "no_eeg2img"),
-        )
-        by_tag = {r.variant: r for r in rows}
-        results.append({
-            "noise_rms_uv": noise,
-            "full_kld": by_tag["full"].mean_kld,
-            "no_eeg2img_kld": by_tag["no_eeg2img"].mean_kld,
-            "gap": by_tag["no_eeg2img"].mean_kld - by_tag["full"].mean_kld,
-        })
-        r = results[-1]
-        print(f"noise {noise:5.1f} uV: full {r['full_kld']:.4f}  "
-              f"no_eeg2img {r['no_eeg2img_kld']:.4f}  gap {r['gap']:+.4f}  "
-              f"({time.time() - t0:.0f}s)", flush=True)
+        data, abl = f"{out}/data_rms{noise:g}", f"{out}/ablation_rms{noise:g}"
+        step("gen", "--out-dir", data, "--patients", 24, "--segments", 8, "--duration", 5,
+             "--label-noise", 0.1, "--noise-rms", f"{noise:g}", "--seed", 0)
+        step("ablate", "--data-dir", data, "--out-dir", abl, "--variants", "full,no_eeg2img",
+             "--seeds", args.seeds, "--folds", 3, "--seed", 0)
+        rows = read_ablation(abl)
+        full, fixed = (float(rows[v]["mean_kld"]) for v in ("full", "no_eeg2img"))
+        results.append({"noise_rms_uv": noise, "full_kld": rows["full"]["mean_kld"],
+                        "no_eeg2img_kld": rows["no_eeg2img"]["mean_kld"],
+                        "gap": f"{fixed - full:.6f}"})
+        print(f"noise {noise:5.1f} uV: full {full:.4f}  no_eeg2img {fixed:.4f}  "
+              f"gap {fixed - full:+.4f}  ({time.time() - t0:.0f}s)", flush=True)
 
-    with open(out / "noise_sweep.csv", "w", newline="") as f:
+    with open(f"{out}/noise_sweep.csv", "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=list(results[0]))
         writer.writeheader()
         writer.writerows(results)
-    print(f"\nwrote {out / 'noise_sweep.csv'}")
+    print(f"\nwrote {out}/noise_sweep.csv")

@@ -5,21 +5,17 @@ Retrains each variant (full, no_central, no_pretrain, no_eeg2img) with
 identical hyperparameters over several seeds, then compares patient-level
 out-of-fold KLD against the full model with a rank-sum test. High sensor
 noise is the regime where the learnable embedding's denoising matters most,
-so the full-vs-no_eeg2img gap is clearest there.
+so the full-vs-no_eeg2img gap is clearest there. Runs ``eegimage gen`` and
+``eegimage ablate`` (its default schedule and model) and prints the table
+from the ablation.csv that ``ablate`` writes.
 
     python3 scripts/run_ablation_study.py --out runs/ablation   # ~3 min
 """
 
 import argparse
 import time
-from pathlib import Path
 
-from eegimage.analysis import emit_report, run_ablation
-from eegimage.augment import AugmentConfig
-from eegimage.model import ModelConfig
-from eegimage.preprocess import FilterSpec
-from eegimage.synthgen import SynthConfig, generate
-from eegimage.train import default_stage1, default_stage2, load_dataset
+from cli_step import read_ablation, step
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -33,38 +29,20 @@ if __name__ == "__main__":
     args = ap.parse_args()
 
     t0 = time.time()
-    out = Path(args.out)
-    synth = SynthConfig(
-        n_patients=args.patients, segments_per_patient=args.segments,
-        fs=100.0, t_total_s=5.0, label_noise=0.1, seed=0,
-        noise_rms_uv=args.noise_rms,
-    )
-    manifest = generate(synth, out / "data")
-    ds = load_dataset(manifest, FilterSpec(fs=synth.fs))
-    print(f"{len(ds)} segments from {args.patients} patients, "
-          f"noise RMS {args.noise_rms:g} uV", flush=True)
+    out, data = args.out, f"{args.out}/data"
+    step("gen", "--out-dir", data, "--patients", args.patients, "--segments", args.segments,
+         "--duration", 5, "--label-noise", 0.1, "--noise-rms", f"{args.noise_rms:g}",
+         "--seed", 0)
+    step("ablate", "--data-dir", data, "--out-dir", out, "--seeds", args.seeds,
+         "--folds", args.folds, "--seed", 0)
 
-    rows = run_ablation(
-        manifest, ds,
-        ModelConfig(backbone_channels=(8, 16, 32)),
-        default_stage1(epochs=6, batch_size=16),
-        default_stage2(epochs=2, batch_size=16),
-        AugmentConfig(),
-        seeds=list(range(args.seeds)),
-        k=args.folds,
-    )
-
-    emit_report(out, ablation_rows=rows,
-                comment=f"noise_rms={args.noise_rms:g} seeds={args.seeds}")
-    full = next(r for r in rows if r.variant == "full")
+    rows = read_ablation(out)
+    seed_cols = [f"kld_seed{i}" for i in range(args.seeds)]
     print(f"\n{'variant':12s} {'mean KLD':>9s} {'p vs full':>10s}  per-seed")
-    for r in rows:
-        p = "" if r.p_vs_full is None else f"{r.p_vs_full:10.3g}"
-        per_seed = " ".join(f"{v:.3f}" for v in r.per_seed_kld)
-        print(f"{r.variant:12s} {r.mean_kld:9.4f} {p:>10s}  {per_seed}")
-    wins = sum(f < v for f, v in zip(
-        full.per_seed_kld,
-        next(r for r in rows if r.variant == "no_eeg2img").per_seed_kld,
-    ))
+    for variant, r in rows.items():
+        p = f"{float(r['p_vs_full']):10.3g}" if r["p_vs_full"] else ""
+        per_seed = " ".join(f"{float(r[c]):.3f}" for c in seed_cols)
+        print(f"{variant:12s} {float(r['mean_kld']):9.4f} {p:>10s}  {per_seed}")
+    wins = sum(float(rows["full"][c]) < float(rows["no_eeg2img"][c]) for c in seed_cols)
     print(f"\nfull model beats no_eeg2img in {wins}/{args.seeds} seeds; "
           f"table in {out}/ablation.csv ({(time.time() - t0) / 60:.1f} min)")

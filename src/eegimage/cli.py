@@ -29,7 +29,6 @@ from .data import (
     CLASS_NAMES,
     DatasetManifest,
     load_manifest,
-    read_segments,
     read_signal,
     save_manifest,
     split_folds,
@@ -37,7 +36,7 @@ from .data import (
 )
 from .metrics import evaluate, optimal_threshold, roc_curve
 from .model import ModelConfig, central_cone, load_checkpoint, variant_config
-from .preprocess import PREPROCESS_META, FilterSpec, design_bandpass, filter_segment
+from .preprocess import PREPROCESS_META, FilterSpec
 from .synthgen import SynthConfig, generate
 from .train import (
     RunRecord,
@@ -50,8 +49,8 @@ from .train import (
     run_cv,
 )
 from .tsne import TsneConfig, tsne
-from .util import (TYPE_NAMES, config_hash, from_jsonable, read_json_object, read_record,
-                   to_jsonable)
+from .util import (TYPE_NAMES, _pin_malloc_thresholds, config_hash, from_jsonable,
+                   read_json_object, read_record, to_jsonable)
 
 DATA_DIR_ENV = "EEGIMAGE_DATA_DIR"
 log = logging.getLogger("eegimage")
@@ -166,14 +165,17 @@ def cmd_preprocess(args) -> int:
     if out is None:
         raise ValueError("preprocess requires --out-dir")
     manifest = load_manifest(_data_dir(args) / "manifest.csv")
-    # every segment is checked against the first before anything is written
-    segs = list(read_segments(manifest))
-    spec = FilterSpec(fs=segs[0].fs, order=cfg_d["order"], low_hz=cfg_d["low_hz"],
+    first = read_signal(manifest.segment_path(manifest.entries[0]))
+    spec = FilterSpec(fs=first.fs, order=cfg_d["order"], low_hz=cfg_d["low_hz"],
                       high_hz=cfg_d["high_hz"], mode=cfg_d["filter_mode"])
-    sos = design_bandpass(spec)
+    # every segment is checked against the first, and a directory this command
+    # wrote is copied, or refused under another spec, before anything is written
+    ds = load_dataset(manifest, spec)
     (out / "signals").mkdir(parents=True, exist_ok=True)
-    for e, seg in zip(manifest.entries, segs):
-        write_signal(out / e.path, filter_segment(seg, spec, sos))
+    for e, x in zip(manifest.entries, ds.x_uv):
+        write_signal(out / e.path, dataclasses.replace(
+            first, samples=x, segment_id=e.segment_id, recording_id=e.recording_id,
+            patient_id=e.patient_id))
     h = config_hash(spec)
     comment = f"config_hash={h} seed={cfg_d['seed']}"
     save_manifest(manifest, out / "manifest.csv", header_comment=comment)
@@ -418,6 +420,7 @@ def _serve(manifest: DatasetManifest, spec: FilterSpec, outputs) -> np.ndarray:
     is freed before the next is loaded, so serving holds one, not the whole
     set. Every segment must have the set's first segment's shape; the first
     that does not fails naming its file, as a whole-set load would."""
+    _pin_malloc_thresholds()  # each block frees its arrays before the next
     first, out = None, []
     for i in range(0, len(manifest), SERVE_BLOCK):
         block = DatasetManifest(manifest.entries[i : i + SERVE_BLOCK], manifest.root)

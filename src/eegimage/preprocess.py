@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from .data import EegSegment
-
 CLIP_UV = 1024.0
 SCALE_MAX = 255.0
 # the preprocess command's record of the FilterSpec its output went through
@@ -81,11 +79,6 @@ def filter_array(x: np.ndarray, spec: FilterSpec, sos: np.ndarray | None = None)
     # padding is far too short for a 0.5 Hz edge.
     padlen = min(t - 1, int(round(spec.fs / spec.low_hz)))
     return sps.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=padlen)
-
-
-def filter_segment(seg: EegSegment, spec: FilterSpec,
-                   sos: np.ndarray | None = None) -> EegSegment:
-    return seg.with_samples(filter_array(seg.samples, spec, sos).astype(seg.samples.dtype))
 
 
 def clip_scale_array(x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from eegimage.cli import DATA_DIR_ENV, main
 from eegimage.data import load_manifest, read_signal, write_signal
 from eegimage.model import init_params, load_checkpoint, save_checkpoint
-from eegimage.preprocess import FilterSpec
+from eegimage.preprocess import FilterSpec, filter_array
 from eegimage.train import ensemble_predict, load_dataset, load_predictions
 
 
@@ -174,12 +174,45 @@ def test_preprocess_writes_filtered_copy(tmp_path):
     src = load_manifest(data / "manifest.csv")
     dst = load_manifest(out / "manifest.csv")
     assert [e.segment_id for e in src.entries] == [e.segment_id for e in dst.entries]
-    before = read_signal(src.segment_path(src.entries[0]))
-    after = read_signal(dst.segment_path(dst.entries[0]))
-    assert after.samples.shape == before.samples.shape
-    assert not np.allclose(after.samples, before.samples)  # filter did something
+    for e in src.entries:
+        before = read_signal(src.segment_path(e))
+        after = read_signal(dst.segment_path(e))
+        ids = ("segment_id", "recording_id", "patient_id", "fs")
+        assert [getattr(after, k) for k in ids] == [getattr(before, k) for k in ids]
+        assert after.samples.shape == before.samples.shape
+        # each segment is stored as float32 of one bandpass call on it alone
+        want = filter_array(before.samples, FilterSpec(fs=before.fs)).astype(np.float32)
+        np.testing.assert_array_equal(after.samples, want)
+        assert not np.allclose(after.samples, before.samples)  # filter did something
     meta = json.loads((out / "preprocess_meta.json").read_text())
     assert meta["filter"]["mode"] == "zero_phase"
+
+
+def test_preprocess_of_a_preprocess_output_copies_it(tmp_path):
+    data, once, twice = tmp_path / "d", tmp_path / "once", tmp_path / "twice"
+    assert run_gen(data) == 0
+    assert main(["preprocess", "--data-dir", str(data), "--out-dir", str(once)]) == 0
+    assert main(["preprocess", "--data-dir", str(once), "--out-dir", str(twice)]) == 0
+    # the recorded filter is not applied a second time
+    signals = sorted((once / "signals").iterdir())
+    assert len(signals) == 6
+    for path in signals:
+        assert (twice / "signals" / path.name).read_bytes() == path.read_bytes(), path.name
+    assert (twice / "preprocess_meta.json").read_bytes() == \
+        (once / "preprocess_meta.json").read_bytes()
+
+
+def test_preprocess_of_a_preprocess_output_under_another_filter_exits_1(tmp_path, capsys):
+    data, once, twice = tmp_path / "d", tmp_path / "once", tmp_path / "twice"
+    assert run_gen(data) == 0
+    assert main(["preprocess", "--data-dir", str(data), "--out-dir", str(once)]) == 0
+    capsys.readouterr()
+    rc = main(["preprocess", "--data-dir", str(once), "--out-dir", str(twice),
+               "--filter-mode", "causal"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {once / 'preprocess_meta.json'}: field 'filter': "), err
+    assert not twice.exists()  # nothing written
 
 
 def test_training_on_a_preprocess_output_equals_training_on_its_source(tmp_path,
@@ -234,7 +267,7 @@ def test_preprocess_rejects_a_segment_unlike_the_first(tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "s000003.eeg" in err and f": {fault}:" in err
     if fault == "fs":
-        assert "200.0 Hz" in err and "100.0 Hz" in err and "s000000.eeg" in err
+        assert "200.0 Hz" in err and "100.0 Hz" in err
     else:
         assert "(15, 500)" in err and "(16, 500)" in err
     assert not out.exists()  # nothing written

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegimage.data import EegSegment
 from eegimage.preprocess import (
     CLIP_UV,
     SCALE_MAX,
@@ -15,7 +14,6 @@ from eegimage.preprocess import (
     clip_scale_array,
     design_bandpass,
     filter_array,
-    filter_segment,
 )
 
 FS = 200.0
@@ -39,18 +37,6 @@ def sine(freq_hz, fs=FS, dur_s=10.0, amp=1.0):
 def steady_amplitude(x, fs=FS, edge_s=1.0):
     core = x[int(fs * edge_s) : -int(fs * edge_s)]
     return (core.max() - core.min()) / 2
-
-
-def make_segment(samples, fs=FS):
-    return EegSegment(
-        samples=samples,
-        fs=fs,
-        segment_id="s0",
-        recording_id="r0",
-        patient_id="p0",
-        t_total_s=samples.shape[1] / fs,
-        t_center_s=samples.shape[1] / fs / 5,
-    )
 
 
 # --- FilterSpec validation ---
@@ -270,29 +256,14 @@ def test_unscale_endpoint_values():
     )
 
 
-# --- segment wrappers ---
-
-
-def test_filter_segment_keeps_metadata_and_dtype():
-    rng = np.random.default_rng(4)
-    seg = make_segment(rng.normal(size=(16, 400)).astype(np.float32) * 30)
-    out = filter_segment(seg, FilterSpec(fs=FS))
-    assert out.segment_id == seg.segment_id
-    assert out.patient_id == seg.patient_id
-    assert out.samples.dtype == np.float32
-    assert out.samples.shape == seg.samples.shape
-    np.testing.assert_allclose(
-        out.samples,
-        filter_array(seg.samples, FilterSpec(fs=FS)).astype(np.float32),
-    )
+# --- pipeline order ---
 
 
 def test_preprocess_segment_composes_filter_then_scale():
     # the pipeline's order: filter the microvolt signal, then clip and scale
     rng = np.random.default_rng(5)
-    seg = make_segment(rng.normal(size=(16, 400)) * 200)
+    x = rng.normal(size=(16, 400)) * 200
     spec = FilterSpec(fs=FS)
-    out = clip_scale_array(filter_array(seg.samples, spec))
-    np.testing.assert_array_equal(out, clip_scale_array(filter_segment(seg, spec).samples))
+    out = clip_scale_array(filter_array(x, spec))
     assert out.min() >= 0.0 and out.max() <= 255.0
-    assert not np.array_equal(out, filter_array(clip_scale_array(seg.samples), spec))
+    assert not np.array_equal(out, filter_array(clip_scale_array(x), spec))

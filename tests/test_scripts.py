@@ -1,5 +1,6 @@
 """Smoke tests of the scripts in scripts/: each runs at small settings, exits
-0 and leaves the files it promises. artifact_hashes.py also lists every file
+0 and leaves the files it promises; the studies' tables carry the stamp of
+the eegimage command that wrote them. artifact_hashes.py also lists every file
 it leaves as ``sha256  relative/path``. No hash or score value is asserted."""
 
 import csv
@@ -58,8 +59,9 @@ def test_run_ablation_study_small_writes_its_table(tmp_path):
                      "--patients", 6, "--segments", 4)
     assert res.returncode == 0, res.stderr
     assert (out / "data" / "manifest.csv").is_file() and (out / "ablation.svg").is_file()
-    rows = [line.split(",")[0] for line in (out / "ablation.csv").read_text().splitlines()
-            if not line.startswith("#")]
+    lines = (out / "ablation.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_hash="), lines[0]  # written by eegimage ablate
+    rows = [line.split(",")[0] for line in lines[1:]]
     assert rows == ["variant", "full", "no_central", "no_pretrain", "no_eeg2img"]
     assert "beats no_eeg2img in" in res.stdout
 
@@ -73,7 +75,10 @@ def test_noise_robustness_small_writes_one_row_per_level(tmp_path):
         rows = list(csv.DictReader(f))
     assert [float(r["noise_rms_uv"]) for r in rows] == [10.0, 40.0]
     assert set(rows[0]) == {"noise_rms_uv", "full_kld", "no_eeg2img_kld", "gap"}
-    assert (out / "data_rms10" / "manifest.csv").is_file()
+    for level in (10, 40):
+        assert (out / f"data_rms{level}" / "manifest.csv").is_file()
+        table = (out / f"ablation_rms{level}" / "ablation.csv").read_text()
+        assert table.startswith("# config_hash="), table  # written by eegimage ablate
 
 
 def test_memory_peaks_quick_reports_every_phase_and_command(tmp_path):
