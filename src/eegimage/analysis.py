@@ -73,15 +73,17 @@ def grating_dataset(n: int, size: int, n_classes: int, channels: int,
 
 
 def pretrain_backbone(cfg: ModelConfig, seed: int, pretext: PretextConfig | None = None):
-    """Train the conv stack on the grating pretext and hand back its weights.
+    """Train the conv stack on the grating pretext and hand it back.
 
     The network is the model's own conv stack with full-width pooling, no
     dropout and an n_orientations-way head, trained in the model's dtype on
     one-hot targets weighted 1/batch with :class:`train.Adam`.
 
-    Returns (conv_w, conv_b, held_out_accuracy). Raises if accuracy lands
-    under pretext.min_accuracy, which indicates a broken training loop rather
-    than a hard task.
+    Returns (net, held_out_accuracy): net is the trained :class:`ModelParams`,
+    conv{i}_w and conv{i}_b per stage plus the grating head's dense_w and
+    dense_b, to pass to :func:`init_params` as its backbone. Raises if
+    accuracy lands under pretext.min_accuracy, which indicates a broken
+    training loop rather than a hard task.
     """
     px = pretext or PretextConfig()
     _pin_malloc_thresholds()  # each step frees its cache before the next
@@ -123,8 +125,7 @@ def pretrain_backbone(cfg: ModelConfig, seed: int, pretext: PretextConfig | None
         raise RuntimeError(
             f"pretext accuracy {acc:.3f} below {px.min_accuracy}; training loop broken"
         )
-    layers = net.conv_layers()
-    return [w for w, _ in layers], [b for _, b in layers], acc
+    return net, acc
 
 
 @dataclass
@@ -177,13 +178,13 @@ def run_ablation(
             backbone = None
             if cfg.pretrained:
                 if seed not in backbones:
-                    backbones[seed] = pretrain_backbone(cfg, seed, pretext)[:2]
+                    backbones[seed] = pretrain_backbone(cfg, seed, pretext)[0]
                 backbone = backbones[seed]
             cell_log = None if log is None else (
                 lambda rec, tag=tag, seed=seed: log({"variant": tag, "seed": seed, **rec}))
             cv = run_cv(
                 manifest, ds, cfg, stage1, stage2, augment_cfg,
-                k=k, seed=seed, pretrained_backbone=backbone, log=cell_log,
+                k=k, seed=seed, backbone=backbone, log=cell_log,
             )
             per_sample_kld = float(kl_div_rows(ds.y, cv.oof_probs).mean())
             per_variant_seed_kld[tag].append(per_sample_kld)
@@ -225,14 +226,12 @@ def ablation_to_csv(rows: list[AblationRow], comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def extract_embeddings(
-    param_sets, x_uv: np.ndarray, use_probs: bool = False, batch_size: int = 64
-) -> np.ndarray:
+def extract_embeddings(param_sets, x_uv: np.ndarray, use_probs: bool = False) -> np.ndarray:
     """Fold-averaged model outputs for t-SNE of filtered segments in
     microvolts, in the model dtype: pooled penultimate features by default,
     softmax probabilities behind the flag (cast back exactly from
     predict_batched's float64)."""
-    probs, feats = predict_batched(x_uv, param_sets, batch_size, with_features=True)
+    probs, feats = predict_batched(x_uv, param_sets, with_features=True)
     if use_probs:
         return np.mean([p.astype(f.dtype) for p, f in zip(probs, feats)], axis=0)
     return np.mean(feats, axis=0)

@@ -39,6 +39,7 @@ from .model import ModelConfig, central_cone, load_checkpoint, variant_config
 from .preprocess import PREPROCESS_META, FilterSpec
 from .synthgen import SynthConfig, generate
 from .train import (
+    PREDICT_BATCH,
     RunRecord,
     default_stage1,
     default_stage2,
@@ -200,9 +201,20 @@ def _backbone_tuple(s) -> tuple[int, ...]:
     return s if isinstance(s, tuple) else tuple(int(v) for v in s.split(","))
 
 
-def _check_fits_model(path: Path, t: int, cfg: ModelConfig) -> None:
-    """Fail, naming the segment file, its sample count and the field to
-    change, when the model cannot run on segments of t samples."""
+def _check_channels(path: Path, n_ch: int, cfg: ModelConfig) -> None:
+    """Fail, naming the segment file and its channel count, unless the model
+    takes segments of n_ch channels."""
+    if n_ch != cfg.n_channels:
+        raise ValueError(f"{path}: {n_ch} channels, the model's n_channels is "
+                         f"{cfg.n_channels}")
+
+
+def _check_fits_model(path: Path, shape: tuple[int, int], cfg: ModelConfig) -> None:
+    """Fail, naming the segment file, its channel or sample count and the
+    field to change, when the model cannot run on segments of shape
+    (channels, samples)."""
+    n_ch, t = shape
+    _check_channels(path, n_ch, cfg)
     try:
         width = cfg.image_width(t)
     except ValueError:
@@ -250,7 +262,7 @@ def _training_setup(args, defaults: dict, variant: str | None = None):
         seed=cfg_d["seed"],
         variant=variant,
     )
-    _check_fits_model(first_path, first.samples.shape[-1], record.model)
+    _check_fits_model(first_path, first.samples.shape, record.model)
     log.info("loading and filtering %d segments", len(manifest))
     return cfg_d, manifest, record, load_dataset(manifest, record.filter)
 
@@ -272,8 +284,7 @@ def cmd_train(args) -> int:
     backbone = None
     if rec.model.pretrained:
         log.info("pretraining backbone on the grating pretext")
-        cw, cb, acc = pretrain_backbone(rec.model, rec.seed)
-        backbone = (cw, cb)
+        backbone, acc = pretrain_backbone(rec.model, rec.seed)
         log.info("pretext held-out accuracy %.3f", acc)
 
     with open(out / "progress.jsonl", "w") as progress:
@@ -284,8 +295,7 @@ def cmd_train(args) -> int:
                      r.get("train_loss"), r.get("val_loss"))
 
         cv = run_cv(manifest, ds, rec.model, rec.stage1, rec.stage2, rec.augment,
-                    k=rec.k, seed=rec.seed, out_dir=out, log=plog,
-                    pretrained_backbone=backbone)
+                    k=rec.k, seed=rec.seed, out_dir=out, log=plog, backbone=backbone)
 
     export_predictions(out / "oof_predictions.csv", ds.segment_ids, cv.oof_probs,
                        header_comment=_stamp(rec))
@@ -386,35 +396,32 @@ def _read_summary(run_dir: Path) -> RunRecord:
     return read_record(run_dir / "cv_summary.json", RunRecord)[0]
 
 
-def _load_fold_models(run_dir: Path):
+def _load_run(args):
+    """Manifest, fold models and the run's record. The served set's first
+    segment must have the record's channel count, checked before any model
+    is loaded, and every fold checkpoint the record's model config."""
+    run_dir = Path(args.run_dir)
+    manifest = load_manifest(_data_dir(args) / "manifest.csv")
     ckpts = sorted(run_dir.glob("fold*.ckpt"))
     if not ckpts:
         raise FileNotFoundError(f"no fold checkpoints under {run_dir}")
+    rec = _read_summary(run_dir)
+    first = manifest.segment_path(manifest.entries[0])
+    _check_channels(first, read_signal(first).samples.shape[0], rec.model)
     sets = []
     for c in ckpts:
         params, cfg, _ = load_checkpoint(c)
-        if sets and cfg != sets[0][1]:
-            first = sets[0][1]
+        if cfg != rec.model:
             fields = [f.name for f in dataclasses.fields(cfg)
-                      if getattr(cfg, f.name) != getattr(first, f.name)]
-            raise ValueError(f"{c}: model config differs from {ckpts[0]} "
-                             f"in {', '.join(fields)}")
+                      if getattr(cfg, f.name) != getattr(rec.model, f.name)]
+            raise ValueError(f"{c}: model config differs from the run's "
+                             f"{run_dir / 'cv_summary.json'} in {', '.join(fields)}")
         sets.append((params, cfg))
-    return sets
-
-
-def _load_run(args):
-    """Manifest, fold models and the run's record."""
-    run_dir = Path(args.run_dir)
-    manifest = load_manifest(_data_dir(args) / "manifest.csv")
-    return manifest, _load_fold_models(run_dir), _read_summary(run_dir)
-
-
-SERVE_BLOCK = 64  # segments predict and tsne load at a time: predict_batched's batch
+    return manifest, sets, rec
 
 
 def _serve(manifest: DatasetManifest, spec: FilterSpec, outputs) -> np.ndarray:
-    """outputs(x_uv) of the served set, loaded SERVE_BLOCK segments at a
+    """outputs(x_uv) of the served set, loaded PREDICT_BATCH segments at a
     time and filtered with spec, the run's recorded bandpass, so serving
     filters as training did; the blocks' rows are concatenated. Each block
     is freed before the next is loaded, so serving holds one, not the whole
@@ -422,8 +429,8 @@ def _serve(manifest: DatasetManifest, spec: FilterSpec, outputs) -> np.ndarray:
     that does not fails naming its file, as a whole-set load would."""
     _pin_malloc_thresholds()  # each block frees its arrays before the next
     first, out = None, []
-    for i in range(0, len(manifest), SERVE_BLOCK):
-        block = DatasetManifest(manifest.entries[i : i + SERVE_BLOCK], manifest.root)
+    for i in range(0, len(manifest), PREDICT_BATCH):
+        block = DatasetManifest(manifest.entries[i : i + PREDICT_BATCH], manifest.root)
         x_uv = load_dataset(block, spec, first).x_uv
         first = first or (manifest.segment_path(manifest.entries[0]), x_uv.shape[1:])
         out.append(outputs(x_uv))

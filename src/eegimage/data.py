@@ -59,34 +59,10 @@ class EegSegment:
     segment_id: str
     recording_id: str
     patient_id: str
-    t_total_s: float
-    t_center_s: float
 
     def __post_init__(self):
-        n_ch, t = self.samples.shape
-        if abs(t - self.fs * self.t_total_s) > 1e-9:
-            raise ValueError(
-                f"sample count {t} != fs*t_total ({self.fs}*{self.t_total_s})"
-            )
-        if abs(self.t_center_s - self.t_total_s / 5) > 1e-9:
-            raise ValueError("t_center_s must be t_total_s / 5")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError(f"non-finite samples in segment {self.segment_id}")
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[1]
-
-    def with_samples(self, samples: np.ndarray) -> "EegSegment":
-        return EegSegment(
-            samples=samples,
-            fs=self.fs,
-            segment_id=self.segment_id,
-            recording_id=self.recording_id,
-            patient_id=self.patient_id,
-            t_total_s=self.t_total_s,
-            t_center_s=self.t_center_s,
-        )
 
 
 def soft_label(votes: np.ndarray) -> np.ndarray:
@@ -321,38 +297,31 @@ def read_signal(path: Path) -> EegSegment:
     fs = field("fs", float)
     if not fs > 0:
         raise ValueError(f"{path}: fs: {fs} is not a positive rate")
-    t_total = t / fs
     return EegSegment(
         samples=samples,
         fs=fs,
         segment_id=field("segment_id"),
         recording_id=field("recording_id"),
         patient_id=field("patient_id"),
-        t_total_s=t_total,
-        t_center_s=t_total / 5,
     )
 
 
-def read_segments(manifest: DatasetManifest, fs: float | None = None,
+def read_segments(manifest: DatasetManifest, fs: float,
                   first: tuple[Path, tuple[int, int]] | None = None):
     """Yield the segment of every manifest entry, in order.
 
-    Each segment must be sampled at fs (the first segment's rate when fs is
-    None) and have the first segment's (channels, samples) shape; the first
-    that does not fails naming its file and the field. first = (path,
-    shape) names that first segment when it is not in this manifest, as
-    for a block of a larger set.
+    Each segment must be sampled at fs and have the first segment's
+    (channels, samples) shape; the first that does not fails naming its file
+    and the field. first = (path, shape) names that first segment when it is
+    not in this manifest, as for a block of a larger set.
     """
-    expected = "the filter expects"
     for e in manifest.entries:
         p = manifest.segment_path(e)
         seg = read_signal(p)
         if first is None:
             first = (p, seg.samples.shape)
-        if fs is None:
-            fs, expected = seg.fs, f"the first segment {p} is"
         if seg.fs != fs:
-            raise ValueError(f"{p}: fs: sampled at {seg.fs} Hz, {expected} {fs} Hz")
+            raise ValueError(f"{p}: fs: sampled at {seg.fs} Hz, the filter expects {fs} Hz")
         if seg.samples.shape != first[1]:
             raise ValueError(f"{p}: shape: {seg.samples.shape} (channels, samples), "
                              f"the first segment {first[0]} is {first[1]}")

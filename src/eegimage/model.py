@@ -57,10 +57,6 @@ class ModelConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
 
     @property
-    def image_height(self) -> int:
-        return self.n_channels * self.kernels_per_group
-
-    @property
     def np_dtype(self) -> np.dtype:
         return np.dtype(self.dtype)
 
@@ -97,12 +93,11 @@ def project_rows_simplex(mat: np.ndarray) -> np.ndarray:
     return np.maximum(m - theta, 0.0).astype(mat.dtype)
 
 
-def init_embedding(cfg: ModelConfig, seed: int = 0) -> np.ndarray:
+def init_embedding(cfg: ModelConfig) -> np.ndarray:
     """Kernel k = 0.5*onehot(k) + 0.5*uniform, projected to the simplex.
 
     Deterministic (no noise term): the initial embedding is close to an
-    information-preserving interleaved reshape. seed is accepted for
-    interface stability.
+    information-preserving interleaved reshape.
     """
     g, k, l = cfg.groups, cfg.kernels_per_group, cfg.kernel_len
     emb = np.full((g, k, l), 0.5 / l, dtype=np.float64)
@@ -183,13 +178,9 @@ class ModelParams:
         return ModelParams({n: a.copy() for n, a in self.arrays.items()})
 
 
-def init_params(
-    cfg: ModelConfig,
-    seed: int,
-    backbone: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
-) -> ModelParams:
-    """Fresh parameters; pass pretrained (conv_w, conv_b) to transfer a
-    backbone.
+def init_params(cfg: ModelConfig, seed: int, backbone: ModelParams | None = None) -> ModelParams:
+    """Fresh parameters; pass a pretrained network as backbone to transfer
+    its conv{i}_w and conv{i}_b, copied by name.
 
     The dense head starts at zero so the first prediction is uniform. The
     first conv stage's bias offsets the 0-255 input range so pre-activations
@@ -198,7 +189,7 @@ def init_params(
     rng = np.random.default_rng(seed)
     dt = cfg.np_dtype
     shapes = param_shapes(cfg)
-    emb = init_embedding(cfg, seed) if cfg.learnable_embedding else fixed_embedding(cfg)
+    emb = init_embedding(cfg) if cfg.learnable_embedding else fixed_embedding(cfg)
     arrays = {"embedding": emb}
     for i in range(len(cfg.backbone_channels)):
         kk, _, cin, cout = shapes[f"conv{i}_w"]
@@ -209,13 +200,13 @@ def init_params(
             b = np.zeros(cout, dtype=dt)
         arrays[f"conv{i}_w"], arrays[f"conv{i}_b"] = w, b
     if backbone is not None:
-        pw, pb = backbone
-        if len(pw) != len(cfg.backbone_channels) or any(
-            w.shape != shapes[f"conv{i}_w"] for i, w in enumerate(pw)
+        conv = {n for n in shapes if n.startswith("conv")}
+        if conv != {n for n in backbone.arrays if n.startswith("conv")} or any(
+            backbone.get(n).shape != shapes[n] for n in conv
         ):
             raise ValueError("pretrained backbone shapes do not match config")
-        for i, (w, b) in enumerate(zip(pw, pb)):
-            arrays[f"conv{i}_w"], arrays[f"conv{i}_b"] = w.astype(dt), b.astype(dt)
+        for n in conv:
+            arrays[n] = backbone.get(n).astype(dt)
     arrays["dense_w"] = np.zeros(shapes["dense_w"], dtype=dt)
     arrays["dense_b"] = np.zeros(shapes["dense_b"], dtype=dt)
     return ModelParams(arrays)

@@ -189,8 +189,6 @@ def generate(cfg: SynthConfig, out_dir: Path, header_comment: str | None = None)
                 segment_id=segment_id,
                 recording_id=recording_id,
                 patient_id=patient_id,
-                t_total_s=cfg.t_total_s,
-                t_center_s=cfg.t_total_s / 5,
             )
             write_signal(out_dir / rel_path, seg)
             entries.append(

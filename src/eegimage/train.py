@@ -6,7 +6,7 @@ learning rate, per-epoch validation, and best-checkpoint retention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
 from typing import Callable
@@ -44,6 +44,9 @@ SCOPE_HIGH_QUALITY = "high_quality_only"
 # float64 temporaries for the whole dataset; 240 segments filter about as
 # fast in blocks of 8 as of 64
 FILTER_BLOCK = 8
+# segments per eval forward pass of predict_batched, and per block that
+# predict and tsne load
+PREDICT_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -142,9 +145,9 @@ class Adam:
     (all of them unless names are given). Each gradient has its parameter's
     dtype, as :func:`backward_batch` returns them."""
 
-    def __init__(self, params: ModelParams, names: list[str] | None = None,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: ModelParams, names: list[str] | None = None):
         self.names = list(params.arrays) if names is None else list(names)
         self.m = {n: np.zeros_like(params.get(n)) for n in self.names}
         self.v = {n: np.zeros_like(params.get(n)) for n in self.names}
@@ -253,19 +256,19 @@ def scope_indices(n_votes: np.ndarray, scope: str) -> np.ndarray:
 
 
 def predict_batched(x_uv: np.ndarray, param_sets: list[tuple[ModelParams, ModelConfig]],
-                    batch_size: int = 64, with_features: bool = False):
+                    with_features: bool = False):
     """Eval-mode probabilities (float64) of filtered segments in microvolts
     under each (params, cfg) of param_sets, one array per model. Each batch
-    is clipped and scaled once as it enters the models; with with_features,
-    the pair (probabilities, pooled features in each model's dtype), each a
-    list over models."""
-    n = x_uv.shape[0]
+    of PREDICT_BATCH segments is clipped and scaled once as it enters the
+    models; with with_features, the pair (probabilities, pooled features in
+    each model's dtype), each a list over models."""
+    n, nb = x_uv.shape[0], PREDICT_BATCH
     probs = [np.empty((n, cfg.n_classes)) for _, cfg in param_sets]
     feats = [np.empty((n, cfg.backbone_channels[-1]), cfg.np_dtype) for _, cfg in param_sets]
-    for i in range(0, n, batch_size):
-        xb = clip_scale_array(x_uv[i : i + batch_size])
+    for i in range(0, n, nb):
+        xb = clip_scale_array(x_uv[i : i + nb])
         for (params, cfg), p, f in zip(param_sets, probs, feats):
-            p[i : i + batch_size], f[i : i + batch_size] = forward_batch(xb, params, cfg)
+            p[i : i + nb], f[i : i + nb] = forward_batch(xb, params, cfg)
         del xb  # else it is alive while the next batch is scaled
     return (probs, feats) if with_features else probs
 
@@ -282,7 +285,6 @@ def validation_loss(x_uv: np.ndarray, y: np.ndarray, params: ModelParams,
 class StageResult:
     params: ModelParams
     best_val_loss: float
-    history: list[dict] = field(default_factory=list)
     # the validation pass of the best epoch, None until an epoch improves on inf
     best_val_probs: np.ndarray | None = None
 
@@ -362,7 +364,6 @@ def train_stage(
             "train_loss": float(np.mean(epoch_losses)),
             "val_loss": val,
         }
-        best.history.append(record)
         if log is not None:
             log(record)
         if val < best.best_val_loss:
@@ -378,9 +379,6 @@ def train_stage(
 class FoldResult:
     fold: int
     val_indices: np.ndarray
-    oof_probs: np.ndarray
-    stage1_history: list[dict]
-    stage2_history: list[dict]
     best_val_loss: float
     checkpoint: Path | None
 
@@ -423,10 +421,12 @@ def run_cv(
     seed: int = 0,
     out_dir: Path | None = None,
     log: Callable[[dict], None] | None = None,
-    pretrained_backbone: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
+    backbone: ModelParams | None = None,
 ) -> CvResult:
     """Patient-grouped k-fold: per fold, stage 1 on all non-fold data, stage 2
     on its high-quality subset, out-of-fold predictions on the held-out fold.
+    A pretrained model_cfg starts every fold from backbone's conv stages
+    (see :func:`init_params`).
     """
     folds = split_folds(manifest, k=k, seed=seed)
     patient_fold = np.array([folds.fold_of_patient[p] for p in ds.patient_ids])
@@ -440,8 +440,8 @@ def run_cv(
         train_idx = np.nonzero(patient_fold != f)[0]
         val_idx = np.nonzero(patient_fold == f)[0]
         rng = np.random.default_rng([seed, f])
-        backbone = pretrained_backbone if model_cfg.pretrained else None
-        params = init_params(model_cfg, seed=seed * 1000 + f, backbone=backbone)
+        params = init_params(model_cfg, seed=seed * 1000 + f,
+                             backbone=backbone if model_cfg.pretrained else None)
         x_val = ds.x_uv[val_idx]
         y_val = ds.y[val_idx]
 
@@ -449,19 +449,17 @@ def run_cv(
             if log is not None:
                 log({"fold": fold, "stage": stage_name, **rec})
 
-        stage_results = []
         for stage_name, stage in ((1, stage1), (2, stage2)):
             try:
-                stage_results.append(train_stage(
+                r = train_stage(
                     params, model_cfg, stage, ds, train_idx, x_val, y_val, augment_cfg,
                     rng, log=lambda rec, s=stage_name: plog(rec, stage_name=s),
-                ))
+                )
             except FloatingPointError as e:
                 raise FloatingPointError(f"fold {f} stage {stage_name} {e}") from e
-        r1, r2 = stage_results
-        # params is stage 2's best snapshot, whose validation pass made
-        # r2.best_val_probs; recompute only if no epoch improved (NaN losses)
-        val_probs = r2.best_val_probs
+        # r is stage 2's result and params its best snapshot, whose validation
+        # pass made r.best_val_probs; recompute only if no epoch improved (NaN losses)
+        val_probs = r.best_val_probs
         if val_probs is None:
             [val_probs] = predict_batched(x_val, [(params, model_cfg)])
         oof[val_idx] = onto_simplex(val_probs)
@@ -470,19 +468,10 @@ def run_cv(
             ckpt = out_dir / f"fold{f}.ckpt"
             save_checkpoint(
                 ckpt, params, model_cfg,
-                meta={"fold": f, "seed": seed, "best_val_loss": r2.best_val_loss},
+                meta={"fold": f, "seed": seed, "best_val_loss": r.best_val_loss},
             )
-        results.append(
-            FoldResult(
-                fold=f,
-                val_indices=val_idx,
-                oof_probs=oof[val_idx].copy(),
-                stage1_history=r1.history,
-                stage2_history=r2.history,
-                best_val_loss=r2.best_val_loss,
-                checkpoint=ckpt,
-            )
-        )
+        results.append(FoldResult(fold=f, val_indices=val_idx,
+                                  best_val_loss=r.best_val_loss, checkpoint=ckpt))
     if np.isnan(oof).any():
         raise RuntimeError("out-of-fold predictions did not cover every sample")
     return CvResult(folds=results, oof_probs=oof, fold_assignment=folds)

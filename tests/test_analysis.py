@@ -165,13 +165,14 @@ def test_float64_pretraining_is_the_float64_reference_byte_for_byte(monkeypatch)
 
     px = PretextConfig(n_train=192, n_test=64, epochs=2, min_accuracy=0.0)
     cfg = ModelConfig(dtype="float64")
-    conv_w, conv_b, _ = pretrain_backbone(cfg, seed=1, pretext=px)
+    net, _ = pretrain_backbone(cfg, seed=1, pretext=px)
     with monkeypatch.context() as m:
         m.setattr(model, "silu", textbook_silu)
         want = float64_pretext_reference(cfg, 1, px)
-    assert len(want) == len(conv_w) == 4
-    for got, ref in zip(conv_w + conv_b, [w for w, _ in want] + [b for _, b in want]):
-        assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
+    got = net.conv_layers()
+    assert len(want) == len(got) == 4
+    for a, ref in zip(sum(got, ()), sum(want, ())):
+        assert a.dtype == np.float64 and a.tobytes() == ref.tobytes()
 
 
 def test_float32_pretraining_feeds_the_conv_backward_no_subnormals(monkeypatch):
@@ -188,10 +189,10 @@ def test_float32_pretraining_feeds_the_conv_backward_no_subnormals(monkeypatch):
     monkeypatch.setattr(model, "conv2d_backward", spy)
     cfg = ModelConfig(backbone_channels=(6, 8))
     px = PretextConfig(n_train=256, n_test=64, epochs=2, min_accuracy=0.0)
-    conv_w, conv_b, _ = pretrain_backbone(cfg, seed=0, pretext=px)
+    net, _ = pretrain_backbone(cfg, seed=0, pretext=px)
     assert seen and {(d, c) for d, c, _ in seen} == {(cfg.np_dtype, cfg.np_dtype)}
     assert sum(n for _, _, n in seen) == 0
-    assert all(a.dtype == cfg.np_dtype for a in conv_w + conv_b)
+    assert all(a.dtype == cfg.np_dtype for a in net.arrays.values())
     # the same run without the cut does make them
     seen.clear()
     monkeypatch.setattr(model, "silu", textbook_silu)
@@ -212,7 +213,7 @@ def test_pretext_held_out_pass_runs_in_training_batches(monkeypatch):
         return forward(img, net, *a, **k)
 
     monkeypatch.setattr(analysis, "backbone_forward", spy)
-    _, _, acc = pretrain_backbone(cfg, seed=2, pretext=px)
+    _, acc = pretrain_backbone(cfg, seed=2, pretext=px)
     assert [len(img) for img, _ in held_out] == [64, 64, 32]
     # the accuracy of one forward over all held-out images
     _, y = grating_dataset(px.n_train + px.n_test, px.image_size, px.n_orientations,
@@ -223,21 +224,28 @@ def test_pretext_held_out_pass_runs_in_training_batches(monkeypatch):
 
 
 def test_pretext_reaches_90_percent():
-    _, _, acc = pretrain_backbone(ModelConfig(backbone_channels=(8, 16, 32)), seed=0)
+    _, acc = pretrain_backbone(ModelConfig(backbone_channels=(8, 16, 32)), seed=0)
     assert acc >= 0.90
 
 
 def test_pretext_deterministic_and_transfers():
     cfg = ModelConfig(backbone_channels=(8, 16, 32))
-    w1, b1, acc1 = pretrain_backbone(cfg, seed=3, pretext=SMALL_PRETEXT)
-    w2, b2, acc2 = pretrain_backbone(cfg, seed=3, pretext=SMALL_PRETEXT)
-    assert acc1 == acc2
-    for a, b in zip(w1 + b1, w2 + b2):
-        np.testing.assert_array_equal(a, b)
+    net1, acc1 = pretrain_backbone(cfg, seed=3, pretext=SMALL_PRETEXT)
+    net2, acc2 = pretrain_backbone(cfg, seed=3, pretext=SMALL_PRETEXT)
+    assert acc1 == acc2 and list(net1.arrays) == list(net2.arrays)
+    for name, a in net1.named_arrays():
+        np.testing.assert_array_equal(a, net2.get(name))
     # trained weights moved away from the random init they started from
     proto = init_params(cfg, seed=3 + 17)
+    w1 = [w for w, _ in net1.conv_layers()]
     assert max(np.abs(a - p).max() for a, p in zip(w1, [w for w, _ in proto.conv_layers()])) > 0
     assert all(w.dtype == cfg.np_dtype for w in w1)
+    # the model takes a copy of every conv array by name and keeps its own head
+    model = init_params(cfg, seed=5, backbone=net1)
+    for (w, b), (pw, pb) in zip(model.conv_layers(), net1.conv_layers()):
+        assert np.array_equal(w, pw) and np.array_equal(b, pb)
+        assert not np.shares_memory(w, pw) and not np.shares_memory(b, pb)
+    assert model.get("dense_w").shape == (cfg.backbone_channels[-1], cfg.n_classes)
 
 
 def test_pretext_failure_raises():
@@ -310,19 +318,20 @@ def test_pretrained_and_random_backbones_diverge_in_training():
     # which one is lower is data-dependent, so only inequality is asserted
     manifest, ds = tiny_problem()
     cfg = tiny_cfg()
-    conv_w, conv_b, _ = pretrain_backbone(
+    net, _ = pretrain_backbone(
         cfg, seed=0, pretext=PretextConfig(n_train=256, n_test=64, epochs=2, min_accuracy=0.0)
     )
     x_val = ds.x_uv[12:]
     y_val = ds.y[12:]
     losses = {}
-    for tag, backbone in (("pretrained", (conv_w, conv_b)), ("random", None)):
+    for tag, backbone in (("pretrained", net), ("random", None)):
         params = init_params(cfg, seed=5, backbone=backbone)
-        res = train_stage(
+        history = []
+        train_stage(
             params, cfg, quick_stage(), ds, np.arange(12), x_val, y_val,
-            None, np.random.default_rng(7),
+            None, np.random.default_rng(7), log=history.append,
         )
-        losses[tag] = res.history[0]["val_loss"]
+        losses[tag] = history[0]["val_loss"]
     assert losses["pretrained"] != losses["random"]
 
 
@@ -342,11 +351,14 @@ def test_ablation_csv_layout():
 # --- embedding extraction ---
 
 
-def test_extract_embeddings_averages_folds():
+def test_extract_embeddings_averages_folds(monkeypatch):
+    import eegimage.train as train
+
     cfg = tiny_cfg()
     x = np.random.default_rng(1).uniform(-1200, 1200, size=(10, 4, 100))
     sets = [(init_params(cfg, seed=s), cfg) for s in (0, 1)]
-    out = extract_embeddings(sets, x, batch_size=4)
+    monkeypatch.setattr(train, "PREDICT_BATCH", 4)
+    out = extract_embeddings(sets, x)
     singles = []
     for params, c in sets:
         _, feat = forward_batch(clip_scale_array(x), params, c)
@@ -364,7 +376,8 @@ def test_extract_embeddings_scales_each_batch_once_for_every_fold(monkeypatch, u
     sets = [(init_params(cfg, seed=s), cfg) for s in (0, 1)]
     want = per_fold_outputs(x, sets, batch_size=4)
     rows = spy_clip_scale(monkeypatch, train)
-    out = extract_embeddings(sets, x, use_probs=use_probs, batch_size=4)
+    monkeypatch.setattr(train, "PREDICT_BATCH", 4)
+    out = extract_embeddings(sets, x, use_probs=use_probs)
     assert rows == [4, 4, 1]
     folds = [p.astype(f.dtype) if use_probs else f for p, f in want]
     assert out.dtype == np.float32 and np.array_equal(out, np.mean(folds, axis=0))
@@ -462,11 +475,15 @@ def test_emit_report_reruns_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("use_probs", [False, True])
-def test_extract_embeddings_is_the_float32_fold_mean_of_the_forward_outputs(use_probs):
+def test_extract_embeddings_is_the_float32_fold_mean_of_the_forward_outputs(monkeypatch,
+                                                                             use_probs):
+    import eegimage.train as train
+
     cfg = tiny_cfg()
     x = np.random.default_rng(3).uniform(-1200, 1200, size=(7, 4, 100))
     sets = [(init_params(cfg, seed=s), cfg) for s in (0, 1, 2)]
-    out = extract_embeddings(sets, x, use_probs=use_probs, batch_size=3)
+    monkeypatch.setattr(train, "PREDICT_BATCH", 3)
+    out = extract_embeddings(sets, x, use_probs=use_probs)
     chunks = [[forward_batch(clip_scale_array(x[i : i + 3]), params, c)[int(not use_probs)]
                for i in range(0, 7, 3)] for params, c in sets]
     expected = np.mean([np.concatenate(c) for c in chunks], axis=0)

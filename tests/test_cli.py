@@ -259,8 +259,8 @@ def test_preprocess_rejects_a_segment_unlike_the_first(tmp_path, capsys, fault):
     assert run_gen(data) == 0
     path = data / "signals" / "s000003.eeg"
     seg = read_signal(path)
-    write_signal(path, replace(seg, fs=200.0, t_total_s=2.5, t_center_s=0.5) if fault == "fs"
-                 else seg.with_samples(seg.samples[:-1]))
+    write_signal(path, replace(seg, fs=200.0) if fault == "fs"
+                 else replace(seg, samples=seg.samples[:-1]))
     capsys.readouterr()
     rc = main(["preprocess", "--data-dir", str(data), "--out-dir", str(out)])
     assert rc == 1
@@ -422,9 +422,9 @@ def test_train_rejects_a_ragged_segment_naming_it(tmp_path, capsys, ragged):
     path = data / "signals" / "s000003.eeg"
     seg = read_signal(path)
     if ragged == "channels":
-        seg = seg.with_samples(seg.samples[:-1])
+        seg = replace(seg, samples=seg.samples[:-1])
     else:
-        seg = replace(seg, samples=seg.samples[:, :400], t_total_s=4.0, t_center_s=0.8)
+        seg = replace(seg, samples=seg.samples[:, :400])
     write_signal(path, seg)
     capsys.readouterr()
     rc = main(["train", "--data-dir", str(data), "--out-dir", str(tmp_path / "run"),
@@ -435,20 +435,80 @@ def test_train_rejects_a_ragged_segment_naming_it(tmp_path, capsys, ragged):
     assert str(seg.samples.shape) in err and "(16, 500)" in err
 
 
-def test_predict_rejects_folds_trained_with_another_config(trained_run, tmp_path, capsys):
+@pytest.mark.parametrize("folds", ["fold1", "another_run"])
+def test_predict_rejects_folds_trained_with_another_config(trained_run, tmp_path, capsys,
+                                                           folds):
+    """Every fold checkpoint is checked against the run record: one fold
+    of another config, and folds that agree with each other but come from
+    another run, are refused naming the first checkpoint that differs."""
     data, run = trained_run
     mixed = tmp_path / "mixed"
     shutil.copytree(run, mixed)
-    cfg = load_checkpoint(mixed / "fold1.ckpt")[1]
-    other = replace(cfg, backbone_channels=(6, 10))
-    save_checkpoint(mixed / "fold1.ckpt", init_params(other, seed=0), other)
+    if folds == "fold1":
+        cfg = load_checkpoint(mixed / "fold1.ckpt")[1]
+        other = replace(cfg, backbone_channels=(6, 10))
+        save_checkpoint(mixed / "fold1.ckpt", init_params(other, seed=0), other)
+    else:
+        other_run = tmp_path / "other"
+        assert main(["train", "--data-dir", str(data), "--out-dir", str(other_run),
+                     *TINY_TRAIN, "--backbone", "6,10"]) == 0
+        for path in other_run.glob("fold*.ckpt*"):
+            shutil.copy(path, mixed / path.name)
     capsys.readouterr()
     rc = main(["predict", "--data-dir", str(data), "--run-dir", str(mixed),
                "--out", str(tmp_path / "p.csv")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "fold1.ckpt" in err and "fold0.ckpt" in err and "backbone_channels" in err
+    bad = mixed / ("fold1.ckpt" if folds == "fold1" else "fold0.ckpt")
+    assert err.startswith(f"error: {bad}: ")
+    assert "cv_summary.json" in err and "backbone_channels" in err
     assert not (tmp_path / "p.csv").exists()
+
+
+def _cut_channels(data, n_ch):
+    """Keep the first n_ch channels of every segment under data."""
+    for path in sorted((data / "signals").glob("*.eeg")):
+        seg = read_signal(path)
+        write_signal(path, replace(seg, samples=seg.samples[:n_ch]))
+
+
+def test_train_on_segments_with_another_channel_count_fails_before_any_work(tmp_path, capsys,
+                                                                            monkeypatch):
+    """The model takes n_channels channels; 8-channel segments fail naming
+    the first segment and the field before anything is loaded or
+    pretrained, with augmentation on."""
+    import eegimage.cli as cli
+
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run_gen(data, patients=3, segments=2) == 0
+    _cut_channels(data, 8)
+    capsys.readouterr()
+    for name in ("load_dataset", "pretrain_backbone"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: pytest.fail(_name))
+    rc = main(["train", "--data-dir", str(data), "--out-dir", str(out), "--folds", "2",
+               "--backbone", "6,8", "--seed", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'signals' / 's000000.eeg'}: 8 channels, the model's "
+        "n_channels is 16\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "tsne"])
+def test_serving_segments_with_another_channel_count_exits_1(trained_run, tmp_path, capsys,
+                                                             command):
+    _, run = trained_run
+    data = tmp_path / "data"
+    assert run_gen(data, patients=6, segments=3) == 0
+    _cut_channels(data, 8)
+    capsys.readouterr()
+    rc = main([command, "--data-dir", str(data), "--run-dir", str(run),
+               *_run_reader_args(command, tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'signals' / 's000000.eeg'}: 8 channels, the model's "
+        "n_channels is 16\n")
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "out").exists()
 
 
 def test_predict_serves_the_recorded_causal_filter(tmp_path):
@@ -508,7 +568,7 @@ def same_bytes(a, b):
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_served_blocks_give_the_whole_set_outputs(trained_run, tmp_path, monkeypatch, n):
-    """predict and tsne load the served set SERVE_BLOCK (64) segments at a
+    """predict and tsne load the served set PREDICT_BATCH (64) segments at a
     time; the probabilities they write and the features t-SNE maps are
     those of one load_dataset and one ensemble_predict / extract_embeddings
     over every row, byte for byte."""
@@ -545,7 +605,7 @@ def test_served_blocks_give_the_whole_set_outputs(trained_run, tmp_path, monkeyp
 
 
 def test_predict_memory_does_not_grow_with_the_served_set(trained_run, tmp_path):
-    """predict holds one SERVE_BLOCK of served segments, not the whole set:
+    """predict holds one PREDICT_BATCH of served segments, not the whole set:
     its live-allocation peak on 256 segments stays within 1.25x its peak on
     64."""
     import tracemalloc
@@ -580,8 +640,7 @@ def test_serving_names_a_segment_shaped_unlike_the_first_in_a_later_block(traine
     for e in manifest.entries[64:]:
         path = manifest.segment_path(e)
         seg = read_signal(path)
-        write_signal(path, replace(seg, samples=seg.samples[:, :400], t_total_s=4.0,
-                                   t_center_s=0.8))
+        write_signal(path, replace(seg, samples=seg.samples[:, :400]))
     capsys.readouterr()
     out = (["--out", str(tmp_path / "p.csv")] if command == "predict" else
            ["--out-dir", str(tmp_path / "t"), "--perplexity", "4", "--iterations", "300"])

@@ -124,3 +124,40 @@ def test_perfbench_tracer_finds_every_function_it_wraps():
             assert tracer.patched, spans
     finally:
         tracer.uninstall()
+
+
+def test_perfbench_checks_read_what_the_commands_write(tmp_path):
+    """perfbench/checks.py reads artifacts with its own parsers: the signal
+    and checkpoint layouts, the sidecar fields of reference_forward and
+    cv_summary.json's filter, which the benchmark reads as FilterSpec(**...).
+    A rename in any of them fails here, not only as a failed benchmark
+    check."""
+    import importlib.util
+    import json
+
+    from eegimage.cli import main
+    from eegimage.data import load_manifest
+    from eegimage.preprocess import FilterSpec
+    from eegimage.train import load_dataset
+
+    spec = importlib.util.spec_from_file_location("perfbench_checks",
+                                                  ROOT / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    data, run, preds = tmp_path / "data", tmp_path / "run", tmp_path / "p.csv"
+    for argv in (
+        ["gen", "--out-dir", data, "--patients", 6, "--segments", 3, "--duration", 5,
+         "--seed", 0],
+        ["train", "--data-dir", data, "--out-dir", run, "--folds", 2, "--stage1-epochs", 1,
+         "--stage2-epochs", 1, "--batch-size", 8, "--backbone", "6,8", "--no-pretrain",
+         "--seed", 0],
+        ["predict", "--data-dir", data, "--run-dir", run, "--out", preds],
+    ):
+        assert main([str(a) for a in argv]) == 0, argv
+    filt = json.loads((run / "cv_summary.json").read_text())["filter"]
+    ckpts = sorted(run.glob("fold*.ckpt"))
+    sample = [0, 5, 10, 17]
+    assert len(ckpts) == 2 and checks.check_simplex(ckpts) == []
+    assert checks.check_forward(ckpts, data, filt, preds, sample) == []
+    x_uv = load_dataset(load_manifest(data / "manifest.csv"), FilterSpec(**filt)).x_uv
+    assert checks.check_bandpass(data, filt, sample, x_uv[sample]) == []

@@ -413,10 +413,11 @@ def test_stage_restores_best_snapshot():
         data_scope="all",
         batch_size=4,
     )
+    history = []
     result = train_stage(params, cfg, stage, ds, train_idx, x_val, y_val, None,
-                         np.random.default_rng(1))
+                         np.random.default_rng(1), log=history.append)
     assert validation_loss(x_val, y_val, params, cfg)[0] == result.best_val_loss
-    assert result.best_val_loss == min(r["val_loss"] for r in result.history)
+    assert result.best_val_loss == min(r["val_loss"] for r in history)
 
 
 def test_stage_history_records_schema():
@@ -425,10 +426,11 @@ def test_stage_history_records_schema():
         lr_base=1e-3, epochs=2, sample_weighting=WEIGHT_UNIFORM,
         data_scope="all", batch_size=8,
     )
-    result = train_stage(params, cfg, stage, ds, train_idx, x_val, y_val, None,
-                         np.random.default_rng(2))
-    assert len(result.history) == 2
-    for rec in result.history:
+    history = []
+    train_stage(params, cfg, stage, ds, train_idx, x_val, y_val, None,
+                np.random.default_rng(2), log=history.append)
+    assert len(history) == 2
+    for rec in history:
         assert {"epoch", "step", "lr", "train_loss", "val_loss"} <= set(rec)
 
 
@@ -465,9 +467,10 @@ def test_stage_descends_on_learnable_data():
         lr_base=1e-3, epochs=6, sample_weighting=WEIGHT_ANNOTATORS,
         data_scope="all", batch_size=4,
     )
-    result = train_stage(params, cfg, stage, ds, train_idx, x_val, y_val, None,
-                         np.random.default_rng(5))
-    assert result.history[-1]["train_loss"] < result.history[0]["train_loss"]
+    history = []
+    train_stage(params, cfg, stage, ds, train_idx, x_val, y_val, None,
+                np.random.default_rng(5), log=history.append)
+    assert history[-1]["train_loss"] < history[0]["train_loss"]
 
 
 # --- cross-validation ---
@@ -497,8 +500,9 @@ def test_run_cv_float32_oof_rows_lie_on_the_simplex():
         None, k=3, seed=0,
     )
     assert np.abs(cv.oof_probs.sum(axis=1) - 1.0).max() <= 1e-12
-    for fr in cv.folds:
-        assert np.array_equal(fr.oof_probs, cv.oof_probs[fr.val_indices])
+    # the folds' held-out rows are every row, once
+    held_out = np.concatenate([fr.val_indices for fr in cv.folds])
+    assert np.array_equal(np.sort(held_out), np.arange(len(ds)))
 
 
 def test_run_cv_no_patient_leakage():
@@ -590,7 +594,6 @@ def test_run_cv_takes_the_oof_rows_from_the_best_validation_pass(tmp_path, monke
         params, cfg, _ = load_checkpoint(fr.checkpoint)
         fresh = onto_simplex(predict_batched(ds.x_uv[fr.val_indices], [(params, cfg)])[0])
         assert np.array_equal(cv.oof_probs[fr.val_indices], fresh)
-        assert np.array_equal(fr.oof_probs, fresh)
 
 
 def test_run_cv_recomputes_the_oof_rows_when_stage_2_never_improves(tmp_path, monkeypatch):
@@ -647,9 +650,10 @@ def test_train_stage_holds_one_step_cache_at_a_time(monkeypatch):
     monkeypatch.setattr(train, "validation_loss", tracked_validation)
     stage = StageConfig(lr_base=1e-3, epochs=2, sample_weighting=WEIGHT_UNIFORM,
                         data_scope="all", batch_size=4)
-    res = train_stage(params, cfg, stage, ds, train_idx, x_val, y_val, None,
-                      np.random.default_rng(0))
-    assert len(res.history) == 2 and len(caches) == 2 * -(-train_idx.size // 4)
+    history = []
+    train_stage(params, cfg, stage, ds, train_idx, x_val, y_val, None,
+                np.random.default_rng(0), log=history.append)
+    assert len(history) == 2 and len(caches) == 2 * -(-train_idx.size // 4)
 
 
 def test_run_cv_scales_each_fold_not_the_whole_dataset(monkeypatch):
@@ -819,7 +823,9 @@ def test_predict_batched_scales_each_batch_once_for_every_fold(monkeypatch):
     x = rng.uniform(-1200, 1200, size=(10, 4, 100)).astype(np.float32)
     want = per_fold_outputs(x, sets, batch_size=4)
     rows = spy_clip_scale(monkeypatch, train)
-    probs, feats = predict_batched(x, sets, batch_size=4, with_features=True)
+    with monkeypatch.context() as m:
+        m.setattr(train, "PREDICT_BATCH", 4)
+        probs, feats = predict_batched(x, sets, with_features=True)
     assert rows == [4, 4, 2]
     for (p, f), (wp, wf) in zip(zip(probs, feats), want):
         assert p.dtype == wp.dtype and np.array_equal(p, wp)
@@ -827,7 +833,7 @@ def test_predict_batched_scales_each_batch_once_for_every_fold(monkeypatch):
 
     rows.clear()
     got = ensemble_predict(sets, x)
-    assert rows == [10]  # predict_batched's default batch of 64
+    assert rows == [10]  # PREDICT_BATCH, 64
     want = per_fold_outputs(x, sets)
     assert np.array_equal(got, onto_simplex(np.mean([p for p, _ in want], axis=0)))
 
