@@ -9,7 +9,6 @@ classification task instead. That preserves the mechanism being ablated
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +16,8 @@ import numpy as np
 
 from .augment import AugmentConfig
 from .data import DatasetManifest
-from .metrics import EvalReport, confusion_to_csv, roc_to_csv, wilcoxon_rank_sum
+from .metrics import (EvalReport, confusion_to_csv, report_to_json, roc_to_csv,
+                      wilcoxon_rank_sum)
 from .model import (
     ABLATION_VARIANTS,
     ModelConfig,
@@ -208,15 +208,9 @@ def run_ablation(
     return rows
 
 
-def ablation_to_csv(rows: list[AblationRow], comment: str | None = None) -> str:
+def ablation_to_csv(rows: list[AblationRow]) -> str:
     n_seeds = len(rows[0].per_seed_kld) if rows else 0
-    header = "variant,mean_kld,p_vs_full," + ",".join(
-        f"kld_seed{i}" for i in range(n_seeds)
-    )
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(header)
+    lines = ["variant,mean_kld,p_vs_full," + ",".join(f"kld_seed{i}" for i in range(n_seeds))]
     for r in rows:
         p = "" if r.p_vs_full is None else f"{r.p_vs_full:.6g}"
         lines.append(
@@ -240,14 +234,14 @@ def extract_embeddings(param_sets, x_uv: np.ndarray, use_probs: bool = False) ->
 def emit_report(
     out_dir: Path,
     report: EvalReport | None = None,
-    roc_points: dict[str, tuple] | None = None,
     tsne_data: tuple[np.ndarray, np.ndarray, list[str]] | None = None,
     ablation_rows: list[AblationRow] | None = None,
     comment: str | None = None,
 ) -> list[Path]:
-    """Write report.json, per-class ROC CSVs, confusion.csv, tsne.csv,
-    ablation.csv and matching SVGs into out_dir. Sections whose inputs are
-    None (or empty, for ROC) are skipped; everything else is still written.
+    """Write report.json, confusion.csv, the report's per-class ROC CSVs,
+    tsne.csv, ablation.csv and matching SVGs into out_dir. Sections whose
+    inputs are None are skipped, and roc.svg when the report has no ROC
+    curve; everything else is still written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -262,19 +256,17 @@ def emit_report(
             raise OSError(f"failed writing {written[-1]}: {e}") from e
 
     if report is not None:
-        put("report.json", _report_json(report, comment))
+        put("report.json", report_to_json(report, run_info=comment))
         put("confusion.csv", confusion_to_csv(report.confusion), stamp=True)
         put("confusion.svg", confusion_svg(report.confusion, comment))
-
-    if roc_points:
         curves, marks = {}, {}
-        for name, (fpr, tpr, thr, opt) in sorted(roc_points.items()):
+        for name, (fpr, tpr, thr) in sorted(report.roc_curves.items()):
             put(f"roc_{name.lower()}.csv", roc_to_csv(fpr, tpr, thr), stamp=True)
             curves[name] = (fpr, tpr)
-            sel = np.argmin(np.abs(np.asarray(thr) - opt))
+            sel = np.argmin(np.abs(thr - report.optimal_thresholds[name]))
             marks[name] = (float(fpr[sel]), float(tpr[sel]))
-        aurocs = report.auroc if report is not None else {}
-        put("roc.svg", roc_svg(curves, marks, aurocs, comment))
+        if curves:
+            put("roc.svg", roc_svg(curves, marks, report.auroc, comment))
 
     if tsne_data is not None:
         coords, labels, ids = tsne_data
@@ -282,20 +274,9 @@ def emit_report(
         put("tsne.svg", tsne_svg(coords, labels, comment))
 
     if ablation_rows is not None:
-        put("ablation.csv", ablation_to_csv(ablation_rows, comment))
+        put("ablation.csv", ablation_to_csv(ablation_rows), stamp=True)
         put("ablation.svg", ablation_svg(
             [{"variant": r.variant, "mean_kld": r.mean_kld, "p_vs_full": r.p_vs_full}
              for r in ablation_rows], comment))
 
     return written
-
-
-def _report_json(report: EvalReport, comment: str | None) -> str:
-    from .metrics import report_to_json
-
-    text = report_to_json(report)
-    if comment:
-        d = json.loads(text)
-        d["run_info"] = comment
-        text = json.dumps(d, sort_keys=True, indent=1) + "\n"
-    return text

@@ -26,7 +26,6 @@ from .analysis import (
 )
 from .augment import AugmentConfig
 from .data import (
-    CLASS_NAMES,
     DatasetManifest,
     load_manifest,
     read_signal,
@@ -34,7 +33,7 @@ from .data import (
     split_folds,
     write_signal,
 )
-from .metrics import evaluate, optimal_threshold, roc_curve
+from .metrics import evaluate
 from .model import ModelConfig, central_cone, load_checkpoint, variant_config
 from .preprocess import PREPROCESS_META, FilterSpec
 from .synthgen import SynthConfig, generate
@@ -50,8 +49,8 @@ from .train import (
     run_cv,
 )
 from .tsne import TsneConfig, tsne
-from .util import (TYPE_NAMES, _pin_malloc_thresholds, config_hash, from_jsonable,
-                   read_json_object, read_record, to_jsonable)
+from .util import (TYPE_NAMES, _pin_malloc_thresholds, from_jsonable, read_json_object,
+                   read_record, stamp, write_record)
 
 DATA_DIR_ENV = "EEGIMAGE_DATA_DIR"
 log = logging.getLogger("eegimage")
@@ -129,35 +128,32 @@ def _setup_logging(verbosity: int) -> None:
                         stream=sys.stderr, force=True)
 
 
-GEN_DEFAULTS = dict(patients=60, segments=20, fs=100.0, duration=10.0,
-                    label_noise=0.1, noise_rms=15.0, seed=0)
+def _field_defaults(kind: type, names: dict[str, str]) -> dict:
+    """Each config key's default: the default of the `kind` field it names."""
+    fields = {f.name: f.default for f in dataclasses.fields(kind)}
+    return {key: fields[name] for key, name in names.items()}
+
+
+# gen's config keys and the SynthConfig fields they set
+GEN_FIELDS = dict(patients="n_patients", segments="segments_per_patient", fs="fs",
+                  duration="t_total_s", label_noise="label_noise",
+                  noise_rms="noise_rms_uv", seed="seed")
+GEN_DEFAULTS = _field_defaults(SynthConfig, GEN_FIELDS)
 
 
 def cmd_gen(args) -> int:
     cfg_d = _effective(args, GEN_DEFAULTS)
     out = args.out_dir or _data_dir(args)
-    cfg = SynthConfig(
-        n_patients=cfg_d["patients"],
-        segments_per_patient=cfg_d["segments"],
-        fs=cfg_d["fs"],
-        t_total_s=cfg_d["duration"],
-        label_noise=cfg_d["label_noise"],
-        noise_rms_uv=cfg_d["noise_rms"],
-        seed=cfg_d["seed"],
-    )
-    h = config_hash(cfg)
-    generate(cfg, out, header_comment=f"config_hash={h} seed={cfg.seed}")
-    with open(Path(out) / "gen_meta.json", "w") as f:
-        json.dump({"config": to_jsonable(cfg), "config_hash": h, "seed": cfg.seed},
-                  f, sort_keys=True, indent=1)
-        f.write("\n")
+    cfg = SynthConfig(**{name: cfg_d[key] for key, name in GEN_FIELDS.items()})
+    generate(cfg, out, header_comment=stamp(cfg, cfg.seed))
+    write_record(Path(out) / "gen_meta.json", cfg, "config", seed=cfg.seed)
     log.info("generated %d patients x %d segments into %s",
              cfg.n_patients, cfg.segments_per_patient, out)
     return 0
 
 
-PREPROCESS_DEFAULTS = dict(seed=0, filter_mode="zero_phase", low_hz=0.5,
-                           high_hz=45.0, order=3)
+PREPROCESS_DEFAULTS = {"seed": 0, **_field_defaults(
+    FilterSpec, dict(filter_mode="mode", low_hz="low_hz", high_hz="high_hz", order="order"))}
 
 
 def cmd_preprocess(args) -> int:
@@ -177,13 +173,8 @@ def cmd_preprocess(args) -> int:
         write_signal(out / e.path, dataclasses.replace(
             first, samples=x, segment_id=e.segment_id, recording_id=e.recording_id,
             patient_id=e.patient_id))
-    h = config_hash(spec)
-    comment = f"config_hash={h} seed={cfg_d['seed']}"
-    save_manifest(manifest, out / "manifest.csv", header_comment=comment)
-    with open(out / PREPROCESS_META, "w") as f:
-        json.dump({"filter": to_jsonable(spec), "config_hash": h,
-                   "seed": cfg_d["seed"]}, f, sort_keys=True, indent=1)
-        f.write("\n")
+    save_manifest(manifest, out / "manifest.csv", header_comment=stamp(spec, cfg_d["seed"]))
+    write_record(out / PREPROCESS_META, spec, "filter", seed=cfg_d["seed"])
     return 0
 
 
@@ -268,11 +259,10 @@ def _training_setup(args, defaults: dict, variant: str | None = None):
 
 
 def _stamp(rec: RunRecord, seed: int | None = None, **scope) -> str:
-    """The comment line that stamps an artifact of run `rec`: the record's
-    hash, or with `scope` (what else the artifact depends on) the hash of the
-    record nested beside it; and the record's seed unless `seed` is given."""
-    h = config_hash({"run": rec, **scope} if scope else rec)
-    return f"config_hash={h} seed={rec.seed if seed is None else seed}"
+    """The stamp of an artifact of run `rec`: the record's hash, or with
+    `scope` (what else the artifact depends on) the hash of the record nested
+    beside it; and the record's seed unless `seed` is given."""
+    return stamp({"run": rec, **scope} if scope else rec, rec.seed if seed is None else seed)
 
 
 def cmd_train(args) -> int:
@@ -299,16 +289,8 @@ def cmd_train(args) -> int:
 
     export_predictions(out / "oof_predictions.csv", ds.segment_ids, cv.oof_probs,
                        header_comment=_stamp(rec))
-    summary = {
-        **to_jsonable(rec),
-        "config_hash": config_hash(rec),
-        "fold_val_loss": cv.fold_val_losses(),
-        "fold_sizes": cv.fold_assignment.fold_sizes(),
-        "n_segments": len(ds),
-    }
-    with open(out / "cv_summary.json", "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_record(out / "cv_summary.json", rec, fold_val_loss=cv.fold_val_losses(),
+                 fold_sizes=cv.fold_assignment.fold_sizes(), n_segments=len(ds))
     print(f"out-of-fold predictions and {rec.k} checkpoints in {out}")
     return 0
 
@@ -329,17 +311,9 @@ def cmd_evaluate(args) -> int:
     folds = split_folds(manifest, k=rec.k, seed=rec.seed)
     fold_of_sample = np.array([folds.fold_of_patient[e.patient_id]
                                for e in manifest.entries])
-    consensus = manifest.consensus_labels()
-    report = evaluate(manifest.soft_labels(), probs, consensus, fold_of_sample,
-                      [e.patient_id for e in manifest.entries])
-    roc_points = {}
-    for c, name in enumerate(CLASS_NAMES):
-        try:
-            fpr, tpr, thr = roc_curve(consensus, probs[:, c], c)
-        except ValueError:
-            continue
-        roc_points[name] = (fpr, tpr, thr, optimal_threshold(fpr, tpr, thr))
-    emit_report(out, report=report, roc_points=roc_points, comment=_stamp(rec))
+    report = evaluate(manifest.soft_labels(), probs, manifest.consensus_labels(),
+                      fold_of_sample, [e.patient_id for e in manifest.entries])
+    emit_report(out, report=report, comment=_stamp(rec))
     print(f"mean KLD {report.mean_kld:.4f}, consensus accuracy "
           f"{report.consensus_accuracy:.3f}; report in {out}")
     return 0
@@ -369,7 +343,9 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-TSNE_DEFAULTS = dict(seed=0, perplexity=30.0, iterations=1000, use_probs=False)
+TSNE_DEFAULTS = {**_field_defaults(TsneConfig, dict(seed="seed", perplexity="perplexity",
+                                                   iterations="iterations")),
+                 "use_probs": False}
 TSNE_TRACE_EVERY = 50  # the objective is evaluated only for the printed summary
 
 

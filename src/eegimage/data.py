@@ -31,19 +31,8 @@ SUBSET_LOW = "low_annotation"
 SUBSET_HIGH = "high_quality"
 HIGH_QUALITY_MIN_VOTES = 10
 
-MANIFEST_COLUMNS = (
-    "segment_id",
-    "recording_id",
-    "patient_id",
-    "votes_seizure",
-    "votes_lpd",
-    "votes_gpd",
-    "votes_lrda",
-    "votes_grda",
-    "votes_other",
-    "subset",
-    "path",
-)
+MANIFEST_COLUMNS = ("segment_id", "recording_id", "patient_id",
+                    *(f"votes_{name}" for name in CLASS_NAMES), "subset", "path")
 
 LEFT_CHANNELS = (0, 1, 2, 3, 8, 9, 10, 11)
 RIGHT_CHANNELS = (4, 5, 6, 7, 12, 13, 14, 15)

@@ -195,6 +195,9 @@ class EvalReport:
     n_samples: int
     n_patients: int
     fold_kld: list[float]
+    # (fpr, tpr, thresholds) of each class with both positives and negatives;
+    # drawn by emit_report, not written to report.json
+    roc_curves: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     ci_method: str = "fold_normal"
 
 
@@ -230,13 +233,13 @@ def evaluate(
     confusion, sens, prec = confusion_and_rates(consensus, predicted)
     accuracy = float((predicted == consensus).mean())
 
-    auroc, auroc_ci, thresholds = {}, {}, {}
+    auroc, auroc_ci, thresholds, curves = {}, {}, {}, {}
     for c in range(N_CLASSES):
         name = CLASS_NAMES[c]
         try:
             auroc[name] = auroc_ovr(consensus, probs[:, c], c)
-            fpr, tpr, th = roc_curve(consensus, probs[:, c], c)
-            thresholds[name] = optimal_threshold(fpr, tpr, th)
+            curves[name] = roc_curve(consensus, probs[:, c], c)
+            thresholds[name] = optimal_threshold(*curves[name])
         except ValueError:
             auroc[name] = float("nan")
             thresholds[name] = float("nan")
@@ -268,6 +271,7 @@ def evaluate(
         n_samples=len(soft_labels),
         n_patients=len(set(patient_ids)),
         fold_kld=fold_kld,
+        roc_curves=curves,
     )
 
 
@@ -285,7 +289,9 @@ def _san(x):
     return x
 
 
-def report_to_json(report: EvalReport) -> str:
+def report_to_json(report: EvalReport, run_info: str | None = None) -> str:
+    """report.json: every field but the ROC curves, the class names and, when
+    given, the run_info stamp; NaN is written as null."""
     d = {
         "mean_kld": report.mean_kld,
         "mean_kld_ci": list(report.mean_kld_ci),
@@ -302,6 +308,8 @@ def report_to_json(report: EvalReport) -> str:
         "ci_method": report.ci_method,
         "class_names": list(CLASS_NAMES),
     }
+    if run_info:
+        d["run_info"] = run_info
     return json.dumps(_san(d), sort_keys=True, indent=1) + "\n"
 
 

@@ -10,13 +10,12 @@ stack, pooling, softmax head) also trains the backbone on its pretext.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 import numpy as np
 
-from .util import config_hash, read_record, to_jsonable
+from .util import read_record, write_record
 
 CHECKPOINT_MAGIC = b"EEGIMG01"
 CHECKPOINT_VERSION = 1
@@ -736,16 +735,8 @@ def save_checkpoint(path: Path, params: ModelParams, cfg: ModelConfig, meta: dic
             for d in arr.shape:
                 f.write(struct.pack("<I", d))
             f.write(np.ascontiguousarray(arr, dtype=_DTYPE_FROM_CODE[dcode]).tobytes())
-    sidecar = {
-        "config": to_jsonable(cfg),
-        "config_hash": config_hash(cfg),
-        "format_version": CHECKPOINT_VERSION,
-    }
-    if meta:
-        sidecar.update(to_jsonable(meta))
-    with open(path.with_suffix(path.suffix + ".json"), "w") as f:
-        json.dump(sidecar, f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_record(path.with_suffix(path.suffix + ".json"), cfg, "config",
+                 **{"format_version": CHECKPOINT_VERSION, **(meta or {})})
 
 
 def load_checkpoint(path: Path) -> tuple[ModelParams, ModelConfig, dict]:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .augment import AugmentConfig, apply_array
 from .data import (
+    CLASS_NAMES,
     HIGH_QUALITY_MIN_VOTES,
     DatasetManifest,
     FoldAssignment,
@@ -426,8 +427,12 @@ def run_cv(
     """Patient-grouped k-fold: per fold, stage 1 on all non-fold data, stage 2
     on its high-quality subset, out-of-fold predictions on the held-out fold.
     A pretrained model_cfg starts every fold from backbone's conv stages
-    (see :func:`init_params`).
+    (see :func:`init_params`), so backbone is given exactly when
+    model_cfg.pretrained is True.
     """
+    if model_cfg.pretrained != (backbone is not None):
+        raise ValueError(f"model config has pretrained={model_cfg.pretrained} but "
+                         f"backbone is {'given' if backbone is not None else 'None'}")
     folds = split_folds(manifest, k=k, seed=seed)
     patient_fold = np.array([folds.fold_of_patient[p] for p in ds.patient_ids])
     oof = np.full((len(ds), model_cfg.n_classes), np.nan)
@@ -440,8 +445,7 @@ def run_cv(
         train_idx = np.nonzero(patient_fold != f)[0]
         val_idx = np.nonzero(patient_fold == f)[0]
         rng = np.random.default_rng([seed, f])
-        params = init_params(model_cfg, seed=seed * 1000 + f,
-                             backbone=backbone if model_cfg.pretrained else None)
+        params = init_params(model_cfg, seed=seed * 1000 + f, backbone=backbone)
         x_val = ds.x_uv[val_idx]
         y_val = ds.y[val_idx]
 
@@ -499,15 +503,7 @@ def onto_simplex(probs: np.ndarray) -> np.ndarray:
     return np.where(off, probs / sums, probs) if off.any() else probs
 
 
-PREDICTION_COLUMNS = (
-    "id",
-    "seizure_vote",
-    "lpd_vote",
-    "gpd_vote",
-    "lrda_vote",
-    "grda_vote",
-    "other_vote",
-)
+PREDICTION_COLUMNS = ("id", *(f"{name}_vote" for name in CLASS_NAMES))
 
 
 def export_predictions(path: Path, ids: list[str], probs: np.ndarray,

@@ -1,5 +1,6 @@
 """Small shared helpers: canonical JSON and its inverse, config hashing,
-stamped JSON records and the C heap's thresholds."""
+the one writer and reader of stamped JSON records and stamp lines, and the
+C heap's thresholds."""
 
 from __future__ import annotations
 
@@ -113,6 +114,23 @@ def read_record(path: Path, kind: type, field: str | None = None) -> tuple[Any, 
         raise ValueError(f"{path}: field 'config_hash' {got!r} does not match the "
                          f"recorded config, which hashes to {want!r}")
     return record, doc
+
+
+def write_record(path: Path, record: Any, field: str | None = None, /, **extra) -> None:
+    """Write `record` as :func:`read_record` reads it: its fields at the top
+    level, or the object under `field`, beside its config_hash and the
+    `extra` keys, which cannot displace either; sorted keys, one-space
+    indent, newline-terminated."""
+    body = {field: record} if field is not None else to_jsonable(record)
+    doc = {**extra, **body, "config_hash": config_hash(record)}
+    with open(path, "w") as f:
+        json.dump(to_jsonable(doc), f, sort_keys=True, indent=1)
+        f.write("\n")
+
+
+def stamp(obj: Any, seed: int) -> str:
+    """The comment line that stamps an artifact made from `obj` with `seed`."""
+    return f"config_hash={config_hash(obj)} seed={seed}"
 
 
 def canonical_json(obj: Any) -> str:

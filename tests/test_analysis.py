@@ -2,6 +2,7 @@
 report emission."""
 
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from eegimage.analysis import (
     pretrain_backbone,
     run_ablation,
 )
-from eegimage.data import CLASS_NAMES
-from eegimage.metrics import evaluate, optimal_threshold, roc_curve
+from eegimage.metrics import evaluate
 from eegimage.preprocess import clip_scale_array
 from eegimage.model import (
     ModelConfig,
@@ -335,12 +335,14 @@ def test_pretrained_and_random_backbones_diverge_in_training():
     assert losses["pretrained"] != losses["random"]
 
 
-def test_ablation_csv_layout():
+def test_ablation_csv_layout(tmp_path):
     rows = [
         AblationRow("full", 0.5, [0.4, 0.6], None),
         AblationRow("no_eeg2img", 0.7, [0.6, 0.8], 0.03125),
     ]
-    text = ablation_to_csv(rows, comment="run xyz")
+    emit_report(tmp_path, ablation_rows=rows, comment="run xyz")
+    text = (tmp_path / "ablation.csv").read_text()
+    assert text == "# run xyz\n" + ablation_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == "# run xyz"
     assert lines[1] == "variant,mean_kld,p_vs_full,kld_seed0,kld_seed1"
@@ -402,19 +404,11 @@ def small_report(seed=0, n=60):
     consensus = np.arange(n) % 6  # every class present
     folds = np.arange(n) % 2
     patients = [f"p{i % 7}" for i in range(n)]
-    return evaluate(y, probs, consensus, folds, patients), probs, consensus
-
-
-def roc_payload(probs, consensus):
-    payload = {}
-    for c in (0, 5):
-        fpr, tpr, thr = roc_curve(consensus, probs[:, c], c)
-        payload[CLASS_NAMES[c]] = (fpr, tpr, thr, optimal_threshold(fpr, tpr, thr))
-    return payload
+    return evaluate(y, probs, consensus, folds, patients)
 
 
 def test_emit_report_writes_all_sections(tmp_path):
-    report, probs, consensus = small_report()
+    report = small_report()
     coords = np.random.default_rng(3).normal(size=(12, 2))
     rows = [
         AblationRow("full", 0.5, [0.5], None),
@@ -423,7 +417,6 @@ def test_emit_report_writes_all_sections(tmp_path):
     written = emit_report(
         tmp_path,
         report=report,
-        roc_points=roc_payload(probs, consensus),
         tsne_data=(coords, np.arange(12) % 6, [f"s{i}" for i in range(12)]),
         ablation_rows=rows,
         comment="smoke",
@@ -441,8 +434,8 @@ def test_emit_report_writes_all_sections(tmp_path):
 
 
 def test_emit_report_skips_empty_roc(tmp_path):
-    report, _, _ = small_report()
-    written = emit_report(tmp_path, report=report, roc_points={})
+    report = small_report()
+    written = emit_report(tmp_path, report=replace(report, roc_curves={}))
     names = {p.name for p in written}
     assert "report.json" in names and "confusion.csv" in names
     assert not any(n.startswith("roc") for n in names)
@@ -450,7 +443,7 @@ def test_emit_report_skips_empty_roc(tmp_path):
 
 
 def test_emit_report_names_the_file_it_cannot_write(tmp_path):
-    report, _, _ = small_report()
+    report = small_report()
     (tmp_path / "confusion.csv").mkdir()
     with pytest.raises(OSError, match="failed writing .*confusion.csv"):
         emit_report(tmp_path, report=report)
@@ -458,11 +451,10 @@ def test_emit_report_names_the_file_it_cannot_write(tmp_path):
 
 
 def test_emit_report_reruns_byte_identical(tmp_path):
-    report, probs, consensus = small_report()
+    report = small_report()
     coords = np.random.default_rng(4).normal(size=(10, 2))
     kwargs = dict(
         report=report,
-        roc_points=roc_payload(probs, consensus),
         tsne_data=(coords, np.arange(10) % 6, [f"s{i}" for i in range(10)]),
         ablation_rows=[AblationRow("full", 0.5, [0.5], None)],
         comment="det",

@@ -111,6 +111,18 @@ def test_gen_artifacts_embed_hash_and_seed(tmp_path):
     assert meta["seed"] == 7 and meta["config_hash"]
 
 
+def test_gen_and_preprocess_stamp_their_manifest_with_their_records_hash(tmp_path):
+    data, out = tmp_path / "d", tmp_path / "filtered"
+    assert run_gen(data, seed=7) == 0
+    assert main(["preprocess", "--data-dir", str(data), "--out-dir", str(out),
+                 "--seed", "3"]) == 0
+    for d, meta, seed in ((data, "gen_meta.json", 7), (out, "preprocess_meta.json", 3)):
+        record = json.loads((d / meta).read_text())
+        first = (d / "manifest.csv").read_text().splitlines()[0]
+        assert first == f"# config_hash={record['config_hash']} seed={seed}"
+        assert record["seed"] == seed
+
+
 def test_gen_env_var_default_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "envdata"))
     assert main(["gen", "--patients", "2", "--segments", "2",

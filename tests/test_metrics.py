@@ -1,5 +1,6 @@
 """Metric implementations checked against independent brute-force oracles."""
 
+import json
 import math
 from itertools import combinations
 
@@ -338,3 +339,21 @@ def test_evaluate_builds_full_report():
     assert set(rep.auroc) == {"seizure", "lpd", "gpd", "lrda", "grda", "other"}
     text = report_to_json(rep)
     assert '"mean_kld"' in text and "NaN" not in text
+
+
+def test_evaluate_keeps_the_roc_curve_of_each_non_degenerate_class():
+    rng = np.random.default_rng(10)
+    consensus = np.arange(40) % 3  # only seizure, lpd and gpd are ever the consensus
+    probs = rng.dirichlet(np.ones(6), size=40)
+    rep = evaluate(np.eye(6)[consensus], probs, consensus, np.arange(40) % 2,
+                   [f"p{i % 5}" for i in range(40)])
+    assert set(rep.roc_curves) == {"seizure", "lpd", "gpd"}
+    for c, name in enumerate(("seizure", "lpd", "gpd")):
+        want = roc_curve(consensus, probs[:, c], c)
+        assert all(np.array_equal(a, b) for a, b in zip(rep.roc_curves[name], want))
+        assert rep.optimal_thresholds[name] == optimal_threshold(*want)
+    assert math.isnan(rep.optimal_thresholds["other"])
+    plain = json.loads(report_to_json(rep))
+    stamped = json.loads(report_to_json(rep, run_info="config_hash=0 seed=0"))
+    assert "roc_curves" not in plain and "run_info" not in plain
+    assert stamped == {**plain, "run_info": "config_hash=0 seed=0"}

@@ -767,6 +767,24 @@ def test_run_cv_checks_every_stage_before_training_any_fold(tmp_path, monkeypatc
     assert trained == []
 
 
+@pytest.mark.parametrize("pretrained", [True, False])
+def test_run_cv_refuses_a_backbone_that_disagrees_with_pretrained(tmp_path, monkeypatch,
+                                                                   pretrained):
+    import eegimage.train as train
+
+    manifest, ds = tiny_problem(n_patients=4, segs=2, seed=12)
+    cfg = tiny_cfg(pretrained=pretrained)
+    backbone = None if pretrained else init_params(cfg, seed=0)
+    trained = []
+    monkeypatch.setattr(train, "train_stage", lambda *a, **k: trained.append(a))
+    with pytest.raises(ValueError, match=f"pretrained={pretrained} but backbone is "
+                                         f"{'None' if pretrained else 'given'}"):
+        run_cv(manifest, ds, cfg, default_stage1(epochs=1, batch_size=8),
+               default_stage2(epochs=1, batch_size=8), None, k=2, seed=0, out_dir=tmp_path,
+               backbone=backbone)
+    assert trained == [] and not list(tmp_path.iterdir())
+
+
 # --- ensembling ---
 
 
