@@ -33,6 +33,9 @@ The recipe (seed 0 everywhere):
 - ``abl``: 9 x 6 segments at 40 uV noise, 5 s; ``ablation`` runs all four
   ablation variants with one seed.
 
+``predict`` leaves ``served_features.npy`` and ``served_features.json`` in each run dir it
+serves, and the ``tsne`` after it maps those features.
+
 --quick runs only ``small`` and ``run_pre`` (about 5 s on 2 cores);
 the full recipe takes a few minutes.
 """

@@ -29,7 +29,7 @@ from .model import (
     variant_config,
 )
 from .plots import ablation_svg, confusion_svg, roc_svg, tsne_svg
-from .train import Adam, Dataset, StageConfig, predict_batched, run_cv
+from .train import Adam, Dataset, StageConfig, run_cv
 from .tsne import tsne_to_csv
 from .util import _pin_malloc_thresholds
 
@@ -220,12 +220,12 @@ def ablation_to_csv(rows: list[AblationRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def extract_embeddings(param_sets, x_uv: np.ndarray, use_probs: bool = False) -> np.ndarray:
-    """Fold-averaged model outputs for t-SNE of filtered segments in
-    microvolts, in the model dtype: pooled penultimate features by default,
-    softmax probabilities behind the flag (cast back exactly from
-    predict_batched's float64)."""
-    probs, feats = predict_batched(x_uv, param_sets, with_features=True)
+def extract_embeddings(probs: list[np.ndarray], feats: list[np.ndarray],
+                       use_probs: bool = False) -> np.ndarray:
+    """Fold-averaged model outputs for t-SNE from predict_batched's per-model
+    probabilities and pooled features (with_features=True), in the model
+    dtype: the features by default, the probabilities behind the flag (cast
+    back exactly from float64)."""
     if use_probs:
         return np.mean([p.astype(f.dtype) for p, f in zip(probs, feats)], axis=0)
     return np.mean(feats, axis=0)

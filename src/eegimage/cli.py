@@ -9,7 +9,10 @@ artifact embeds the run's config hash and seed (JSON field or comment line).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import logging
 import os
@@ -34,7 +37,8 @@ from .data import (
     write_signal,
 )
 from .metrics import evaluate
-from .model import ModelConfig, central_cone, load_checkpoint, variant_config
+from .model import (ModelConfig, central_cone, checkpoint_sidecar, load_checkpoint,
+                    variant_config)
 from .preprocess import PREPROCESS_META, FilterSpec
 from .synthgen import SynthConfig, generate
 from .train import (
@@ -46,6 +50,7 @@ from .train import (
     export_predictions,
     load_dataset,
     load_predictions,
+    predict_batched,
     run_cv,
 )
 from .tsne import TsneConfig, tsne
@@ -353,10 +358,18 @@ def cmd_tsne(args) -> int:
     cfg_d = _effective(args, TSNE_DEFAULTS)
     cfg = TsneConfig(perplexity=cfg_d["perplexity"], iterations=cfg_d["iterations"],
                      seed=cfg_d["seed"])
-    out = Path(args.out_dir or Path(args.run_dir) / "eval")
-    manifest, param_sets, rec = _load_run(args)
-    emb = _serve(manifest, rec.filter, lambda x_uv: extract_embeddings(
-        param_sets, x_uv, use_probs=cfg_d["use_probs"]))
+    run_dir = Path(args.run_dir)
+    out = Path(args.out_dir or run_dir / "eval")
+    manifest, param_sets, rec, inputs = _load_run(args)
+    emb = None if cfg_d["use_probs"] else _served_features(run_dir, inputs, len(manifest))
+    if emb is None:
+        log.info("computing the served %s", "probabilities" if cfg_d["use_probs"] else
+                 f"features: {run_dir / SERVED_FEATURES} is missing or not of these inputs")
+        emb = _serve(manifest, rec.filter, lambda x_uv: extract_embeddings(
+            *predict_batched(x_uv, param_sets, with_features=True),
+            use_probs=cfg_d["use_probs"]))
+    else:
+        log.info("reusing the served features in %s", run_dir / SERVED_FEATURES)
     result = tsne(emb, cfg, trace_every=TSNE_TRACE_EVERY)
     ids = [e.segment_id for e in manifest.entries]
     emit_report(out, tsne_data=(result.coords, manifest.consensus_labels(), ids),
@@ -373,11 +386,15 @@ def _read_summary(run_dir: Path) -> RunRecord:
 
 
 def _load_run(args):
-    """Manifest, fold models and the run's record. The served set's first
-    segment must have the record's channel count, checked before any model
-    is loaded, and every fold checkpoint the record's model config."""
+    """Manifest, fold models, the run's record, and every file a served
+    pass reads, in the order it reads them: cv_summary.json, each fold
+    checkpoint and its sidecar, the manifest and each segment it lists. The
+    served set's first segment must have the record's channel count,
+    checked before any model is loaded, and every fold checkpoint the
+    record's model config."""
     run_dir = Path(args.run_dir)
-    manifest = load_manifest(_data_dir(args) / "manifest.csv")
+    manifest_path = _data_dir(args) / "manifest.csv"
+    manifest = load_manifest(manifest_path)
     ckpts = sorted(run_dir.glob("fold*.ckpt"))
     if not ckpts:
         raise FileNotFoundError(f"no fold checkpoints under {run_dir}")
@@ -393,7 +410,9 @@ def _load_run(args):
             raise ValueError(f"{c}: model config differs from the run's "
                              f"{run_dir / 'cv_summary.json'} in {', '.join(fields)}")
         sets.append((params, cfg))
-    return manifest, sets, rec
+    inputs = [run_dir / "cv_summary.json", *(p for c in ckpts for p in (c, checkpoint_sidecar(c))),
+              manifest_path, *(manifest.segment_path(e) for e in manifest.entries)]
+    return manifest, sets, rec, inputs
 
 
 def _serve(manifest: DatasetManifest, spec: FilterSpec, outputs) -> np.ndarray:
@@ -414,10 +433,111 @@ def _serve(manifest: DatasetManifest, spec: FilterSpec, outputs) -> np.ndarray:
     return np.concatenate(out)
 
 
+# what predict leaves in the run dir for tsne: the served set's fold-averaged
+# features, and the sidecar that says which inputs they are of
+SERVED_FEATURES = "served_features.npy"
+SERVED_FEATURES_SIDECAR = "served_features.json"
+
+
+def _input_digest(paths: list[Path]) -> str:
+    """One sha256 over the size and bytes of each file in turn: the inputs
+    of a served pass by content, not by name or mtime."""
+    h = hashlib.sha256()
+    for p in paths:
+        data = p.read_bytes()
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.hexdigest()
+
+
+def _sidecar_of(npy_sha256: str, inputs: list[Path], rows: int) -> dict:
+    """The sidecar of a features file of this hash, of these inputs' rows."""
+    return {"input_sha256": _input_digest(inputs), "npy_sha256": npy_sha256, "rows": rows}
+
+
+class _FeatureWriter:
+    """Writes `rows` rows of served features to run_dir's SERVED_FEATURES a
+    block at a time, as np.save would write them all at once, hashing them
+    as they go; on leaving the `with` block without an error, writes the
+    sidecar. The first OSError is logged as a warning naming the file and
+    ends the writing, not the command."""
+
+    def __init__(self, run_dir: Path, inputs: list[Path], rows: int):
+        self.path, self.inputs, self.rows = run_dir / SERVED_FEATURES, inputs, rows
+        self.f, self.failed, self.sha = None, False, hashlib.sha256()
+
+    @contextlib.contextmanager
+    def _guard(self, path: Path):
+        try:
+            yield
+        except OSError as e:
+            log.warning("could not write %s (%s); tsne will recompute the served features",
+                        path, e)
+            self.failed = True
+            if self.f is not None:
+                with contextlib.suppress(OSError):
+                    self.f.close()
+
+    def _put(self, data: bytes) -> None:
+        self.f.write(data)
+        self.sha.update(data)
+
+    def write(self, block: np.ndarray) -> None:
+        if self.failed:
+            return
+        with self._guard(self.path):
+            if self.f is None:
+                self.f = open(self.path, "wb")
+                header = io.BytesIO()
+                np.lib.format.write_array_header_1_0(header, {
+                    "descr": np.lib.format.dtype_to_descr(block.dtype),
+                    "fortran_order": False, "shape": (self.rows, block.shape[1])})
+                self._put(header.getvalue())
+            self._put(block.tobytes())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        if self.failed or self.f is None:
+            return
+        with self._guard(self.path):
+            self.f.close()
+        if exc_type is None and not self.failed:
+            sidecar = self.path.with_name(SERVED_FEATURES_SIDECAR)
+            with self._guard(sidecar):
+                sidecar.write_text(json.dumps(
+                    _sidecar_of(self.sha.hexdigest(), self.inputs, self.rows),
+                    sort_keys=True, indent=1) + "\n")
+
+
+def _served_features(run_dir: Path, inputs: list[Path], rows: int) -> np.ndarray | None:
+    """The features predict left in run_dir, when its sidecar is the one
+    predict would write now: the digest of these inputs, `rows` rows and the
+    .npy file's own sha256; else None."""
+    try:
+        sidecar = json.loads((run_dir / SERVED_FEATURES_SIDECAR).read_text())
+        data = (run_dir / SERVED_FEATURES).read_bytes()
+    except (OSError, ValueError):
+        return None
+    if sidecar != _sidecar_of(hashlib.sha256(data).hexdigest(), inputs, rows):
+        return None
+    return np.load(io.BytesIO(data))
+
+
 def cmd_predict(args) -> int:
+    """Ensemble probabilities of the served set to --out; its fold-averaged
+    features go to the run dir, for tsne to reuse."""
     out_path = Path(args.out or "predictions.csv")
-    manifest, param_sets, rec = _load_run(args)
-    probs = _serve(manifest, rec.filter, lambda x_uv: ensemble_predict(param_sets, x_uv))
+    manifest, param_sets, rec, inputs = _load_run(args)
+
+    with _FeatureWriter(Path(args.run_dir), inputs, len(manifest)) as features:
+        def outputs(x_uv):
+            probs, feats = predict_batched(x_uv, param_sets, with_features=True)
+            features.write(extract_embeddings(probs, feats))
+            return ensemble_predict(probs)
+
+        probs = _serve(manifest, rec.filter, outputs)
     ids = [e.segment_id for e in manifest.entries]
     export_predictions(out_path, ids, probs, header_comment=_stamp(rec))
     print(f"wrote {len(ids)} ensemble predictions to {out_path}")

@@ -720,6 +720,12 @@ def backward_batch(
 # --- checkpoints: versioned binary + JSON sidecar ---
 
 
+def checkpoint_sidecar(path: Path) -> Path:
+    """The JSON sidecar of checkpoint `path`: fold0.ckpt's is fold0.ckpt.json."""
+    path = Path(path)
+    return path.with_suffix(path.suffix + ".json")
+
+
 def save_checkpoint(path: Path, params: ModelParams, cfg: ModelConfig, meta: dict | None = None) -> None:
     path = Path(path)
     tensors = list(params.named_arrays())
@@ -735,7 +741,7 @@ def save_checkpoint(path: Path, params: ModelParams, cfg: ModelConfig, meta: dic
             for d in arr.shape:
                 f.write(struct.pack("<I", d))
             f.write(np.ascontiguousarray(arr, dtype=_DTYPE_FROM_CODE[dcode]).tobytes())
-    write_record(path.with_suffix(path.suffix + ".json"), cfg, "config",
+    write_record(checkpoint_sidecar(path), cfg, "config",
                  **{"format_version": CHECKPOINT_VERSION, **(meta or {})})
 
 
@@ -766,7 +772,7 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, ModelConfig, dict]:
             dtype = np.dtype(_DTYPE_FROM_CODE[dcode])
             raw = read(int(np.prod(shape)) * dtype.itemsize, f"tensor {name!r}")
             tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    cfg, sidecar = read_record(path.with_suffix(path.suffix + ".json"), ModelConfig, "config")
+    cfg, sidecar = read_record(checkpoint_sidecar(path), ModelConfig, "config")
     shapes = param_shapes(cfg)
     for name in tensors:
         if name not in shapes:

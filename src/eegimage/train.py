@@ -481,18 +481,16 @@ def run_cv(
     return CvResult(folds=results, oof_probs=oof, fold_assignment=folds)
 
 
-def ensemble_predict(
-    param_sets: list[tuple[ModelParams, ModelConfig]], x_uv: np.ndarray
-) -> np.ndarray:
-    """Arithmetic mean of per-model probabilities of filtered segments in
-    microvolts; renormalizes only when the mean drifts off the simplex by more
+def ensemble_predict(probs: list[np.ndarray]) -> np.ndarray:
+    """Arithmetic mean of per-model probabilities, as predict_batched returns
+    them; renormalizes only when the mean drifts off the simplex by more
     than 1e-12."""
-    if not param_sets:
+    if not probs:
         raise ValueError("need at least one model")
-    n_classes = {cfg.n_classes for _, cfg in param_sets}
+    n_classes = {p.shape[1] for p in probs}
     if len(n_classes) > 1:
         raise ValueError(f"prediction shape mismatch: n_classes {sorted(n_classes)}")
-    return onto_simplex(np.mean(predict_batched(x_uv, param_sets), axis=0))
+    return onto_simplex(np.mean(probs, axis=0))
 
 
 def onto_simplex(probs: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from eegimage.train import (
     Adam,
     Dataset,
     StageConfig,
+    predict_batched,
     train_stage,
 )
 
@@ -360,7 +361,7 @@ def test_extract_embeddings_averages_folds(monkeypatch):
     x = np.random.default_rng(1).uniform(-1200, 1200, size=(10, 4, 100))
     sets = [(init_params(cfg, seed=s), cfg) for s in (0, 1)]
     monkeypatch.setattr(train, "PREDICT_BATCH", 4)
-    out = extract_embeddings(sets, x)
+    out = extract_embeddings(*predict_batched(x, sets, with_features=True))
     singles = []
     for params, c in sets:
         _, feat = forward_batch(clip_scale_array(x), params, c)
@@ -379,7 +380,7 @@ def test_extract_embeddings_scales_each_batch_once_for_every_fold(monkeypatch, u
     want = per_fold_outputs(x, sets, batch_size=4)
     rows = spy_clip_scale(monkeypatch, train)
     monkeypatch.setattr(train, "PREDICT_BATCH", 4)
-    out = extract_embeddings(sets, x, use_probs=use_probs)
+    out = extract_embeddings(*predict_batched(x, sets, with_features=True), use_probs=use_probs)
     assert rows == [4, 4, 1]
     folds = [p.astype(f.dtype) if use_probs else f for p, f in want]
     assert out.dtype == np.float32 and np.array_equal(out, np.mean(folds, axis=0))
@@ -389,7 +390,7 @@ def test_extract_embeddings_probs_flag():
     cfg = tiny_cfg()
     x = np.random.default_rng(2).uniform(-1200, 1200, size=(6, 4, 100))
     sets = [(init_params(cfg, seed=0), cfg)]
-    out = extract_embeddings(sets, x, use_probs=True)
+    out = extract_embeddings(*predict_batched(x, sets, with_features=True), use_probs=True)
     assert out.shape == (6, cfg.n_classes)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
@@ -475,7 +476,7 @@ def test_extract_embeddings_is_the_float32_fold_mean_of_the_forward_outputs(monk
     x = np.random.default_rng(3).uniform(-1200, 1200, size=(7, 4, 100))
     sets = [(init_params(cfg, seed=s), cfg) for s in (0, 1, 2)]
     monkeypatch.setattr(train, "PREDICT_BATCH", 3)
-    out = extract_embeddings(sets, x, use_probs=use_probs)
+    out = extract_embeddings(*predict_batched(x, sets, with_features=True), use_probs=use_probs)
     chunks = [[forward_batch(clip_scale_array(x[i : i + 3]), params, c)[int(not use_probs)]
                for i in range(0, 7, 3)] for params, c in sets]
     expected = np.mean([np.concatenate(c) for c in chunks], axis=0)

@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegimage.cli import DATA_DIR_ENV, main
+from eegimage.cli import DATA_DIR_ENV, SERVED_FEATURES, SERVED_FEATURES_SIDECAR, main
 from eegimage.data import load_manifest, read_signal, write_signal
 from eegimage.model import init_params, load_checkpoint, save_checkpoint
 from eegimage.preprocess import FilterSpec, filter_array
-from eegimage.train import ensemble_predict, load_dataset, load_predictions
+from eegimage.train import ensemble_predict, load_dataset, load_predictions, predict_batched
 
 
 def run_gen(out, patients=3, segments=2, seed=0, extra=()):
@@ -539,7 +539,7 @@ def test_predict_serves_the_recorded_causal_filter(tmp_path):
 
     def ensemble(mode):
         ds = load_dataset(manifest, FilterSpec(fs=100.0, mode=mode))
-        return ensemble_predict(models, ds.x_uv)
+        return ensemble_predict(predict_batched(ds.x_uv, models))
 
     # predictions.csv holds 12 decimals
     assert np.abs(served - ensemble("causal")).max() < 1e-11
@@ -549,7 +549,9 @@ def test_predict_serves_the_recorded_causal_filter(tmp_path):
 def test_no_command_scales_more_than_one_batch(tmp_path, monkeypatch):
     """Segments are clipped and scaled a batch at a time as they enter the
     model: no caller holds a scaled copy of a fold or of the served set, and
-    a served batch is scaled once for all fold models."""
+    a served batch is scaled once for all fold models. A tsne right after
+    predict reuses predict's features and scales nothing; without them it
+    serves the set itself."""
     from eegimage.preprocess import clip_scale_array
 
     data, run = tmp_path / "data", tmp_path / "run"
@@ -560,18 +562,24 @@ def test_no_command_scales_more_than_one_batch(tmp_path, monkeypatch):
                 getattr(module, "clip_scale_array", None) is clip_scale_array:
             monkeypatch.setattr(module, "clip_scale_array",
                                 lambda x: rows.append(len(x)) or clip_scale_array(x))
-    for command, args in (
-        ("train", ["--out-dir", str(run), *TINY_TRAIN]),
-        ("predict", ["--run-dir", str(run), "--out", str(tmp_path / "p.csv")]),
-        ("tsne", ["--run-dir", str(run), "--out-dir", str(tmp_path / "t"),
-                  "--perplexity", "4", "--iterations", "300"]),
+    tsne = ["--run-dir", str(run), "--out-dir", str(tmp_path / "t"),
+            "--perplexity", "4", "--iterations", "300"]
+    for command, args, want in (
+        ("train", ["--out-dir", str(run), *TINY_TRAIN], None),
+        ("predict", ["--run-dir", str(run), "--out", str(tmp_path / "p.csv")], [64, 16]),
+        ("tsne", tsne, []),  # it maps the features predict left
     ):
         rows.clear()
         assert main([command, "--data-dir", str(data), *args]) == 0
-        # 64 is predict_batched's batch, 8 the training batch
-        assert rows and max(rows) <= 64, (command, rows)
-        if command != "train":  # 80 segments, 2 folds
-            assert rows == [64, 16], (command, rows)
+        if want is None:  # 64 is predict_batched's batch, 8 the training batch
+            assert rows and max(rows) <= 64, (command, rows)
+        else:  # 80 segments, 2 folds
+            assert rows == want, (command, rows)
+    for name in (SERVED_FEATURES, SERVED_FEATURES_SIDECAR):
+        (run / name).unlink()
+    rows.clear()
+    assert main(["tsne", "--data-dir", str(data), *tsne]) == 0
+    assert rows == [64, 16], rows
 
 
 def same_bytes(a, b):
@@ -581,9 +589,10 @@ def same_bytes(a, b):
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_served_blocks_give_the_whole_set_outputs(trained_run, tmp_path, monkeypatch, n):
     """predict and tsne load the served set PREDICT_BATCH (64) segments at a
-    time; the probabilities they write and the features t-SNE maps are
-    those of one load_dataset and one ensemble_predict / extract_embeddings
-    over every row, byte for byte."""
+    time; the probabilities they write, the features predict leaves in the
+    run dir and the features t-SNE maps (predict's) are those of one
+    load_dataset and one ensemble_predict / extract_embeddings over every
+    row, byte for byte."""
     import eegimage.cli as cli
     from eegimage.analysis import extract_embeddings
 
@@ -612,8 +621,11 @@ def test_served_blocks_give_the_whole_set_outputs(trained_run, tmp_path, monkeyp
     models = [load_checkpoint(p)[:2] for p in sorted(run.glob("fold*.ckpt"))]
     ds = load_dataset(manifest, FilterSpec(fs=100.0))
     assert seen["ids"] == ds.segment_ids
-    assert same_bytes(seen["probs"], ensemble_predict(models, ds.x_uv))
-    assert same_bytes(seen["emb"], extract_embeddings(models, ds.x_uv))
+    probs, feats = predict_batched(ds.x_uv, models, with_features=True)
+    emb = extract_embeddings(probs, feats)
+    assert same_bytes(seen["probs"], ensemble_predict(probs))
+    assert same_bytes(np.load(run / SERVED_FEATURES), emb)
+    assert same_bytes(seen["emb"], emb)
 
 
 def test_predict_memory_does_not_grow_with_the_served_set(trained_run, tmp_path):
@@ -636,6 +648,159 @@ def test_predict_memory_does_not_grow_with_the_served_set(trained_run, tmp_path)
             tracemalloc.stop()
         peaks.append(peak)
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+# --- the served features predict leaves for tsne ---
+
+
+def run_tsne(data, run, out, *extra):
+    return main(["tsne", "--data-dir", str(data), "--run-dir", str(run), "--out-dir", str(out),
+                 "--perplexity", "4", "--iterations", "300", *extra])
+
+
+def run_predict(data, run, out_csv):
+    return main(["predict", "--data-dir", str(data), "--run-dir", str(run),
+                 "--out", str(out_csv)])
+
+
+@pytest.fixture
+def served_run(trained_run, tmp_path):
+    """Copies of trained_run's data and run dir, served by predict."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(trained_run[0], data)
+    shutil.copytree(trained_run[1], run)
+    assert run_predict(data, run, tmp_path / "p.csv") == 0
+    return data, run
+
+
+def spy_served_rows(monkeypatch):
+    """The row count of each served forward pass from now on."""
+    import eegimage.cli as cli
+
+    rows, orig = [], cli.predict_batched
+    monkeypatch.setattr(cli, "predict_batched",
+                        lambda x, *a, **k: rows.append(len(x)) or orig(x, *a, **k))
+    return rows
+
+
+def tsne_without_cache(data, run, out, *extra) -> bytes:
+    """tsne.csv of a run whose served features are deleted first."""
+    for name in (SERVED_FEATURES, SERVED_FEATURES_SIDECAR):
+        (run / name).unlink(missing_ok=True)
+    assert run_tsne(data, run, out, *extra) == 0
+    return (out / "tsne.csv").read_bytes()
+
+
+def test_tsne_maps_the_features_predict_left_as_it_maps_its_own(served_run, tmp_path,
+                                                                monkeypatch, capsys):
+    data, run = served_run
+    sidecar = json.loads((run / SERVED_FEATURES_SIDECAR).read_text())
+    assert sidecar["rows"] == 18 and sorted(sidecar) == ["input_sha256", "npy_sha256", "rows"]
+    rows = spy_served_rows(monkeypatch)
+    capsys.readouterr()
+    assert run_tsne(data, run, tmp_path / "hit", "-v") == 0
+    assert rows == []
+    assert f"INFO eegimage: reusing the served features in {run / SERVED_FEATURES}\n" in \
+        capsys.readouterr().err
+    cold = tsne_without_cache(data, run, tmp_path / "cold")
+    assert rows == [18]
+    assert (tmp_path / "hit" / "tsne.csv").read_bytes() == cold
+
+
+def _retrain_on_other_data(data, run, tmp_path):
+    """The same flags on other segments: the same record, other weights."""
+    before = (run / "cv_summary.json").read_text()
+    other = tmp_path / "other_data"
+    assert run_gen(other, patients=6, segments=3, seed=1) == 0
+    assert main(["train", "--data-dir", str(other), "--out-dir", str(run), *TINY_TRAIN]) == 0
+    assert json.loads((run / "cv_summary.json").read_text())["config_hash"] == \
+        json.loads(before)["config_hash"]
+
+
+def _flip_one_byte(data, run, tmp_path):
+    path = data / "signals" / "s000005.eeg"
+    raw = bytearray(path.read_bytes())
+    raw[-4] ^= 1  # the low mantissa byte of the last sample
+    path.write_bytes(bytes(raw))
+
+
+def _list_a_subset(data, run, tmp_path):
+    lines = (data / "manifest.csv").read_text().splitlines(keepends=True)
+    (data / "manifest.csv").write_text("".join(lines[:2 + 15]))  # stamp, header, 15 rows
+
+
+def _truncate_the_features(data, run, tmp_path):
+    path = run / SERVED_FEATURES
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def _copy_another_runs_sidecar(data, run, tmp_path):
+    other = tmp_path / "other_run"
+    shutil.copytree(run, other)
+    _retrain_on_other_data(data, other, tmp_path)
+    assert run_predict(data, other, tmp_path / "other.csv") == 0
+    shutil.copy(other / SERVED_FEATURES_SIDECAR, run / SERVED_FEATURES_SIDECAR)
+
+
+@pytest.mark.parametrize("change", [_retrain_on_other_data, _flip_one_byte, _list_a_subset,
+                                    _truncate_the_features, _copy_another_runs_sidecar],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_tsne_recomputes_the_features_when_an_input_changed(served_run, tmp_path,
+                                                            monkeypatch, capsys, change):
+    """Each change keeps the run's config_hash, so a cache keyed on it alone
+    would map stale features."""
+    data, run = served_run
+    change(data, run, tmp_path)
+    rows = spy_served_rows(monkeypatch)
+    capsys.readouterr()
+    assert run_tsne(data, run, tmp_path / "t", "-v") == 0
+    n = len(load_manifest(data / "manifest.csv"))
+    assert rows == [n]
+    assert f"INFO eegimage: computing the served features: {run / SERVED_FEATURES} is " \
+           "missing or not of these inputs\n" in capsys.readouterr().err
+    cold = tsne_without_cache(data, run, tmp_path / "cold")
+    assert (tmp_path / "t" / "tsne.csv").read_bytes() == cold
+
+
+def test_tsne_of_probabilities_always_recomputes(served_run, tmp_path, monkeypatch):
+    data, run = served_run
+    rows = spy_served_rows(monkeypatch)
+    assert run_tsne(data, run, tmp_path / "t", "--use-probs") == 0
+    assert rows == [18]
+    cold = tsne_without_cache(data, run, tmp_path / "cold", "--use-probs")
+    assert (tmp_path / "t" / "tsne.csv").read_bytes() == cold
+
+
+@pytest.mark.parametrize("failing_write", [1, 2])  # the .npy header, the first block
+def test_predict_that_cannot_write_the_features_warns_and_exits_0(trained_run, tmp_path,
+                                                                  monkeypatch, capsys,
+                                                                  failing_write):
+    import eegimage.cli as cli
+
+    data, run = trained_run[0], tmp_path / "run"
+    shutil.copytree(trained_run[1], run)
+    for name in (SERVED_FEATURES, SERVED_FEATURES_SIDECAR):
+        (run / name).unlink(missing_ok=True)
+    writes, put = [], cli._FeatureWriter._put
+
+    def failing_put(self, data):
+        writes.append(len(data))
+        if len(writes) == failing_write:
+            raise OSError("No space left on device")
+        put(self, data)
+
+    monkeypatch.setattr(cli._FeatureWriter, "_put", failing_put)
+    capsys.readouterr()
+    assert run_predict(data, run, tmp_path / "p.csv") == 0
+    err = capsys.readouterr().err
+    assert err == (f"WARNING eegimage: could not write {run / SERVED_FEATURES} (No space left "
+                   "on device); tsne will recompute the served features\n")
+    assert len(writes) == failing_write
+    assert len(load_predictions(tmp_path / "p.csv")[0]) == 18
+    assert not (run / SERVED_FEATURES_SIDECAR).exists()
+    rows = spy_served_rows(monkeypatch)
+    assert run_tsne(data, run, tmp_path / "t") == 0
+    assert rows == [18]
 
 
 @pytest.mark.parametrize("command", ["predict", "tsne"])

@@ -792,8 +792,8 @@ def test_ensemble_identical_models_is_identity():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=0)
     x = np.random.default_rng(0).normal(scale=30, size=(3, 4, 100)).astype(np.float32)
-    single = ensemble_predict([(params, cfg)], x)
-    triple = ensemble_predict([(params, cfg)] * 3, x)
+    single = ensemble_predict(predict_batched(x, [(params, cfg)]))
+    triple = ensemble_predict(predict_batched(x, [(params, cfg)] * 3))
     assert np.allclose(single, triple, atol=1e-15)
 
 
@@ -806,7 +806,7 @@ def test_ensemble_mean_matches_oracle():
         p.set("dense_w", rng.normal(size=p.get("dense_w").shape) * 0.05)
         sets.append((p, cfg))
     x = rng.normal(scale=600, size=(4, 4, 100)).astype(np.float32)
-    got = ensemble_predict(sets, x)
+    got = ensemble_predict(predict_batched(x, sets))
     want = np.mean([forward_batch(clip_scale_array(x), p, c)[0] for p, c in sets], axis=0)
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.allclose(got.sum(axis=1), 1.0, atol=1e-9)
@@ -850,7 +850,7 @@ def test_predict_batched_scales_each_batch_once_for_every_fold(monkeypatch):
         assert f.dtype == wf.dtype and np.array_equal(f, wf)
 
     rows.clear()
-    got = ensemble_predict(sets, x)
+    got = ensemble_predict(predict_batched(x, sets))
     assert rows == [10]  # PREDICT_BATCH, 64
     want = per_fold_outputs(x, sets)
     assert np.array_equal(got, onto_simplex(np.mean([p for p, _ in want], axis=0)))
@@ -867,12 +867,12 @@ def test_ensemble_rejects_models_with_different_class_counts():
     other = replace(cfg, n_classes=5)
     sets = [(init_params(cfg, seed=0), cfg), (init_params(other, seed=0), other)]
     with pytest.raises(ValueError, match=r"n_classes \[5, 6\]"):
-        ensemble_predict(sets, np.zeros((1, 4, 100), np.float32))
+        ensemble_predict(predict_batched(np.zeros((1, 4, 100), np.float32), sets))
 
 
 def test_ensemble_requires_models():
     with pytest.raises(ValueError):
-        ensemble_predict([], np.zeros((1, 4, 100)))
+        ensemble_predict(predict_batched(np.zeros((1, 4, 100)), []))
 
 
 # --- dataset loading ---
