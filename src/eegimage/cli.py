@@ -9,7 +9,6 @@ artifact embeds the run's config hash and seed (JSON field or comment line).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import io
@@ -360,14 +359,12 @@ def cmd_tsne(args) -> int:
                      seed=cfg_d["seed"])
     run_dir = Path(args.run_dir)
     out = Path(args.out_dir or run_dir / "eval")
-    manifest, param_sets, rec, inputs = _load_run(args)
+    manifest, rec, ckpts, inputs = _load_run(args)
     emb = None if cfg_d["use_probs"] else _served_features(run_dir, inputs, len(manifest))
     if emb is None:
         log.info("computing the served %s", "probabilities" if cfg_d["use_probs"] else
                  f"features: {run_dir / SERVED_FEATURES} is missing or not of these inputs")
-        emb = _serve(manifest, rec.filter, lambda x_uv: extract_embeddings(
-            *predict_batched(x_uv, param_sets, with_features=True),
-            use_probs=cfg_d["use_probs"]))
+        emb = extract_embeddings(*_serve(manifest, rec, ckpts), use_probs=cfg_d["use_probs"])
     else:
         log.info("reusing the served features in %s", run_dir / SERVED_FEATURES)
     result = tsne(emb, cfg, trace_every=TSNE_TRACE_EVERY)
@@ -386,12 +383,11 @@ def _read_summary(run_dir: Path) -> RunRecord:
 
 
 def _load_run(args):
-    """Manifest, fold models, the run's record, and every file a served
-    pass reads, in the order it reads them: cv_summary.json, each fold
-    checkpoint and its sidecar, the manifest and each segment it lists. The
-    served set's first segment must have the record's channel count,
-    checked before any model is loaded, and every fold checkpoint the
-    record's model config."""
+    """Manifest, the run's record, its fold checkpoints, and every file a
+    served pass reads, in the order it reads them: cv_summary.json, each
+    fold checkpoint and its sidecar, the manifest and each segment it lists.
+    The served set's first segment must have the record's channel count;
+    no checkpoint is loaded here."""
     run_dir = Path(args.run_dir)
     manifest_path = _data_dir(args) / "manifest.csv"
     manifest = load_manifest(manifest_path)
@@ -401,36 +397,39 @@ def _load_run(args):
     rec = _read_summary(run_dir)
     first = manifest.segment_path(manifest.entries[0])
     _check_channels(first, read_signal(first).samples.shape[0], rec.model)
-    sets = []
+    inputs = [run_dir / "cv_summary.json", *(p for c in ckpts for p in (c, checkpoint_sidecar(c))),
+              manifest_path, *(manifest.segment_path(e) for e in manifest.entries)]
+    return manifest, rec, ckpts, inputs
+
+
+def _serve(manifest: DatasetManifest, rec: RunRecord, ckpts: list[Path]):
+    """The fold models' (probabilities, features) of the served set, as
+    predict_batched(x_uv, models, with_features=True) returns them for the
+    whole set. Every checkpoint must have the run record's model config.
+    The set is loaded PREDICT_BATCH segments at a time and filtered with the
+    record's bandpass, so serving filters as training did; each block is
+    freed before the next is loaded, so serving holds one, not the whole
+    set. Every segment must have the set's first segment's shape; the first
+    that does not fails naming its file, as a whole-set load would."""
+    models = []
     for c in ckpts:
         params, cfg, _ = load_checkpoint(c)
         if cfg != rec.model:
             fields = [f.name for f in dataclasses.fields(cfg)
                       if getattr(cfg, f.name) != getattr(rec.model, f.name)]
             raise ValueError(f"{c}: model config differs from the run's "
-                             f"{run_dir / 'cv_summary.json'} in {', '.join(fields)}")
-        sets.append((params, cfg))
-    inputs = [run_dir / "cv_summary.json", *(p for c in ckpts for p in (c, checkpoint_sidecar(c))),
-              manifest_path, *(manifest.segment_path(e) for e in manifest.entries)]
-    return manifest, sets, rec, inputs
-
-
-def _serve(manifest: DatasetManifest, spec: FilterSpec, outputs) -> np.ndarray:
-    """outputs(x_uv) of the served set, loaded PREDICT_BATCH segments at a
-    time and filtered with spec, the run's recorded bandpass, so serving
-    filters as training did; the blocks' rows are concatenated. Each block
-    is freed before the next is loaded, so serving holds one, not the whole
-    set. Every segment must have the set's first segment's shape; the first
-    that does not fails naming its file, as a whole-set load would."""
+                             f"{c.parent / 'cv_summary.json'} in {', '.join(fields)}")
+        models.append((params, cfg))
     _pin_malloc_thresholds()  # each block frees its arrays before the next
-    first, out = None, []
+    first, blocks = None, []
     for i in range(0, len(manifest), PREDICT_BATCH):
         block = DatasetManifest(manifest.entries[i : i + PREDICT_BATCH], manifest.root)
-        x_uv = load_dataset(block, spec, first).x_uv
+        x_uv = load_dataset(block, rec.filter, first).x_uv
         first = first or (manifest.segment_path(manifest.entries[0]), x_uv.shape[1:])
-        out.append(outputs(x_uv))
+        blocks.append(predict_batched(x_uv, models, with_features=True))
         del x_uv  # else it is alive while the next block loads
-    return np.concatenate(out)
+    probs, feats = ([np.concatenate(f) for f in zip(*outs)] for outs in zip(*blocks))
+    return probs, feats
 
 
 # what predict leaves in the run dir for tsne: the served set's fold-averaged
@@ -455,60 +454,21 @@ def _sidecar_of(npy_sha256: str, inputs: list[Path], rows: int) -> dict:
     return {"input_sha256": _input_digest(inputs), "npy_sha256": npy_sha256, "rows": rows}
 
 
-class _FeatureWriter:
-    """Writes `rows` rows of served features to run_dir's SERVED_FEATURES a
-    block at a time, as np.save would write them all at once, hashing them
-    as they go; on leaving the `with` block without an error, writes the
-    sidecar. The first OSError is logged as a warning naming the file and
-    ends the writing, not the command."""
-
-    def __init__(self, run_dir: Path, inputs: list[Path], rows: int):
-        self.path, self.inputs, self.rows = run_dir / SERVED_FEATURES, inputs, rows
-        self.f, self.failed, self.sha = None, False, hashlib.sha256()
-
-    @contextlib.contextmanager
-    def _guard(self, path: Path):
-        try:
-            yield
-        except OSError as e:
-            log.warning("could not write %s (%s); tsne will recompute the served features",
-                        path, e)
-            self.failed = True
-            if self.f is not None:
-                with contextlib.suppress(OSError):
-                    self.f.close()
-
-    def _put(self, data: bytes) -> None:
-        self.f.write(data)
-        self.sha.update(data)
-
-    def write(self, block: np.ndarray) -> None:
-        if self.failed:
-            return
-        with self._guard(self.path):
-            if self.f is None:
-                self.f = open(self.path, "wb")
-                header = io.BytesIO()
-                np.lib.format.write_array_header_1_0(header, {
-                    "descr": np.lib.format.dtype_to_descr(block.dtype),
-                    "fortran_order": False, "shape": (self.rows, block.shape[1])})
-                self._put(header.getvalue())
-            self._put(block.tobytes())
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *_):
-        if self.failed or self.f is None:
-            return
-        with self._guard(self.path):
-            self.f.close()
-        if exc_type is None and not self.failed:
-            sidecar = self.path.with_name(SERVED_FEATURES_SIDECAR)
-            with self._guard(sidecar):
-                sidecar.write_text(json.dumps(
-                    _sidecar_of(self.sha.hexdigest(), self.inputs, self.rows),
-                    sort_keys=True, indent=1) + "\n")
+def _save_served_features(run_dir: Path, inputs: list[Path], features: np.ndarray) -> None:
+    """np.save features to run_dir's SERVED_FEATURES, then write its sidecar.
+    The first OSError is logged as a warning naming the file and ends the
+    writing, not the command."""
+    buf = io.BytesIO()
+    np.save(buf, features)
+    data = buf.getvalue()
+    path = run_dir / SERVED_FEATURES
+    try:
+        path.write_bytes(data)
+        path = run_dir / SERVED_FEATURES_SIDECAR
+        path.write_text(json.dumps(_sidecar_of(hashlib.sha256(data).hexdigest(), inputs,
+                                               len(features)), sort_keys=True, indent=1) + "\n")
+    except OSError as e:
+        log.warning("could not write %s (%s); tsne will recompute the served features", path, e)
 
 
 def _served_features(run_dir: Path, inputs: list[Path], rows: int) -> np.ndarray | None:
@@ -529,17 +489,11 @@ def cmd_predict(args) -> int:
     """Ensemble probabilities of the served set to --out; its fold-averaged
     features go to the run dir, for tsne to reuse."""
     out_path = Path(args.out or "predictions.csv")
-    manifest, param_sets, rec, inputs = _load_run(args)
-
-    with _FeatureWriter(Path(args.run_dir), inputs, len(manifest)) as features:
-        def outputs(x_uv):
-            probs, feats = predict_batched(x_uv, param_sets, with_features=True)
-            features.write(extract_embeddings(probs, feats))
-            return ensemble_predict(probs)
-
-        probs = _serve(manifest, rec.filter, outputs)
+    manifest, rec, ckpts, inputs = _load_run(args)
+    probs, feats = _serve(manifest, rec, ckpts)
+    _save_served_features(Path(args.run_dir), inputs, extract_embeddings(probs, feats))
     ids = [e.segment_id for e in manifest.entries]
-    export_predictions(out_path, ids, probs, header_comment=_stamp(rec))
+    export_predictions(out_path, ids, ensemble_predict(probs), header_comment=_stamp(rec))
     print(f"wrote {len(ids)} ensemble predictions to {out_path}")
     return 0
 

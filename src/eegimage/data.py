@@ -188,9 +188,6 @@ class FoldAssignment:
     fold_of_patient: dict[str, int]
     k: int
 
-    def fold_of(self, patient_id: str) -> int:
-        return self.fold_of_patient[patient_id]
-
     def fold_sizes(self) -> list[int]:
         sizes = [0] * self.k
         for f in self.fold_of_patient.values():
@@ -198,14 +195,9 @@ class FoldAssignment:
         return sizes
 
 
-def split_folds(
-    manifest: DatasetManifest, k: int, seed: int, balance: str = "patients"
-) -> FoldAssignment:
-    """Assign every patient to one of k folds.
-
-    balance="patients" spreads patient counts evenly (sizes differ by at most
-    one); balance="segments" greedily evens segment counts instead.
-    """
+def split_folds(manifest: DatasetManifest, k: int, seed: int) -> FoldAssignment:
+    """Assign every patient to one of k folds, in a seeded random order, so
+    that fold sizes in patients differ by at most one."""
     if k < 2:
         raise ValueError("k must be >= 2")
     patients = manifest.patients()
@@ -213,22 +205,7 @@ def split_folds(
         raise ValueError(f"need at least {k} patients, have {len(patients)}")
     rng = np.random.default_rng(seed)
     order = [patients[i] for i in rng.permutation(len(patients))]
-    assignment: dict[str, int] = {}
-    if balance == "patients":
-        for i, pid in enumerate(order):
-            assignment[pid] = i % k
-    elif balance == "segments":
-        seg_count: dict[str, int] = {}
-        for e in manifest.entries:
-            seg_count[e.patient_id] = seg_count.get(e.patient_id, 0) + 1
-        loads = [0] * k
-        for pid in sorted(order, key=lambda p: -seg_count.get(p, 0)):
-            f = int(np.argmin(loads))
-            assignment[pid] = f
-            loads[f] += seg_count.get(pid, 0)
-    else:
-        raise ValueError(f"unknown balance mode {balance!r}")
-    return FoldAssignment(assignment, k)
+    return FoldAssignment({pid: i % k for i, pid in enumerate(order)}, k)
 
 
 # --- per-segment signal files: 8-line text header + raw float32 samples ---

@@ -53,13 +53,6 @@ def design_bandpass(spec: FilterSpec) -> np.ndarray:
     )
 
 
-def bandpass_response(spec: FilterSpec, freqs_hz: np.ndarray) -> np.ndarray:
-    """|H| of the designed filter at the given frequencies (single pass)."""
-    sos = design_bandpass(spec)
-    _, h = sps.sosfreqz(sos, worN=np.asarray(freqs_hz, dtype=float), fs=spec.fs)
-    return np.abs(h)
-
-
 def filter_array(x: np.ndarray, spec: FilterSpec, sos: np.ndarray | None = None) -> np.ndarray:
     """Bandpass each row of a [channels x T] array.
 

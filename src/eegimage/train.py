@@ -120,14 +120,6 @@ class RunRecord:
                 raise ValueError(f"{name!r} must be an integer, got {value!r}")
 
 
-def kld_loss(y: np.ndarray, p: np.ndarray, weight: float = 1.0) -> float:
-    """weight * KL(y || p) for one sample; y must already be normalized."""
-    y = np.asarray(y, dtype=np.float64)
-    if abs(y.sum() - 1.0) > 1e-9:
-        raise ValueError(f"target not normalized: sums to {y.sum()}")
-    return float(weight * kl_div_rows(y[None], np.asarray(p, dtype=np.float64)[None])[0])
-
-
 def lr_at(step: int, total_steps: int, cfg: StageConfig) -> float:
     """Linear warmup to lr_base, then cosine decay landing exactly on min_lr
     at the final step."""

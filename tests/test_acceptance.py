@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from conftest import make_manifest
 from test_gradients import fd_gradient, make_problem, ravel
@@ -40,8 +41,9 @@ from eegimage.model import (
     eeg_to_image_batch,
     forward_batch,
     init_params,
+    kl_div_rows,
 )
-from eegimage.preprocess import FilterSpec, bandpass_response, filter_array
+from eegimage.preprocess import FilterSpec, design_bandpass, filter_array
 from eegimage.synthgen import SynthConfig, generate
 from eegimage.train import (
     SCOPE_ALL,
@@ -50,7 +52,6 @@ from eegimage.train import (
     StageConfig,
     default_stage1,
     default_stage2,
-    kld_loss,
     load_dataset,
     lr_at,
     train_stage,
@@ -71,8 +72,8 @@ def test_criterion_kld_anchors(capsys):
     onehot = np.zeros(6)
     onehot[2] = 1.0
     uniform = np.full(6, 1.0 / 6)
-    gap = abs(kld_loss(onehot, uniform) - math.log(6))
-    matched = kld_loss(uniform, uniform)
+    gap = abs(float(kl_div_rows(onehot[None], uniform[None])[0]) - math.log(6))
+    matched = float(kl_div_rows(uniform[None], uniform[None])[0])
     ok = gap <= 1e-12 and matched == 0.0
     emit(capsys, "kld-anchors", ok,
          f"onehot-vs-uniform off ln6 by {gap:.2e}, y=p loss {matched!r}")
@@ -142,7 +143,8 @@ def test_criterion_filter_anchors(capsys):
         core = out[int(fs) : -int(fs)]
         return (core.max() - core.min()) / 2
 
-    h2_10 = bandpass_response(spec, np.array([10.0]))[0] ** 2  # two passes
+    _, h_10 = sps.sosfreqz(design_bandpass(spec), worN=[10.0], fs=fs)
+    h2_10 = np.abs(h_10[0]) ** 2  # two passes
     db_err_10 = 20 * np.log10(steady_amp(10.0) / h2_10)
     db_80 = 20 * np.log10(steady_amp(80.0))
     elapsed = time.time() - t0
@@ -236,11 +238,10 @@ def test_criterion_fold_hygiene(capsys):
         segs = int(rng.integers(1, 5))
         manifest = make_manifest(n_patients, segs, seed=i)
         k = int(rng.integers(2, min(5, n_patients) + 1))
-        balance = "patients" if i % 2 == 0 else "segments"
-        fa = split_folds(manifest, k=k, seed=i, balance=balance)
+        fa = split_folds(manifest, k=k, seed=i)
         fold_patients = [set() for _ in range(k)]
         for e in manifest.entries:
-            fold_patients[fa.fold_of(e.patient_id)].add(e.patient_id)
+            fold_patients[fa.fold_of_patient[e.patient_id]].add(e.patient_id)
         disjoint = all(
             not (fold_patients[a] & fold_patients[b])
             for a in range(k) for b in range(a + 1, k)

@@ -683,6 +683,15 @@ def spy_served_rows(monkeypatch):
     return rows
 
 
+def spy_loaded_checkpoints(monkeypatch) -> list:
+    """Every checkpoint path `cli.load_checkpoint` loads from now on."""
+    import eegimage.cli as cli
+
+    loaded, load = [], cli.load_checkpoint
+    monkeypatch.setattr(cli, "load_checkpoint", lambda p: loaded.append(p) or load(p))
+    return loaded
+
+
 def tsne_without_cache(data, run, out, *extra) -> bytes:
     """tsne.csv of a run whose served features are deleted first."""
     for name in (SERVED_FEATURES, SERVED_FEATURES_SIDECAR):
@@ -771,36 +780,51 @@ def test_tsne_of_probabilities_always_recomputes(served_run, tmp_path, monkeypat
     assert (tmp_path / "t" / "tsne.csv").read_bytes() == cold
 
 
-@pytest.mark.parametrize("failing_write", [1, 2])  # the .npy header, the first block
+@pytest.mark.parametrize("name, method", [(SERVED_FEATURES, "write_bytes"),
+                                          (SERVED_FEATURES_SIDECAR, "write_text")])
 def test_predict_that_cannot_write_the_features_warns_and_exits_0(trained_run, tmp_path,
                                                                   monkeypatch, capsys,
-                                                                  failing_write):
-    import eegimage.cli as cli
-
+                                                                  name, method):
+    """A full disk under the .npy or its sidecar costs tsne its cache, not
+    predict its predictions."""
     data, run = trained_run[0], tmp_path / "run"
     shutil.copytree(trained_run[1], run)
-    for name in (SERVED_FEATURES, SERVED_FEATURES_SIDECAR):
-        (run / name).unlink(missing_ok=True)
-    writes, put = [], cli._FeatureWriter._put
+    for served in (SERVED_FEATURES, SERVED_FEATURES_SIDECAR):
+        (run / served).unlink(missing_ok=True)
+    write = getattr(Path, method)
 
-    def failing_put(self, data):
-        writes.append(len(data))
-        if len(writes) == failing_write:
+    def failing_write(self, *a, **k):
+        if self == run / name:
             raise OSError("No space left on device")
-        put(self, data)
+        return write(self, *a, **k)
 
-    monkeypatch.setattr(cli._FeatureWriter, "_put", failing_put)
+    monkeypatch.setattr(Path, method, failing_write)
     capsys.readouterr()
     assert run_predict(data, run, tmp_path / "p.csv") == 0
     err = capsys.readouterr().err
-    assert err == (f"WARNING eegimage: could not write {run / SERVED_FEATURES} (No space left "
+    assert err == (f"WARNING eegimage: could not write {run / name} (No space left "
                    "on device); tsne will recompute the served features\n")
-    assert len(writes) == failing_write
     assert len(load_predictions(tmp_path / "p.csv")[0]) == 18
     assert not (run / SERVED_FEATURES_SIDECAR).exists()
     rows = spy_served_rows(monkeypatch)
     assert run_tsne(data, run, tmp_path / "t") == 0
     assert rows == [18]
+
+
+def test_tsne_hit_loads_no_fold_checkpoint(served_run, tmp_path, monkeypatch):
+    """A hit on the features predict left needs no model: their input
+    digest covers every checkpoint byte predict checked."""
+    data, run = served_run
+    loaded = spy_loaded_checkpoints(monkeypatch)
+    assert run_tsne(data, run, tmp_path / "hit") == 0
+    assert loaded == []
+
+
+def test_tsne_miss_loads_each_fold_checkpoint_once(served_run, tmp_path, monkeypatch):
+    data, run = served_run
+    loaded = spy_loaded_checkpoints(monkeypatch)
+    tsne_without_cache(data, run, tmp_path / "miss")
+    assert loaded == sorted(run.glob("fold*.ckpt")) and len(loaded) == 2
 
 
 @pytest.mark.parametrize("command", ["predict", "tsne"])

@@ -178,15 +178,6 @@ def test_split_folds_errors():
         split_folds(manifest, k=5, seed=0)
     with pytest.raises(ValueError):
         split_folds(manifest, k=1, seed=0)
-    with pytest.raises(ValueError):
-        split_folds(manifest, k=2, seed=0, balance="classes")
-
-
-def test_split_folds_segment_balance_mode():
-    manifest = make_manifest(n_patients=7, segments_per_patient=3, seed=4)
-    folds = split_folds(manifest, k=3, seed=0, balance="segments")
-    assert set(folds.fold_of_patient.values()) <= {0, 1, 2}
-    assert len(folds.fold_of_patient) == 7
 
 
 @given(st.integers(2, 5), st.integers(0, 10_000))
@@ -198,7 +189,7 @@ def test_fold_hygiene_property(k, seed):
     folds = split_folds(manifest, k=k, seed=seed)
     by_patient = {}
     for e in manifest.entries:
-        f = folds.fold_of(e.patient_id)
+        f = folds.fold_of_patient[e.patient_id]
         by_patient.setdefault(e.patient_id, set()).add(f)
     assert all(len(v) == 1 for v in by_patient.values())
     sizes = folds.fold_sizes()

@@ -1104,12 +1104,33 @@ def test_dropout_scaling_preserves_expectation():
 # --- loss plumbing ---
 
 
-def test_kl_div_rows_anchors():
+def test_kl_div_rows_zero_at_match():
+    p = np.array([[0.1, 0.2, 0.3, 0.1, 0.1, 0.2], np.full(6, 1.0 / 6)])
+    assert list(kl_div_rows(p, p)) == [0.0, 0.0]
+
+
+def test_kl_div_rows_onehot_vs_uniform_is_ln6():
     y = np.zeros((1, 6))
     y[0, 2] = 1.0
     p = np.full((1, 6), 1.0 / 6)
     assert abs(kl_div_rows(y, p)[0] - np.log(6.0)) < 1e-12
-    assert kl_div_rows(p, p)[0] == 0.0
+
+
+def test_kl_div_rows_half_half_anchor():
+    """A half-half target against a prediction that halves its mass is ln 2."""
+    y = np.array([[0.5, 0.5, 0, 0, 0, 0.0]])
+    p = np.array([[0.25, 0.25, 0.125, 0.125, 0.125, 0.125]])
+    assert abs(kl_div_rows(y, p)[0] - np.log(2.0)) < 1e-12
+
+
+def test_kl_div_rows_zero_probabilities_stay_finite():
+    """0 * ln(0/.) is 0 where the target is 0, and a zero prediction under
+    target mass is clipped to `clip`, so no row is inf or nan."""
+    y = np.array([[0.0, 1.0, 0, 0, 0, 0], [0.5, 0.5, 0, 0, 0, 0]])
+    p = np.array([[0.0, 1.0, 0, 0, 0, 0], [1.0, 0.0, 0, 0, 0, 0]])
+    kl = kl_div_rows(y, p, clip=1e-10)
+    assert kl[0] == 0.0
+    assert abs(kl[1] - (0.5 * np.log(0.5) + 0.5 * (np.log(0.5) - np.log(1e-10)))) < 1e-12
 
 
 # --- parameter container ---

@@ -37,7 +37,6 @@ from eegimage.train import (
     default_stage1,
     default_stage2,
     ensemble_predict,
-    kld_loss,
     lr_at,
     onto_simplex,
     predict_batched,
@@ -77,39 +76,6 @@ def tiny_problem(n_patients=6, segs=3, t=100, seed=0):
         segment_ids=[e.segment_id for e in manifest.entries],
     )
     return manifest, ds
-
-
-# --- loss anchors ---
-
-
-def test_kld_loss_zero_at_match():
-    p = np.array([0.1, 0.2, 0.3, 0.1, 0.1, 0.2])
-    assert kld_loss(p, p) == 0.0
-
-
-def test_kld_loss_onehot_vs_uniform_is_ln6():
-    y = np.zeros(6)
-    y[3] = 1.0
-    p = np.full(6, 1.0 / 6)
-    assert abs(kld_loss(y, p) - math.log(6)) < 1e-12
-
-
-def test_kld_loss_half_half_anchor():
-    y = np.array([0.5, 0.5, 0, 0, 0, 0.0])
-    p = np.array([0.25, 0.25, 0.125, 0.125, 0.125, 0.125])
-    assert abs(kld_loss(y, p) - math.log(2)) < 1e-12
-
-
-def test_kld_loss_weight_scales():
-    y = np.zeros(6)
-    y[0] = 1.0
-    p = np.full(6, 1.0 / 6)
-    assert kld_loss(y, p, weight=3.0) == 3.0 * kld_loss(y, p)
-
-
-def test_kld_loss_rejects_unnormalized_target():
-    with pytest.raises(ValueError):
-        kld_loss(np.full(6, 0.2), np.full(6, 1.0 / 6))
 
 
 # --- learning-rate schedule ---
@@ -307,6 +273,26 @@ def test_equal_weights_make_stage_losses_coincide():
     w = np.full(8, 2.0)
     loss_sum, _ = backward_batch(y, w, params, cfg, cache)
     assert loss_sum / w.sum() == kl_div_rows(y, cache.probs).mean()
+
+
+def test_scaling_the_weights_scales_the_loss_and_its_gradients():
+    # a power-of-two factor commutes with float rounding, so the scaled loss
+    # and every gradient must be exactly four times the unscaled ones
+    rng = np.random.default_rng(6)
+    cfg = tiny_cfg(dtype="float64", input_mean=0.0, dropout_rate=0.0)
+    params = init_params(cfg, seed=6)
+    x = rng.standard_normal((8, 4, 100))
+    y = rng.random((8, 6))
+    y /= y.sum(axis=1, keepdims=True)
+    w = rng.random(8) + 0.5
+    runs = []
+    for scale in (1.0, 4.0):
+        _, _, cache = forward_batch(x, params, cfg, want_cache=True)
+        runs.append(backward_batch(y, scale * w, params, cfg, cache))
+    (loss, grads), (loss4, grads4) = runs
+    assert loss > 0.0 and loss4 == 4.0 * loss
+    for (name, g), (_, g4) in zip(grads.named_arrays(), grads4.named_arrays()):
+        np.testing.assert_array_equal(g4, 4.0 * g, err_msg=name)
 
 
 # --- Adam ---
