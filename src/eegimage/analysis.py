@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentConfig
-from .data import DatasetManifest
 from .metrics import (EvalReport, confusion_to_csv, report_to_json, roc_to_csv,
                       wilcoxon_rank_sum)
 from .model import (
@@ -141,13 +140,11 @@ def patient_level_kld(ds: Dataset, oof_probs: np.ndarray) -> np.ndarray:
     """Mean KLD per patient (sorted by patient id) from out-of-fold
     predictions."""
     per_sample = kl_div_rows(ds.y, oof_probs)
-    patients = sorted(set(ds.patient_ids))
     pid = np.array(ds.patient_ids)
-    return np.array([per_sample[pid == p].mean() for p in patients])
+    return np.array([per_sample[pid == p].mean() for p in ds.manifest.patients()])
 
 
 def run_ablation(
-    manifest: DatasetManifest,
     ds: Dataset,
     base_cfg: ModelConfig,
     stage1: StageConfig,
@@ -182,10 +179,8 @@ def run_ablation(
                 backbone = backbones[seed]
             cell_log = None if log is None else (
                 lambda rec, tag=tag, seed=seed: log({"variant": tag, "seed": seed, **rec}))
-            cv = run_cv(
-                manifest, ds, cfg, stage1, stage2, augment_cfg,
-                k=k, seed=seed, backbone=backbone, log=cell_log,
-            )
+            cv = run_cv(ds, cfg, stage1, stage2, augment_cfg,
+                        k=k, seed=seed, backbone=backbone, log=cell_log)
             per_sample_kld = float(kl_div_rows(ds.y, cv.oof_probs).mean())
             per_variant_seed_kld[tag].append(per_sample_kld)
             per_variant_patient[tag].append(patient_level_kld(ds, cv.oof_probs))
@@ -223,9 +218,9 @@ def ablation_to_csv(rows: list[AblationRow]) -> str:
 def extract_embeddings(probs: list[np.ndarray], feats: list[np.ndarray],
                        use_probs: bool = False) -> np.ndarray:
     """Fold-averaged model outputs for t-SNE from predict_batched's per-model
-    probabilities and pooled features (with_features=True), in the model
-    dtype: the features by default, the probabilities behind the flag (cast
-    back exactly from float64)."""
+    probabilities and pooled features, in the model dtype: the features by
+    default, the probabilities behind the flag (cast back exactly from
+    float64)."""
     if use_probs:
         return np.mean([p.astype(f.dtype) for p, f in zip(probs, feats)], axis=0)
     return np.mean(feats, axis=0)

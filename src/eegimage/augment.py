@@ -12,10 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import LEFT_CHANNELS, RIGHT_CHANNELS
+
 N_CHAINS = 4
 CHAIN_LEN = 4
-# chain-major channel order: LT, RT, LP, RP
-LEFT_RIGHT_SWAP = np.array([4, 5, 6, 7, 0, 1, 2, 3, 12, 13, 14, 15, 8, 9, 10, 11])
+# row i of a swapped segment is the channel that mirrors channel i
+LEFT_RIGHT_SWAP = np.empty(N_CHAINS * CHAIN_LEN, dtype=np.int64)
+LEFT_RIGHT_SWAP[list(LEFT_CHANNELS + RIGHT_CHANNELS)] = RIGHT_CHANNELS + LEFT_CHANNELS
 
 
 @dataclass(frozen=True)

@@ -196,20 +196,14 @@ def _backbone_tuple(s) -> tuple[int, ...]:
     return s if isinstance(s, tuple) else tuple(int(v) for v in s.split(","))
 
 
-def _check_channels(path: Path, n_ch: int, cfg: ModelConfig) -> None:
-    """Fail, naming the segment file and its channel count, unless the model
-    takes segments of n_ch channels."""
-    if n_ch != cfg.n_channels:
-        raise ValueError(f"{path}: {n_ch} channels, the model's n_channels is "
-                         f"{cfg.n_channels}")
-
-
 def _check_fits_model(path: Path, shape: tuple[int, int], cfg: ModelConfig) -> None:
     """Fail, naming the segment file, its channel or sample count and the
     field to change, when the model cannot run on segments of shape
     (channels, samples)."""
     n_ch, t = shape
-    _check_channels(path, n_ch, cfg)
+    if n_ch != cfg.n_channels:
+        raise ValueError(f"{path}: {n_ch} channels, the model's n_channels is "
+                         f"{cfg.n_channels}")
     try:
         width = cfg.image_width(t)
     except ValueError:
@@ -228,10 +222,10 @@ def _check_fits_model(path: Path, shape: tuple[int, int], cfg: ModelConfig) -> N
 
 
 def _training_setup(args, defaults: dict, variant: str | None = None):
-    """Merged config, manifest, the run's record for `variant` (the config's
-    own when None) and the filtered dataset; the bandpass takes fs from the
-    first segment, and the record's model must fit its sample count before
-    anything is loaded."""
+    """Merged config, the run's record for `variant` (the config's own when
+    None) and the filtered dataset; the bandpass takes fs from the first
+    segment, and the record's model must fit its shape before anything is
+    loaded."""
     cfg_d = _effective(args, defaults)
     manifest = load_manifest(_data_dir(args) / "manifest.csv")
     first_path = manifest.segment_path(manifest.entries[0])
@@ -259,7 +253,7 @@ def _training_setup(args, defaults: dict, variant: str | None = None):
     )
     _check_fits_model(first_path, first.samples.shape, record.model)
     log.info("loading and filtering %d segments", len(manifest))
-    return cfg_d, manifest, record, load_dataset(manifest, record.filter)
+    return cfg_d, record, load_dataset(manifest, record.filter)
 
 
 def _stamp(rec: RunRecord, seed: int | None = None, **scope) -> str:
@@ -271,7 +265,7 @@ def _stamp(rec: RunRecord, seed: int | None = None, **scope) -> str:
 
 def cmd_train(args) -> int:
     # every input is validated before the output directory is made
-    _, manifest, rec, ds = _training_setup(args, TRAIN_DEFAULTS)
+    _, rec, ds = _training_setup(args, TRAIN_DEFAULTS)
     out = Path(args.out_dir or "runs/train")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -288,7 +282,7 @@ def cmd_train(args) -> int:
                      r.get("fold"), r.get("stage"), r.get("epoch"),
                      r.get("train_loss"), r.get("val_loss"))
 
-        cv = run_cv(manifest, ds, rec.model, rec.stage1, rec.stage2, rec.augment,
+        cv = run_cv(ds, rec.model, rec.stage1, rec.stage2, rec.augment,
                     k=rec.k, seed=rec.seed, out_dir=out, log=plog, backbone=backbone)
 
     export_predictions(out / "oof_predictions.csv", ds.segment_ids, cv.oof_probs,
@@ -333,11 +327,11 @@ ABLATE_DEFAULTS = dict(
 
 
 def cmd_ablate(args) -> int:
-    cfg_d, manifest, rec, ds = _training_setup(args, ABLATE_DEFAULTS, variant="full")
+    cfg_d, rec, ds = _training_setup(args, ABLATE_DEFAULTS, variant="full")
     out = Path(args.out_dir or "runs/ablation")
     seeds = [rec.seed + i for i in range(cfg_d["seeds"])]
     variants = tuple(str(cfg_d["variants"]).split(","))
-    rows = run_ablation(manifest, ds, rec.model, rec.stage1, rec.stage2, rec.augment,
+    rows = run_ablation(ds, rec.model, rec.stage1, rec.stage2, rec.augment,
                         seeds=seeds, k=rec.k, variants=variants,
                         log=lambda r: log.info("epoch %s", json.dumps(r, sort_keys=True)))
     emit_report(out, ablation_rows=rows, comment=_stamp(rec, seeds=seeds, variants=variants))
@@ -386,8 +380,8 @@ def _load_run(args):
     """Manifest, the run's record, its fold checkpoints, and every file a
     served pass reads, in the order it reads them: cv_summary.json, each
     fold checkpoint and its sidecar, the manifest and each segment it lists.
-    The served set's first segment must have the record's channel count;
-    no checkpoint is loaded here."""
+    The record's model must fit the served set's first segment (see
+    :func:`_check_fits_model`); no checkpoint is loaded here."""
     run_dir = Path(args.run_dir)
     manifest_path = _data_dir(args) / "manifest.csv"
     manifest = load_manifest(manifest_path)
@@ -396,7 +390,7 @@ def _load_run(args):
         raise FileNotFoundError(f"no fold checkpoints under {run_dir}")
     rec = _read_summary(run_dir)
     first = manifest.segment_path(manifest.entries[0])
-    _check_channels(first, read_signal(first).samples.shape[0], rec.model)
+    _check_fits_model(first, read_signal(first).samples.shape, rec.model)
     inputs = [run_dir / "cv_summary.json", *(p for c in ckpts for p in (c, checkpoint_sidecar(c))),
               manifest_path, *(manifest.segment_path(e) for e in manifest.entries)]
     return manifest, rec, ckpts, inputs
@@ -404,13 +398,13 @@ def _load_run(args):
 
 def _serve(manifest: DatasetManifest, rec: RunRecord, ckpts: list[Path]):
     """The fold models' (probabilities, features) of the served set, as
-    predict_batched(x_uv, models, with_features=True) returns them for the
-    whole set. Every checkpoint must have the run record's model config.
-    The set is loaded PREDICT_BATCH segments at a time and filtered with the
-    record's bandpass, so serving filters as training did; each block is
-    freed before the next is loaded, so serving holds one, not the whole
-    set. Every segment must have the set's first segment's shape; the first
-    that does not fails naming its file, as a whole-set load would."""
+    predict_batched(x_uv, models) returns them for the whole set. Every
+    checkpoint must have the run record's model config. The set is loaded
+    PREDICT_BATCH segments at a time and filtered with the record's
+    bandpass, so serving filters as training did; each block is freed
+    before the next is loaded, so serving holds one, not the whole set.
+    Every segment must have the set's first segment's shape; the first that
+    does not fails naming its file, as a whole-set load would."""
     models = []
     for c in ckpts:
         params, cfg, _ = load_checkpoint(c)
@@ -426,7 +420,7 @@ def _serve(manifest: DatasetManifest, rec: RunRecord, ckpts: list[Path]):
         block = DatasetManifest(manifest.entries[i : i + PREDICT_BATCH], manifest.root)
         x_uv = load_dataset(block, rec.filter, first).x_uv
         first = first or (manifest.segment_path(manifest.entries[0]), x_uv.shape[1:])
-        blocks.append(predict_batched(x_uv, models, with_features=True))
+        blocks.append(predict_batched(x_uv, models))
         del x_uv  # else it is alive while the next block loads
     probs, feats = ([np.concatenate(f) for f in zip(*outs)] for outs in zip(*blocks))
     return probs, feats

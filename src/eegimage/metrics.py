@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .data import CLASS_NAMES, N_CLASSES
 from .model import kl_div_rows
@@ -27,21 +28,6 @@ def mean_kld(labels: np.ndarray, preds: np.ndarray) -> float:
     if labels.shape != preds.shape:
         raise ValueError(f"shape mismatch: labels {labels.shape}, preds {preds.shape}")
     return float(kl_div_rows(labels, preds, clip=PROB_CLIP).mean())
-
-
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values sharing the average of their positions."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < len(sx):
-        j = i
-        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
 
 
 def auroc_ovr(consensus: np.ndarray, scores: np.ndarray, cls: int) -> float:
@@ -60,7 +46,7 @@ def auroc_ovr(consensus: np.ndarray, scores: np.ndarray, cls: int) -> float:
             f"class {CLASS_NAMES[cls]!r} is degenerate: "
             f"{n_pos} positives, {n_neg} negatives"
         )
-    ranks = _midranks(scores)
+    ranks = rankdata(scores)
     rank_sum_pos = ranks[pos].sum()
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -82,13 +68,10 @@ def roc_curve(consensus: np.ndarray, scores: np.ndarray, cls: int):
     distinct = np.unique(scores)
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     thresholds = np.concatenate([[distinct[-1] + 1.0], mids[::-1], [distinct[0] - 1.0]])
-    fpr = np.empty(len(thresholds))
-    tpr = np.empty(len(thresholds))
-    for i, t in enumerate(thresholds):
-        predicted_pos = scores >= t
-        tpr[i] = (predicted_pos & pos).sum() / n_pos
-        fpr[i] = (predicted_pos & ~pos).sum() / n_neg
-    return fpr, tpr, thresholds
+    # the scores >= each threshold, counted in the sorted scores of each class
+    tp = n_pos - np.searchsorted(np.sort(scores[pos]), thresholds)
+    fp = n_neg - np.searchsorted(np.sort(scores[~pos]), thresholds)
+    return fp / n_neg, tp / n_pos, thresholds
 
 
 def optimal_threshold(fpr: np.ndarray, tpr: np.ndarray, thresholds: np.ndarray) -> float:
@@ -152,7 +135,7 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float],
         raise ValueError("both samples must be non-empty")
     n, m = a.size, b.size
     pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
+    ranks = rankdata(pooled)
     w = float(ranks[:n].sum())
     mu = n * (n + m + 1) / 2.0
     if np.all(pooled == pooled[0]):

@@ -6,7 +6,7 @@ learning rate, per-epoch validation, and best-checkpoint retention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 from typing import Callable
@@ -174,14 +174,25 @@ class Adam:
 
 @dataclass
 class Dataset:
-    """Filtered (still in microvolts) segments plus labels, ready to augment
-    and scale."""
+    """A manifest and its filtered segments (still in microvolts), ready to
+    augment and scale. Labels and ids are the manifest's, derived once."""
 
-    x_uv: np.ndarray  # (N, channels, T) float32, bandpassed
-    y: np.ndarray  # (N, n_classes) soft labels
-    n_votes: np.ndarray  # (N,) annotator counts
-    patient_ids: list[str]
-    segment_ids: list[str]
+    manifest: DatasetManifest
+    x_uv: np.ndarray  # (N, channels, T) float32, bandpassed, one row per entry
+    y: np.ndarray = field(init=False)  # (N, n_classes) soft labels
+    n_votes: np.ndarray = field(init=False)  # (N,) annotator counts
+    patient_ids: list[str] = field(init=False)
+    segment_ids: list[str] = field(init=False)
+
+    def __post_init__(self):
+        entries = self.manifest.entries
+        if len(self.x_uv) != len(entries):
+            raise ValueError(f"x_uv has {len(self.x_uv)} rows, the manifest lists "
+                             f"{len(entries)} segments")
+        self.y = self.manifest.soft_labels()
+        self.n_votes = self.manifest.votes_matrix().sum(axis=1).astype(np.float64)
+        self.patient_ids = [e.patient_id for e in entries]
+        self.segment_ids = [e.segment_id for e in entries]
 
     def __len__(self) -> int:
         return self.x_uv.shape[0]
@@ -227,13 +238,7 @@ def load_dataset(manifest: DatasetManifest, spec: FilterSpec,
         if x_uv is None:
             x_uv = np.empty((n,) + block.shape[1:], dtype=np.float32)
         x_uv[start : start + len(block)] = block
-    return Dataset(
-        x_uv=x_uv,
-        y=manifest.soft_labels(),
-        n_votes=manifest.votes_matrix().sum(axis=1).astype(np.float64),
-        patient_ids=[e.patient_id for e in manifest.entries],
-        segment_ids=[e.segment_id for e in manifest.entries],
-    )
+    return Dataset(manifest, x_uv)
 
 
 def sample_weights(n_votes: np.ndarray, mode: str) -> np.ndarray:
@@ -248,13 +253,12 @@ def scope_indices(n_votes: np.ndarray, scope: str) -> np.ndarray:
     return np.arange(len(n_votes))
 
 
-def predict_batched(x_uv: np.ndarray, param_sets: list[tuple[ModelParams, ModelConfig]],
-                    with_features: bool = False):
-    """Eval-mode probabilities (float64) of filtered segments in microvolts
-    under each (params, cfg) of param_sets, one array per model. Each batch
-    of PREDICT_BATCH segments is clipped and scaled once as it enters the
-    models; with with_features, the pair (probabilities, pooled features in
-    each model's dtype), each a list over models."""
+def predict_batched(x_uv: np.ndarray, param_sets: list[tuple[ModelParams, ModelConfig]]):
+    """Eval-mode (probabilities, pooled features) of filtered segments in
+    microvolts under each (params, cfg) of param_sets: each a list with one
+    array per model, the probabilities float64 and the features in the
+    model's dtype. Each batch of PREDICT_BATCH segments is clipped and
+    scaled once as it enters the models."""
     n, nb = x_uv.shape[0], PREDICT_BATCH
     probs = [np.empty((n, cfg.n_classes)) for _, cfg in param_sets]
     feats = [np.empty((n, cfg.backbone_channels[-1]), cfg.np_dtype) for _, cfg in param_sets]
@@ -263,14 +267,14 @@ def predict_batched(x_uv: np.ndarray, param_sets: list[tuple[ModelParams, ModelC
         for (params, cfg), p, f in zip(param_sets, probs, feats):
             p[i : i + nb], f[i : i + nb] = forward_batch(xb, params, cfg)
         del xb  # else it is alive while the next batch is scaled
-    return (probs, feats) if with_features else probs
+    return probs, feats
 
 
 def validation_loss(x_uv: np.ndarray, y: np.ndarray, params: ModelParams,
                     cfg: ModelConfig) -> tuple[float, np.ndarray]:
     """(unweighted mean KLD, predicted probabilities) on filtered validation
     segments in microvolts."""
-    [probs] = predict_batched(x_uv, [(params, cfg)])
+    [probs], _ = predict_batched(x_uv, [(params, cfg)])
     return float(kl_div_rows(y, probs).mean()), probs
 
 
@@ -404,7 +408,6 @@ def check_fold_stages(ds: Dataset, patient_fold: np.ndarray, k: int,
 
 
 def run_cv(
-    manifest: DatasetManifest,
     ds: Dataset,
     model_cfg: ModelConfig,
     stage1: StageConfig,
@@ -416,8 +419,9 @@ def run_cv(
     log: Callable[[dict], None] | None = None,
     backbone: ModelParams | None = None,
 ) -> CvResult:
-    """Patient-grouped k-fold: per fold, stage 1 on all non-fold data, stage 2
-    on its high-quality subset, out-of-fold predictions on the held-out fold.
+    """Patient-grouped k-fold over ds.manifest's patients: per fold, stage 1
+    on all non-fold data, stage 2 on its high-quality subset, out-of-fold
+    predictions on the held-out fold.
     A pretrained model_cfg starts every fold from backbone's conv stages
     (see :func:`init_params`), so backbone is given exactly when
     model_cfg.pretrained is True.
@@ -425,7 +429,7 @@ def run_cv(
     if model_cfg.pretrained != (backbone is not None):
         raise ValueError(f"model config has pretrained={model_cfg.pretrained} but "
                          f"backbone is {'given' if backbone is not None else 'None'}")
-    folds = split_folds(manifest, k=k, seed=seed)
+    folds = split_folds(ds.manifest, k=k, seed=seed)
     patient_fold = np.array([folds.fold_of_patient[p] for p in ds.patient_ids])
     oof = np.full((len(ds), model_cfg.n_classes), np.nan)
     if out_dir is not None:
@@ -457,7 +461,7 @@ def run_cv(
         # pass made r.best_val_probs; recompute only if no epoch improved (NaN losses)
         val_probs = r.best_val_probs
         if val_probs is None:
-            [val_probs] = predict_batched(x_val, [(params, model_cfg)])
+            [val_probs], _ = predict_batched(x_val, [(params, model_cfg)])
         oof[val_idx] = onto_simplex(val_probs)
         ckpt = None
         if out_dir is not None:
@@ -526,4 +530,7 @@ def load_predictions(path: Path) -> tuple[list[str], np.ndarray]:
                                  f"expected {len(PREDICTION_COLUMNS)}")
             ids.append(parts[0])
             rows.append([float(v) for v in parts[1:]])
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"{path}: line {lineno}: segment {parts[0]!r} has a "
+                                 "non-finite probability")
     return ids, np.array(rows)

@@ -284,13 +284,7 @@ def test_criterion_simplex_invariant(capsys):
     manifest = make_manifest(6, 3, seed=0)
     rng = np.random.default_rng(1)
     n = len(manifest.entries)
-    ds = Dataset(
-        x_uv=rng.normal(scale=30.0, size=(n, 4, 200)).astype(np.float32),
-        y=manifest.soft_labels(),
-        n_votes=manifest.votes_matrix().sum(axis=1).astype(np.float64),
-        patient_ids=[e.patient_id for e in manifest.entries],
-        segment_ids=[e.segment_id for e in manifest.entries],
-    )
+    ds = Dataset(manifest, rng.normal(scale=30.0, size=(n, 4, 200)).astype(np.float32))
     cfg = ModelConfig(n_channels=4, backbone_channels=(6, 8), pretrained=False)
     assert cfg.groups * cfg.kernels_per_group == 30
     stage = StageConfig(lr_base=1e-3, epochs=200, batch_size=32,
@@ -391,7 +385,7 @@ def test_criterion_ablation_direction(capsys, tmp_path):
     manifest = generate(synth, tmp_path / "data")
     ds = load_dataset(manifest, FilterSpec(fs=synth.fs))
     rows = run_ablation(
-        manifest, ds, ModelConfig(backbone_channels=(8, 16, 32)),
+        ds, ModelConfig(backbone_channels=(8, 16, 32)),
         default_stage1(epochs=6, batch_size=16),
         default_stage2(epochs=2, batch_size=16),
         AugmentConfig(), seeds=[0, 1, 2, 3, 4], k=3,

@@ -64,14 +64,7 @@ def tiny_problem(n_patients=6, segs=3, t=100, seed=0):
     manifest = make_manifest(n_patients, segs, seed=seed)
     rng = np.random.default_rng(seed + 1)
     n = len(manifest.entries)
-    ds = Dataset(
-        x_uv=rng.normal(scale=30.0, size=(n, 4, t)).astype(np.float32),
-        y=manifest.soft_labels(),
-        n_votes=manifest.votes_matrix().sum(axis=1).astype(np.float64),
-        patient_ids=[e.patient_id for e in manifest.entries],
-        segment_ids=[e.segment_id for e in manifest.entries],
-    )
-    return manifest, ds
+    return Dataset(manifest, rng.normal(scale=30.0, size=(n, 4, t)).astype(np.float32))
 
 
 def quick_stage(scope=SCOPE_ALL, weighting=WEIGHT_ANNOTATORS, **kw):
@@ -263,7 +256,7 @@ def test_pretext_failure_raises():
 
 
 def test_patient_level_kld_matches_manual_grouping():
-    _, ds = tiny_problem(n_patients=3, segs=2)
+    ds = tiny_problem(n_patients=3, segs=2)
     rng = np.random.default_rng(9)
     probs = rng.dirichlet(np.ones(6), size=ds.y.shape[0])
     vec = patient_level_kld(ds, probs)
@@ -278,9 +271,8 @@ def test_patient_level_kld_matches_manual_grouping():
 
 
 def test_run_ablation_row_structure():
-    manifest, ds = tiny_problem()
+    ds = tiny_problem()
     rows = run_ablation(
-        manifest,
         ds,
         tiny_cfg(),
         quick_stage(),
@@ -302,14 +294,14 @@ def test_run_ablation_row_structure():
 
 
 def test_run_ablation_rejects_bad_arguments():
-    manifest, ds = tiny_problem()
+    ds = tiny_problem()
     with pytest.raises(ValueError):
         run_ablation(
-            manifest, ds, tiny_cfg(), quick_stage(), quick_stage(), None, seeds=[]
+            ds, tiny_cfg(), quick_stage(), quick_stage(), None, seeds=[]
         )
     with pytest.raises(ValueError):
         run_ablation(
-            manifest, ds, tiny_cfg(), quick_stage(), quick_stage(), None,
+            ds, tiny_cfg(), quick_stage(), quick_stage(), None,
             seeds=[0], variants=("no_eeg2img",),
         )
 
@@ -317,7 +309,7 @@ def test_run_ablation_rejects_bad_arguments():
 def test_pretrained_and_random_backbones_diverge_in_training():
     # the two inits must lead the first epoch to different validation losses;
     # which one is lower is data-dependent, so only inequality is asserted
-    manifest, ds = tiny_problem()
+    ds = tiny_problem()
     cfg = tiny_cfg()
     net, _ = pretrain_backbone(
         cfg, seed=0, pretext=PretextConfig(n_train=256, n_test=64, epochs=2, min_accuracy=0.0)
@@ -361,7 +353,7 @@ def test_extract_embeddings_averages_folds(monkeypatch):
     x = np.random.default_rng(1).uniform(-1200, 1200, size=(10, 4, 100))
     sets = [(init_params(cfg, seed=s), cfg) for s in (0, 1)]
     monkeypatch.setattr(train, "PREDICT_BATCH", 4)
-    out = extract_embeddings(*predict_batched(x, sets, with_features=True))
+    out = extract_embeddings(*predict_batched(x, sets))
     singles = []
     for params, c in sets:
         _, feat = forward_batch(clip_scale_array(x), params, c)
@@ -380,7 +372,7 @@ def test_extract_embeddings_scales_each_batch_once_for_every_fold(monkeypatch, u
     want = per_fold_outputs(x, sets, batch_size=4)
     rows = spy_clip_scale(monkeypatch, train)
     monkeypatch.setattr(train, "PREDICT_BATCH", 4)
-    out = extract_embeddings(*predict_batched(x, sets, with_features=True), use_probs=use_probs)
+    out = extract_embeddings(*predict_batched(x, sets), use_probs=use_probs)
     assert rows == [4, 4, 1]
     folds = [p.astype(f.dtype) if use_probs else f for p, f in want]
     assert out.dtype == np.float32 and np.array_equal(out, np.mean(folds, axis=0))
@@ -390,7 +382,7 @@ def test_extract_embeddings_probs_flag():
     cfg = tiny_cfg()
     x = np.random.default_rng(2).uniform(-1200, 1200, size=(6, 4, 100))
     sets = [(init_params(cfg, seed=0), cfg)]
-    out = extract_embeddings(*predict_batched(x, sets, with_features=True), use_probs=True)
+    out = extract_embeddings(*predict_batched(x, sets), use_probs=True)
     assert out.shape == (6, cfg.n_classes)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
@@ -476,7 +468,7 @@ def test_extract_embeddings_is_the_float32_fold_mean_of_the_forward_outputs(monk
     x = np.random.default_rng(3).uniform(-1200, 1200, size=(7, 4, 100))
     sets = [(init_params(cfg, seed=s), cfg) for s in (0, 1, 2)]
     monkeypatch.setattr(train, "PREDICT_BATCH", 3)
-    out = extract_embeddings(*predict_batched(x, sets, with_features=True), use_probs=use_probs)
+    out = extract_embeddings(*predict_batched(x, sets), use_probs=use_probs)
     chunks = [[forward_batch(clip_scale_array(x[i : i + 3]), params, c)[int(not use_probs)]
                for i in range(0, 7, 3)] for params, c in sets]
     expected = np.mean([np.concatenate(c) for c in chunks], axis=0)

@@ -477,11 +477,11 @@ def test_predict_rejects_folds_trained_with_another_config(trained_run, tmp_path
     assert not (tmp_path / "p.csv").exists()
 
 
-def _cut_channels(data, n_ch):
-    """Keep the first n_ch channels of every segment under data."""
+def _cut_segments(data, cut):
+    """Keep the samples[cut] (channels, samples) of every segment under data."""
     for path in sorted((data / "signals").glob("*.eeg")):
         seg = read_signal(path)
-        write_signal(path, replace(seg, samples=seg.samples[:n_ch]))
+        write_signal(path, replace(seg, samples=seg.samples[cut]))
 
 
 def test_train_on_segments_with_another_channel_count_fails_before_any_work(tmp_path, capsys,
@@ -493,7 +493,7 @@ def test_train_on_segments_with_another_channel_count_fails_before_any_work(tmp_
 
     data, out = tmp_path / "data", tmp_path / "run"
     assert run_gen(data, patients=3, segments=2) == 0
-    _cut_channels(data, 8)
+    _cut_segments(data, np.s_[:8])
     capsys.readouterr()
     for name in ("load_dataset", "pretrain_backbone"):
         monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: pytest.fail(_name))
@@ -507,19 +507,28 @@ def test_train_on_segments_with_another_channel_count_fails_before_any_work(tmp_
 
 
 @pytest.mark.parametrize("command", ["predict", "tsne"])
-def test_serving_segments_with_another_channel_count_exits_1(trained_run, tmp_path, capsys,
-                                                             command):
+@pytest.mark.parametrize("cut, want", [
+    (np.s_[:8], "8 channels, the model's n_channels is 16\n"),
+    # the run's backbone 6,8 leaves no central columns on 1-s segments
+    (np.s_[:, :100], "100 samples are too short for backbone 6,8 ("),
+], ids=["channels", "samples"])
+def test_serving_segments_the_model_does_not_fit_exits_1(trained_run, tmp_path, capsys,
+                                                         monkeypatch, command, cut, want):
+    """predict and tsne check that the run's model fits the first served
+    segment, as train does, before they load a checkpoint or write
+    anything."""
     _, run = trained_run
     data = tmp_path / "data"
     assert run_gen(data, patients=6, segments=3) == 0
-    _cut_channels(data, 8)
+    _cut_segments(data, cut)
     capsys.readouterr()
+    loaded = spy_loaded_checkpoints(monkeypatch)
     rc = main([command, "--data-dir", str(data), "--run-dir", str(run),
                *_run_reader_args(command, tmp_path)])
     assert rc == 1
-    assert capsys.readouterr().err == (
-        f"error: {data / 'signals' / 's000000.eeg'}: 8 channels, the model's "
-        "n_channels is 16\n")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / 'signals' / 's000000.eeg'}: {want}"), err
+    assert loaded == []
     assert not (tmp_path / "p.csv").exists() and not (tmp_path / "out").exists()
 
 
@@ -539,7 +548,7 @@ def test_predict_serves_the_recorded_causal_filter(tmp_path):
 
     def ensemble(mode):
         ds = load_dataset(manifest, FilterSpec(fs=100.0, mode=mode))
-        return ensemble_predict(predict_batched(ds.x_uv, models))
+        return ensemble_predict(predict_batched(ds.x_uv, models)[0])
 
     # predictions.csv holds 12 decimals
     assert np.abs(served - ensemble("causal")).max() < 1e-11
@@ -621,7 +630,7 @@ def test_served_blocks_give_the_whole_set_outputs(trained_run, tmp_path, monkeyp
     models = [load_checkpoint(p)[:2] for p in sorted(run.glob("fold*.ckpt"))]
     ds = load_dataset(manifest, FilterSpec(fs=100.0))
     assert seen["ids"] == ds.segment_ids
-    probs, feats = predict_batched(ds.x_uv, models, with_features=True)
+    probs, feats = predict_batched(ds.x_uv, models)
     emb = extract_embeddings(probs, feats)
     assert same_bytes(seen["probs"], ensemble_predict(probs))
     assert same_bytes(np.load(run / SERVED_FEATURES), emb)
@@ -1117,18 +1126,25 @@ def _damaged_run(run, tmp_path, edit):
     return damaged, path
 
 
-def test_evaluate_names_the_line_of_a_row_missing_a_column(trained_run, tmp_path, capsys):
+@pytest.mark.parametrize("last, want", [
+    (None, "6 columns, expected 7"),
+    # AUROC and the ROC curves rank every probability; NaN has no rank
+    ("nan", "segment 's000003' has a non-finite probability"),
+    ("inf", "segment 's000003' has a non-finite probability"),
+], ids=["missing-column", "nan", "inf"])
+def test_evaluate_names_the_line_of_a_malformed_row(trained_run, tmp_path, capsys, last,
+                                                    want):
     data, run = trained_run
 
-    def drop_a_column(lines):
-        lines[5] = lines[5].rsplit(",", 1)[0] + "\n"
+    def edit_the_last_column(lines):
+        lines[5] = lines[5].rsplit(",", 1)[0] + (f",{last}" if last else "") + "\n"
         return lines
 
-    damaged, path = _damaged_run(run, tmp_path, drop_a_column)
+    damaged, path = _damaged_run(run, tmp_path, edit_the_last_column)
     capsys.readouterr()
     rc = main(["evaluate", "--data-dir", str(data), "--run-dir", str(damaged)])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {path}: line 6: 6 columns, expected 7\n"
+    assert capsys.readouterr().err == f"error: {path}: line 6: {want}\n"
 
 
 def test_evaluate_names_the_first_prediction_off_the_manifest_order(trained_run, tmp_path,
@@ -1218,7 +1234,7 @@ def test_train_stamps_augmentation_and_reads_back_the_record_it_built(tmp_path, 
         assert main(["train", "--data-dir", str(data), "--out-dir", str(run), "--folds", "2",
                      "--stage1-epochs", "1", "--stage2-epochs", "1", "--batch-size", "8",
                      "--backbone", "6,8", "--no-pretrain", "--seed", "0", *extra]) == 0
-        rec = built[-1][2]
+        rec = built[-1][1]
         assert (rec.augment is None) == bool(extra)
         assert cli._read_summary(run) == rec
         hashes.append(json.loads((run / "cv_summary.json").read_text())["config_hash"])

@@ -64,18 +64,12 @@ def tiny_cfg(**kw):
 
 
 def tiny_problem(n_patients=6, segs=3, t=100, seed=0):
-    """Manifest plus a matching in-memory dataset (no files on disk)."""
+    """A synthetic manifest and random samples, one row per entry (no files
+    on disk)."""
     manifest = make_manifest(n_patients, segs, seed=seed)
     rng = np.random.default_rng(seed + 1)
     n = len(manifest.entries)
-    ds = Dataset(
-        x_uv=rng.normal(scale=30.0, size=(n, 4, t)).astype(np.float32),
-        y=manifest.soft_labels(),
-        n_votes=manifest.votes_matrix().sum(axis=1).astype(np.float64),
-        patient_ids=[e.patient_id for e in manifest.entries],
-        segment_ids=[e.segment_id for e in manifest.entries],
-    )
-    return manifest, ds
+    return Dataset(manifest, rng.normal(scale=30.0, size=(n, 4, t)).astype(np.float32))
 
 
 # --- learning-rate schedule ---
@@ -252,9 +246,9 @@ def test_scope_boundary_at_ten_votes():
 
 
 def test_high_quality_scope_scan_oracle():
-    manifest, ds = tiny_problem(n_patients=8, segs=4, seed=3)
+    ds = tiny_problem(n_patients=8, segs=4, seed=3)
     idx = scope_indices(ds.n_votes, SCOPE_HIGH_QUALITY)
-    want = [i for i, e in enumerate(manifest.entries) if sum(e.votes) >= 10]
+    want = [i for i, e in enumerate(ds.manifest.entries) if sum(e.votes) >= 10]
     assert list(idx) == want
     assert all(ds.n_votes[i] >= HIGH_QUALITY_MIN_VOTES for i in idx)
 
@@ -358,7 +352,7 @@ def test_adam_skips_frozen_embedding():
 
 
 def stage_inputs(seed=0, dropout=0.0):
-    manifest, ds = tiny_problem(n_patients=6, segs=3, seed=seed)
+    ds = tiny_problem(n_patients=6, segs=3, seed=seed)
     cfg = tiny_cfg(dropout_rate=dropout)
     params = init_params(cfg, seed=seed)
     n = len(ds)
@@ -463,9 +457,9 @@ def test_stage_descends_on_learnable_data():
 
 
 def test_run_cv_oof_covers_every_sample():
-    manifest, ds = tiny_problem(n_patients=6, segs=3, seed=7)
+    ds = tiny_problem(n_patients=6, segs=3, seed=7)
     cv = run_cv(
-        manifest, ds, tiny_cfg(),
+        ds, tiny_cfg(),
         default_stage1(epochs=1, batch_size=8),
         default_stage2(epochs=1, batch_size=8),
         None, k=3, seed=0,
@@ -476,11 +470,11 @@ def test_run_cv_oof_covers_every_sample():
 
 
 def test_run_cv_float32_oof_rows_lie_on_the_simplex():
-    manifest, ds = tiny_problem(n_patients=6, segs=3, seed=7)
+    ds = tiny_problem(n_patients=6, segs=3, seed=7)
     cfg = tiny_cfg()
     assert cfg.dtype == "float32"
     cv = run_cv(
-        manifest, ds, cfg,
+        ds, cfg,
         default_stage1(epochs=2, batch_size=8),
         default_stage2(epochs=1, batch_size=8),
         None, k=3, seed=0,
@@ -492,9 +486,9 @@ def test_run_cv_float32_oof_rows_lie_on_the_simplex():
 
 
 def test_run_cv_no_patient_leakage():
-    manifest, ds = tiny_problem(n_patients=8, segs=2, seed=8)
+    ds = tiny_problem(n_patients=8, segs=2, seed=8)
     cv = run_cv(
-        manifest, ds, tiny_cfg(),
+        ds, tiny_cfg(),
         default_stage1(epochs=1, batch_size=8),
         default_stage2(epochs=1, batch_size=8),
         None, k=4, seed=1,
@@ -508,9 +502,9 @@ def test_run_cv_no_patient_leakage():
 
 
 def test_run_cv_is_deterministic():
-    manifest, ds = tiny_problem(n_patients=5, segs=2, seed=9)
+    ds = tiny_problem(n_patients=5, segs=2, seed=9)
     args = (
-        manifest, ds, tiny_cfg(),
+        ds, tiny_cfg(),
         default_stage1(epochs=1, batch_size=8),
         default_stage2(epochs=1, batch_size=8),
     )
@@ -521,14 +515,14 @@ def test_run_cv_is_deterministic():
 
 def test_run_cv_beats_uniform_on_easy_data(tmp_path):
     # strong class-dependent offsets make the task nearly separable
-    manifest, ds = tiny_problem(n_patients=8, segs=4, seed=10)
+    ds = tiny_problem(n_patients=8, segs=4, seed=10)
     consensus = ds.y.argmax(axis=1)
     for i, c in enumerate(consensus):
         ds.x_uv[i] += 60.0 * (c - 2.5)
         ds.y[i] = 0.0
         ds.y[i, c] = 1.0
     cv = run_cv(
-        manifest, ds, tiny_cfg(),
+        ds, tiny_cfg(),
         default_stage1(epochs=4, batch_size=8),
         default_stage2(epochs=1, batch_size=8),
         None, k=4, seed=0, out_dir=tmp_path,
@@ -538,9 +532,9 @@ def test_run_cv_beats_uniform_on_easy_data(tmp_path):
 
 
 def test_run_cv_checkpoint_reproduces_val_loss(tmp_path):
-    manifest, ds = tiny_problem(n_patients=5, segs=3, seed=11)
+    ds = tiny_problem(n_patients=5, segs=3, seed=11)
     cv = run_cv(
-        manifest, ds, tiny_cfg(),
+        ds, tiny_cfg(),
         default_stage1(epochs=2, batch_size=8),
         default_stage2(epochs=1, batch_size=8),
         None, k=2, seed=4, out_dir=tmp_path,
@@ -566,10 +560,10 @@ def _spy_predict_batched(monkeypatch):
 
 
 def test_run_cv_takes_the_oof_rows_from_the_best_validation_pass(tmp_path, monkeypatch):
-    manifest, ds = tiny_problem(n_patients=5, segs=3, seed=11)
+    ds = tiny_problem(n_patients=5, segs=3, seed=11)
     calls = _spy_predict_batched(monkeypatch)
     cv = run_cv(
-        manifest, ds, tiny_cfg(),
+        ds, tiny_cfg(),
         default_stage1(epochs=3, batch_size=8),
         default_stage2(epochs=2, batch_size=8),
         None, k=2, seed=4, out_dir=tmp_path,
@@ -578,14 +572,14 @@ def test_run_cv_takes_the_oof_rows_from_the_best_validation_pass(tmp_path, monke
     assert calls == [len(f.val_indices) for f in cv.folds for _ in range(3 + 2)]
     for fr in cv.folds:
         params, cfg, _ = load_checkpoint(fr.checkpoint)
-        fresh = onto_simplex(predict_batched(ds.x_uv[fr.val_indices], [(params, cfg)])[0])
+        fresh = onto_simplex(predict_batched(ds.x_uv[fr.val_indices], [(params, cfg)])[0][0])
         assert np.array_equal(cv.oof_probs[fr.val_indices], fresh)
 
 
 def test_run_cv_recomputes_the_oof_rows_when_stage_2_never_improves(tmp_path, monkeypatch):
     import eegimage.train as train
 
-    manifest, ds = tiny_problem(n_patients=5, segs=3, seed=11)
+    ds = tiny_problem(n_patients=5, segs=3, seed=11)
     orig = train.validation_loss
 
     def nan_in_stage_2(*args):
@@ -598,7 +592,7 @@ def test_run_cv_recomputes_the_oof_rows_when_stage_2_never_improves(tmp_path, mo
     nan_in_stage_2.calls = 0
     monkeypatch.setattr(train, "validation_loss", nan_in_stage_2)
     calls = _spy_predict_batched(monkeypatch)
-    cv = run_cv(manifest, ds, tiny_cfg(), default_stage1(epochs=2, batch_size=8),
+    cv = run_cv(ds, tiny_cfg(), default_stage1(epochs=2, batch_size=8),
                 default_stage2(epochs=1, batch_size=8), None, k=2, seed=4, out_dir=tmp_path)
     assert [f.best_val_loss for f in cv.folds] == [float("inf")] * 2
     # stage 2 restored its starting point, stage 1's best, and the OOF rows
@@ -606,7 +600,7 @@ def test_run_cv_recomputes_the_oof_rows_when_stage_2_never_improves(tmp_path, mo
     assert calls == [len(f.val_indices) for f in cv.folds for _ in range(3 + 1)]
     for fr in cv.folds:
         params, cfg, _ = load_checkpoint(fr.checkpoint)
-        fresh = onto_simplex(predict_batched(ds.x_uv[fr.val_indices], [(params, cfg)])[0])
+        fresh = onto_simplex(predict_batched(ds.x_uv[fr.val_indices], [(params, cfg)])[0][0])
         assert np.array_equal(cv.oof_probs[fr.val_indices], fresh)
 
 
@@ -647,7 +641,7 @@ def test_run_cv_scales_each_fold_not_the_whole_dataset(monkeypatch):
     scaled a batch at a time as they enter the model, never as a fold copy."""
     import eegimage.train as train
 
-    manifest, ds = tiny_problem(n_patients=6, segs=3, seed=7)
+    ds = tiny_problem(n_patients=6, segs=3, seed=7)
     rows, rescaled, scale = [], [], train.clip_scale_array
 
     def spy(x):
@@ -656,7 +650,7 @@ def test_run_cv_scales_each_fold_not_the_whole_dataset(monkeypatch):
         return scale(x)
 
     monkeypatch.setattr(train, "clip_scale_array", spy)
-    cv = run_cv(manifest, ds, tiny_cfg(), default_stage1(epochs=1, batch_size=8),
+    cv = run_cv(ds, tiny_cfg(), default_stage1(epochs=1, batch_size=8),
                 default_stage2(epochs=1, batch_size=8), None, k=3, seed=0)
     assert rows and max(rows) <= 8 < len(ds)
     assert not any(rescaled), "a batch was scaled twice"
@@ -722,10 +716,10 @@ def test_training_keeps_freed_heap_for_a_direct_caller(entry):
 
 
 def test_run_cv_rejects_empty_fold():
-    manifest, ds = tiny_problem(n_patients=3, segs=2, seed=12)
+    ds = tiny_problem(n_patients=3, segs=2, seed=12)
     with pytest.raises(ValueError):
         run_cv(
-            manifest, ds, tiny_cfg(),
+            ds, tiny_cfg(),
             default_stage1(epochs=1, batch_size=8),
             default_stage2(epochs=1, batch_size=8),
             None, k=5, seed=0,
@@ -746,7 +740,7 @@ def test_run_cv_checks_every_stage_before_training_any_fold(tmp_path, monkeypatc
     monkeypatch.setattr(train, "train_stage", lambda *a, **k: trained.append(a))
     # with seed 4, fold 1's training patients hold no high-quality segment
     with pytest.raises(ValueError) as err:
-        run_cv(manifest, ds, tiny_cfg(), default_stage1(epochs=1, batch_size=8),
+        run_cv(ds, tiny_cfg(), default_stage1(epochs=1, batch_size=8),
                default_stage2(epochs=1, batch_size=8), None, k=2, seed=4)
     assert str(err.value) == ("fold 1 stage 2 (high_quality_only): none of its 9 training "
                               f"segments has >= {HIGH_QUALITY_MIN_VOTES} votes")
@@ -758,14 +752,14 @@ def test_run_cv_refuses_a_backbone_that_disagrees_with_pretrained(tmp_path, monk
                                                                    pretrained):
     import eegimage.train as train
 
-    manifest, ds = tiny_problem(n_patients=4, segs=2, seed=12)
+    ds = tiny_problem(n_patients=4, segs=2, seed=12)
     cfg = tiny_cfg(pretrained=pretrained)
     backbone = None if pretrained else init_params(cfg, seed=0)
     trained = []
     monkeypatch.setattr(train, "train_stage", lambda *a, **k: trained.append(a))
     with pytest.raises(ValueError, match=f"pretrained={pretrained} but backbone is "
                                          f"{'None' if pretrained else 'given'}"):
-        run_cv(manifest, ds, cfg, default_stage1(epochs=1, batch_size=8),
+        run_cv(ds, cfg, default_stage1(epochs=1, batch_size=8),
                default_stage2(epochs=1, batch_size=8), None, k=2, seed=0, out_dir=tmp_path,
                backbone=backbone)
     assert trained == [] and not list(tmp_path.iterdir())
@@ -778,8 +772,8 @@ def test_ensemble_identical_models_is_identity():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=0)
     x = np.random.default_rng(0).normal(scale=30, size=(3, 4, 100)).astype(np.float32)
-    single = ensemble_predict(predict_batched(x, [(params, cfg)]))
-    triple = ensemble_predict(predict_batched(x, [(params, cfg)] * 3))
+    single = ensemble_predict(predict_batched(x, [(params, cfg)])[0])
+    triple = ensemble_predict(predict_batched(x, [(params, cfg)] * 3)[0])
     assert np.allclose(single, triple, atol=1e-15)
 
 
@@ -792,7 +786,7 @@ def test_ensemble_mean_matches_oracle():
         p.set("dense_w", rng.normal(size=p.get("dense_w").shape) * 0.05)
         sets.append((p, cfg))
     x = rng.normal(scale=600, size=(4, 4, 100)).astype(np.float32)
-    got = ensemble_predict(predict_batched(x, sets))
+    got = ensemble_predict(predict_batched(x, sets)[0])
     want = np.mean([forward_batch(clip_scale_array(x), p, c)[0] for p, c in sets], axis=0)
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.allclose(got.sum(axis=1), 1.0, atol=1e-9)
@@ -829,14 +823,14 @@ def test_predict_batched_scales_each_batch_once_for_every_fold(monkeypatch):
     rows = spy_clip_scale(monkeypatch, train)
     with monkeypatch.context() as m:
         m.setattr(train, "PREDICT_BATCH", 4)
-        probs, feats = predict_batched(x, sets, with_features=True)
+        probs, feats = predict_batched(x, sets)
     assert rows == [4, 4, 2]
     for (p, f), (wp, wf) in zip(zip(probs, feats), want):
         assert p.dtype == wp.dtype and np.array_equal(p, wp)
         assert f.dtype == wf.dtype and np.array_equal(f, wf)
 
     rows.clear()
-    got = ensemble_predict(predict_batched(x, sets))
+    got = ensemble_predict(predict_batched(x, sets)[0])
     assert rows == [10]  # PREDICT_BATCH, 64
     want = per_fold_outputs(x, sets)
     assert np.array_equal(got, onto_simplex(np.mean([p for p, _ in want], axis=0)))
@@ -853,15 +847,42 @@ def test_ensemble_rejects_models_with_different_class_counts():
     other = replace(cfg, n_classes=5)
     sets = [(init_params(cfg, seed=0), cfg), (init_params(other, seed=0), other)]
     with pytest.raises(ValueError, match=r"n_classes \[5, 6\]"):
-        ensemble_predict(predict_batched(np.zeros((1, 4, 100), np.float32), sets))
+        ensemble_predict(predict_batched(np.zeros((1, 4, 100), np.float32), sets)[0])
 
 
 def test_ensemble_requires_models():
     with pytest.raises(ValueError):
-        ensemble_predict(predict_batched(np.zeros((1, 4, 100)), []))
+        ensemble_predict(predict_batched(np.zeros((1, 4, 100)), [])[0])
 
 
 # --- dataset loading ---
+
+
+def test_dataset_refuses_rows_that_do_not_match_its_manifest():
+    manifest = make_manifest(3, 2, seed=0)
+    for rows in (5, 7):
+        with pytest.raises(ValueError) as err:
+            Dataset(manifest, np.zeros((rows, 4, 100), np.float32))
+        assert str(err.value) == f"x_uv has {rows} rows, the manifest lists 6 segments"
+
+
+def test_load_dataset_labels_and_ids_are_the_manifests(tmp_path):
+    import eegimage.train as train
+    from eegimage.cli import main
+    from eegimage.data import load_manifest
+    from eegimage.preprocess import FilterSpec
+
+    assert main(["gen", "--out-dir", str(tmp_path), "--patients", "4", "--segments", "3",
+                 "--fs", "100", "--duration", "5"]) == 0
+    manifest = load_manifest(tmp_path / "manifest.csv")
+    ds = train.load_dataset(manifest, FilterSpec(fs=100.0))
+    votes = np.array([e.votes for e in manifest.entries], dtype=np.float64)
+    assert ds.manifest is manifest and len(ds) == len(manifest) == 12
+    assert ds.y.dtype == ds.n_votes.dtype == np.float64
+    assert np.array_equal(ds.y, votes / votes.sum(axis=1, keepdims=True))
+    assert np.array_equal(ds.n_votes, votes.sum(axis=1))
+    assert ds.patient_ids == [e.patient_id for e in manifest.entries]
+    assert ds.segment_ids == [e.segment_id for e in manifest.entries]
 
 
 @pytest.mark.parametrize("mode", ["zero_phase", "causal"])
