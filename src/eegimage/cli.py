@@ -52,7 +52,7 @@ from .train import (
     predict_batched,
     run_cv,
 )
-from .tsne import TsneConfig, tsne
+from .tsne import KL_WINDOW, TsneConfig, tsne
 from .util import (TYPE_NAMES, _pin_malloc_thresholds, from_jsonable, read_json_object,
                    read_record, stamp, write_record)
 
@@ -196,10 +196,16 @@ def _backbone_tuple(s) -> tuple[int, ...]:
     return s if isinstance(s, tuple) else tuple(int(v) for v in s.split(","))
 
 
-def _check_fits_model(path: Path, shape: tuple[int, int], cfg: ModelConfig) -> None:
-    """Fail, naming the segment file, its channel or sample count and the
-    field to change, when the model cannot run on segments of shape
-    (channels, samples)."""
+# what the caller can change when its segments are too short for the backbone
+TRAIN_REMEDY = "give `backbone` fewer stages or use longer segments"
+SERVE_REMEDY = "serve longer segments or use a run trained with fewer backbone stages"
+
+
+def _check_fits_model(path: Path, shape: tuple[int, int], cfg: ModelConfig,
+                      remedy: str) -> None:
+    """Fail, naming the segment file, its channel or sample count and, for
+    segments too short for the backbone, the caller's `remedy`, when the
+    model cannot run on segments of shape (channels, samples)."""
     n_ch, t = shape
     if n_ch != cfg.n_channels:
         raise ValueError(f"{path}: {n_ch} channels, the model's n_channels is "
@@ -217,8 +223,7 @@ def _check_fits_model(path: Path, shape: tuple[int, int], cfg: ModelConfig) -> N
     except ValueError as e:
         spec = ",".join(map(str, cfg.backbone_channels))
         raise ValueError(f"{path}: {t} samples are too short for backbone {spec} "
-                         f"({e}); give `backbone` fewer stages or use longer "
-                         f"segments") from None
+                         f"({e}); {remedy}") from None
 
 
 def _training_setup(args, defaults: dict, variant: str | None = None):
@@ -251,7 +256,7 @@ def _training_setup(args, defaults: dict, variant: str | None = None):
         seed=cfg_d["seed"],
         variant=variant,
     )
-    _check_fits_model(first_path, first.samples.shape, record.model)
+    _check_fits_model(first_path, first.samples.shape, record.model, TRAIN_REMEDY)
     log.info("loading and filtering %d segments", len(manifest))
     return cfg_d, record, load_dataset(manifest, record.filter)
 
@@ -344,7 +349,6 @@ def cmd_ablate(args) -> int:
 TSNE_DEFAULTS = {**_field_defaults(TsneConfig, dict(seed="seed", perplexity="perplexity",
                                                    iterations="iterations")),
                  "use_probs": False}
-TSNE_TRACE_EVERY = 50  # the objective is evaluated only for the printed summary
 
 
 def cmd_tsne(args) -> int:
@@ -361,12 +365,14 @@ def cmd_tsne(args) -> int:
         emb = extract_embeddings(*_serve(manifest, rec, ckpts), use_probs=cfg_d["use_probs"])
     else:
         log.info("reusing the served features in %s", run_dir / SERVED_FEATURES)
-    result = tsne(emb, cfg, trace_every=TSNE_TRACE_EVERY)
+    # the trace reads the stop rule's grid, so it evaluates no extra objective
+    result = tsne(emb, cfg, trace_every=KL_WINDOW)
     ids = [e.segment_id for e in manifest.entries]
     emit_report(out, tsne_data=(result.coords, manifest.consensus_labels(), ids),
                 comment=_stamp(rec, cfg.seed, tsne=cfg))
     trace = result.objective_trace
-    print(f"KL {trace[0]:.2f} -> {trace[-1]:.2f} over {cfg.iterations} iterations")
+    print(f"KL {trace[0]:.2f} -> {trace[-1]:.2f} over {result.trace_iterations[-1] + 1} "
+          f"of {cfg.iterations} iterations")
     print(f"t-SNE coordinates for {len(ids)} segments in {out}")
     return 0
 
@@ -390,7 +396,7 @@ def _load_run(args):
         raise FileNotFoundError(f"no fold checkpoints under {run_dir}")
     rec = _read_summary(run_dir)
     first = manifest.segment_path(manifest.entries[0])
-    _check_fits_model(first, read_signal(first).samples.shape, rec.model)
+    _check_fits_model(first, read_signal(first).samples.shape, rec.model, SERVE_REMEDY)
     inputs = [run_dir / "cv_summary.json", *(p for c in ckpts for p in (c, checkpoint_sidecar(c))),
               manifest_path, *(manifest.segment_path(e) for e in manifest.entries)]
     return manifest, rec, ckpts, inputs
@@ -544,7 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "tsne", cmd_tsne, help="2-D embedding of model outputs")
     p.add_argument("--run-dir", type=Path, required=True)
     p.add_argument("--perplexity", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--iterations", type=int, default=None,
+                   help="at most this many iterations; the map stops once its "
+                        f"objective has converged (default {TSNE_DEFAULTS['iterations']})")
     p.add_argument("--use-probs", dest="use_probs", action="store_true",
                    default=None)
 

@@ -14,6 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .util import open_text
+
 
 class ClassId(enum.IntEnum):
     SEIZURE = 0
@@ -151,7 +153,7 @@ def load_manifest(path: Path) -> DatasetManifest:
     not a non-negative integer, a row whose votes sum to 0, or no rows."""
     path = Path(path)
     entries = []
-    with open(path, newline="") as f:
+    with open_text(path, newline="") as f:
         numbered = [(no, ln) for no, ln in enumerate(f, 1) if not ln.startswith("#")]
     reader = csv.DictReader([ln for _, ln in numbered])
     missing = set(MANIFEST_COLUMNS) - set(reader.fieldnames or ())

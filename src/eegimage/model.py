@@ -65,21 +65,6 @@ class ModelConfig:
         return t // self.stride
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto {w >= 0, sum w = 1}.
-
-    Sort-and-threshold: find the largest k for which the top-k entries stay
-    positive after sharing the excess mass, then clamp.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
 def project_rows_simplex(mat: np.ndarray) -> np.ndarray:
     """Row-wise simplex projection (used on every kernel after each step)."""
     m = np.asarray(mat, dtype=np.float64)

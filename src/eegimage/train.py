@@ -34,7 +34,7 @@ from .model import (
 )
 from .preprocess import (PREPROCESS_META, FilterSpec, clip_scale_array, design_bandpass,
                          filter_array)
-from .util import _pin_malloc_thresholds, read_record
+from .util import _pin_malloc_thresholds, open_text, read_record
 
 WEIGHT_ANNOTATORS = "annotator_count"
 WEIGHT_UNIFORM = "uniform"
@@ -515,7 +515,7 @@ def export_predictions(path: Path, ids: list[str], probs: np.ndarray,
 
 def load_predictions(path: Path) -> tuple[list[str], np.ndarray]:
     ids, rows = [], []
-    with open(path) as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):

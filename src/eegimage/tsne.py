@@ -12,8 +12,16 @@ returned coordinates are a float64 copy of the map, re-centred in float64.
 
 The trace runs on a schedule: ``tsne(x, cfg, trace_every=k)`` evaluates
 KL(P || Q) at every k-th iteration and at the last one. The library default,
-1, traces every iteration; the ``tsne`` command traces every 50th, as
+1, traces every iteration; the ``tsne`` command traces every KL_WINDOW-th, as
 openTSNE and scikit-learn do. The schedule never changes the map.
+
+``cfg.iterations`` is a cap: the map stops once its objective has converged,
+as opt-SNE does (Belkina et al. 2019). After the exaggeration phase, every
+KL_WINDOW-th iteration compares the KL with its value KL_WINDOW iterations
+earlier, and the map stops when the KL fell by less than
+``KL_WINDOW * MIN_KL_DECREASE`` of its value. A KL that rose does not stop
+it. The rule reads only that grid, so the stop does not depend on the trace
+schedule either.
 
 The default step size scales with n: learning_rate="auto" resolves to
 max(n / (4 * exaggeration), 50), the rule of Belkina et al. 2019 (Nat.
@@ -30,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = 1e-12
+KL_WINDOW = 50  # iterations between the KL values the stop rule compares
+MIN_KL_DECREASE = 2e-4  # the relative fall per iteration below which the map stops
 
 
 @dataclass(frozen=True)
@@ -188,7 +198,7 @@ def kl_objective(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) ->
 class TsneResult:
     coords: np.ndarray  # (n, 2) float64, zero-mean
     objective_trace: np.ndarray  # KL(P||Q) at trace_iterations, unexaggerated P
-    trace_iterations: np.ndarray  # int, ascending; holds 0 and the last iteration
+    trace_iterations: np.ndarray  # int, ascending; holds 0 and the stop iteration
 
 
 def tsne(embeddings: np.ndarray, cfg: TsneConfig, trace_every: int = 1) -> TsneResult:
@@ -196,7 +206,8 @@ def tsne(embeddings: np.ndarray, cfg: TsneConfig, trace_every: int = 1) -> TsneR
 
     Deterministic per cfg.seed. The returned trace holds the objective
     against the true (unexaggerated) affinities at every trace_every-th
-    iteration and at the last one; the coordinates do not depend on
+    iteration and at the last one run, cfg.iterations - 1 or the iteration
+    the stop rule ended the map at; the coordinates do not depend on
     trace_every.
     """
     if not (_is_int(trace_every) and trace_every > 0):
@@ -231,6 +242,7 @@ def tsne(embeddings: np.ndarray, cfg: TsneConfig, trace_every: int = 1) -> TsneR
     gains = np.ones_like(y)
     last = cfg.iterations - 1
     trace, trace_iterations = [], []
+    window_kl = None  # the KL at the last grid iteration the stop rule read
     # every n x n array of the loop lives here; each step writes in place
     q_buf = np.empty((3, n, n), dtype=np.float32)
     pq = np.empty((n, n), dtype=np.float32)
@@ -255,9 +267,17 @@ def tsne(embeddings: np.ndarray, cfg: TsneConfig, trace_every: int = 1) -> TsneR
         y -= y.mean(axis=0)  # keep translation-centered every iteration
         # the Q of the new map serves both this trace entry and the next step
         q, num = _low_dim_q(y, q_buf)
+        kl = None
+        if it % KL_WINDOW == 0 and it >= cfg.exaggeration_iters:
+            kl = kl_objective(p_true, q, kl_terms)
+            if window_kl is not None and 0 <= window_kl - kl < KL_WINDOW * MIN_KL_DECREASE * kl:
+                last = it
+            window_kl = kl
         if it % trace_every == 0 or it == last:
-            trace.append(kl_objective(p_true, q, kl_terms))
+            trace.append(kl_objective(p_true, q, kl_terms) if kl is None else kl)
             trace_iterations.append(it)
+        if it == last:
+            break
 
     coords = y.astype(np.float64)
     coords -= coords.mean(axis=0)

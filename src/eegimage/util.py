@@ -1,6 +1,6 @@
 """Small shared helpers: canonical JSON and its inverse, config hashing,
-the one writer and reader of stamped JSON records and stamp lines, and the
-C heap's thresholds."""
+the one reader of text inputs, the one writer and reader of stamped JSON
+records and stamp lines, and the C heap's thresholds."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import ctypes
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import platform
 import types
@@ -80,9 +81,21 @@ def from_jsonable(kind: Any, data: Any) -> Any:
     return data
 
 
+def open_text(path: Path, newline: str | None = None) -> io.StringIO:
+    """A UTF-8 text file read whole, as ``open(path, newline=newline)``
+    reads it; a byte that is not UTF-8 fails naming the file and its line."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text ({e.reason}: byte "
+                         f"0x{data[e.start]:02x} at offset {e.start})") from None
+
+
 def read_json_object(path: Path) -> dict:
     """A JSON file that must hold an object; a ValueError names the file."""
-    with open(path) as f:
+    with open_text(path) as f:
         try:
             obj = json.load(f)
         except json.JSONDecodeError as e:

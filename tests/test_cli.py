@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegimage.cli import DATA_DIR_ENV, SERVED_FEATURES, SERVED_FEATURES_SIDECAR, main
+from eegimage.cli import (DATA_DIR_ENV, SERVED_FEATURES, SERVED_FEATURES_SIDECAR, SERVE_REMEDY,
+                          main)
 from eegimage.data import load_manifest, read_signal, write_signal
 from eegimage.model import init_params, load_checkpoint, save_checkpoint
 from eegimage.preprocess import FilterSpec, filter_array
@@ -507,16 +508,18 @@ def test_train_on_segments_with_another_channel_count_fails_before_any_work(tmp_
 
 
 @pytest.mark.parametrize("command", ["predict", "tsne"])
-@pytest.mark.parametrize("cut, want", [
-    (np.s_[:8], "8 channels, the model's n_channels is 16\n"),
+@pytest.mark.parametrize("cut, want, remedy", [
+    (np.s_[:8], "8 channels, the model's n_channels is 16\n", ""),
     # the run's backbone 6,8 leaves no central columns on 1-s segments
-    (np.s_[:, :100], "100 samples are too short for backbone 6,8 ("),
+    (np.s_[:, :100], "100 samples are too short for backbone 6,8 (", SERVE_REMEDY),
 ], ids=["channels", "samples"])
 def test_serving_segments_the_model_does_not_fit_exits_1(trained_run, tmp_path, capsys,
-                                                         monkeypatch, command, cut, want):
+                                                         monkeypatch, command, cut, want,
+                                                         remedy):
     """predict and tsne check that the run's model fits the first served
     segment, as train does, before they load a checkpoint or write
-    anything."""
+    anything. A served set cannot change the run's backbone, so the remedy
+    is longer segments or another run."""
     _, run = trained_run
     data = tmp_path / "data"
     assert run_gen(data, patients=6, segments=3) == 0
@@ -528,6 +531,7 @@ def test_serving_segments_the_model_does_not_fit_exits_1(trained_run, tmp_path, 
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data / 'signals' / 's000000.eeg'}: {want}"), err
+    assert err.endswith(f"{remedy}\n") and "`backbone`" not in err, err
     assert loaded == []
     assert not (tmp_path / "p.csv").exists() and not (tmp_path / "out").exists()
 
@@ -917,9 +921,29 @@ def test_tsne_prints_its_objective_and_writes_only_the_map(trained_run, tmp_path
     assert printed[0] == printed[1]
     kwargs, result = results[0]
     assert kwargs == {"trace_every": 50}
+    # an 18-point map has no window to compare after 250 + 50 iterations
     np.testing.assert_array_equal(result.trace_iterations, [0, 50, 100, 150, 200, 250, 299])
     trace = result.objective_trace
-    assert printed[0] == f"KL {trace[0]:.2f} -> {trace[-1]:.2f} over 300 iterations"
+    assert printed[0] == f"KL {trace[0]:.2f} -> {trace[-1]:.2f} over 300 of 300 iterations"
+
+
+def test_tsne_prints_the_iteration_its_map_stopped_at(trained_run, tmp_path, capsys,
+                                                      monkeypatch):
+    """At 1000 iterations the 18-point map at perplexity 4 converges early;
+    the command prints how many iterations it ran, and the trace ends there."""
+    import eegimage.cli as cli
+
+    data, run = trained_run
+    results, orig = [], cli.tsne
+    monkeypatch.setattr(cli, "tsne", lambda *a, **k: results.append(orig(*a, **k)) or results[-1])
+    capsys.readouterr()
+    assert main(["tsne", "--data-dir", str(data), "--run-dir", str(run),
+                 "--out-dir", str(tmp_path / "t"), "--perplexity", "4"]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    ran = int(re.fullmatch(r"KL \S+ -> \S+ over (\d+) of 1000 iterations", printed)[1])
+    (result,) = results
+    assert ran < 1000 and ran % 50 == 1
+    np.testing.assert_array_equal(result.trace_iterations, np.arange(0, ran, 50))
 
 
 def test_tsne_with_a_nan_perplexity_exits_1_naming_it(trained_run, tmp_path, capsys):
@@ -931,6 +955,31 @@ def test_tsne_with_a_nan_perplexity_exits_1_naming_it(trained_run, tmp_path, cap
     assert rc == 1
     assert capsys.readouterr().err == "error: perplexity must be a finite number > 1, got nan\n"
     assert not (out / "tsne.csv").exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("evaluate", "manifest.csv"), ("evaluate", "cv_summary.json"),
+    ("predict", "fold0.ckpt.json"), ("evaluate", "oof_predictions.csv"),
+])
+def test_a_text_input_that_is_not_utf8_fails_naming_the_file(trained_run, tmp_path, capsys,
+                                                            command, name):
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(trained_run[0], data)
+    shutil.copytree(trained_run[1], run)
+    path = (data if name == "manifest.csv" else run) / name
+    raw = bytearray(path.read_bytes())
+    at = len(raw) // 2
+    raw[at] = 0x80
+    path.write_bytes(raw)
+    capsys.readouterr()
+    rc = main([command, "--data-dir", str(data), "--run-dir", str(run),
+               *_run_reader_args(command, tmp_path)])
+    assert rc == 1
+    line = raw.count(b"\n", 0, at) + 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line {line}: not UTF-8 text (invalid start byte: byte 0x80 "
+        f"at offset {at})\n")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "p.csv").exists()
 
 
 def test_ablate_with_config_file(tmp_path, capsys):

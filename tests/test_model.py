@@ -41,7 +41,6 @@ from eegimage.model import (
     kl_div_rows,
     load_checkpoint,
     project_rows_simplex,
-    project_simplex,
     save_checkpoint,
     sigmoid,
     silu,
@@ -70,6 +69,22 @@ def qp_projection_oracle(v):
     )
     assert res.success
     return res.x
+
+
+def project_simplex(v):
+    """Euclidean projection of one vector onto {w >= 0, sum w = 1}, the
+    per-row oracle of project_rows_simplex.
+
+    Sort-and-threshold: find the largest k for which the top-k entries stay
+    positive after sharing the excess mass, then clamp.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, len(v) + 1)
+    rho = np.nonzero(u - css / idx > 0)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
 
 
 def windowed_mean_oracle(x, stride):

@@ -2,12 +2,15 @@
 objective/centering guarantees."""
 
 import importlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eegimage.tsne import (
+    KL_WINDOW,
+    MIN_KL_DECREASE,
     TsneConfig,
     _low_dim_q,
     conditional_affinities,
@@ -286,7 +289,8 @@ def test_tsne_is_bit_identical_to_the_allocating_loop(case):
     make_x, cfg = REFERENCE_CASES[case]
     x = make_x()
     res = tsne(x, cfg)
-    coords, trace = reference_tsne(x, cfg)
+    # the reference loop has no stop rule, so it runs to the map's last iteration
+    coords, trace = reference_tsne(x, replace(cfg, iterations=res.trace_iterations[-1] + 1))
     assert np.array_equal(res.coords, coords)
     assert np.array_equal(res.objective_trace, trace)
 
@@ -335,8 +339,9 @@ def test_float32_map_keeps_the_quality_of_the_float64_loop(case):
     x = make_x()
     res = tsne(x, cfg)
     coords64, trace64 = reference_tsne(x, cfg, np.float64)
-    # no worse than float64: on the gaussian pair float32 ends better on both
-    # counts (KL 0.164 against 0.186, 10-NN 0.629 against 0.590)
+    # no worse than the full float64 loop: on the gaussian pair the float32
+    # map, stopped at 450 of 500 iterations, ends better on both counts (KL
+    # 0.165 against 0.186, 10-NN 0.630 against 0.590)
     assert res.objective_trace[-1] <= 1.05 * trace64[-1]
     assert knn_overlap(x, res.coords) >= knn_overlap(x, coords64) - 0.05
 
@@ -417,13 +422,126 @@ def test_a_scheduled_trace_leaves_the_map_and_samples_the_full_trace(case):
     assert np.array_equal(sched.objective_trace, full.objective_trace[its])
 
 
-def test_a_scheduled_trace_evaluates_the_objective_only_where_it_is_kept(monkeypatch):
+SCHEDULE_CASES = {
+    "capped": (lambda: np.random.default_rng(0).normal(size=(30, 4)),
+               TsneConfig(perplexity=5.0, iterations=120, exaggeration_iters=60),
+               [0, 50, 100, 119]),
+    # the command's schedule on a map the stop rule ends at 450 of 1000
+    "stopped": (lambda: gaussian_pair()[0], replace(BENCH_CFG, iterations=1000),
+                np.arange(0, 451, KL_WINDOW)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+def test_a_scheduled_trace_evaluates_the_objective_only_where_it_is_kept(monkeypatch, case):
+    make_x, cfg, kept = SCHEDULE_CASES[case]
+    x = make_x()
     calls = count_calls(monkeypatch)
-    cfg = TsneConfig(perplexity=5.0, iterations=120, exaggeration_iters=60)
-    res = tsne(np.random.default_rng(0).normal(size=(30, 4)), cfg, trace_every=50)
-    np.testing.assert_array_equal(res.trace_iterations, [0, 50, 100, 119])
-    assert calls == {"_low_dim_q": cfg.iterations + 1,
+    res = tsne(x, cfg, trace_every=KL_WINDOW)
+    np.testing.assert_array_equal(res.trace_iterations, kept)
+    # one Q for the initial map and one per iteration run
+    assert calls == {"_low_dim_q": res.trace_iterations[-1] + 2,
                      "kl_objective": len(res.trace_iterations)}
+
+
+# --- the stop rule ---
+
+
+def rule_stop(trace, cfg):
+    """The iteration the stop rule ends a map at, read off its full trace."""
+    for it in range(0, len(trace), KL_WINDOW):
+        if it - KL_WINDOW >= cfg.exaggeration_iters:
+            fall = trace[it - KL_WINDOW] - trace[it]
+            if 0 <= fall < KL_WINDOW * MIN_KL_DECREASE * trace[it]:
+                return it
+    return len(trace) - 1
+
+
+def without_stop(x, cfg, **kw):
+    """tsne() with the stop rule off, so that all cfg.iterations run."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tsne_module(), "MIN_KL_DECREASE", 0.0)
+        return tsne(x, cfg, **kw)
+
+
+STOP_CASES = {
+    "gaussian_pair": (lambda: gaussian_pair()[0], replace(BENCH_CFG, iterations=1000)),
+    "n240_d128": (REFERENCE_CASES["n240_d128"][0], TsneConfig(perplexity=30.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_a_stopped_map_is_the_full_run_cut_at_the_stop(case):
+    make_x, cfg = STOP_CASES[case]
+    x = make_x()
+    full = without_stop(x, cfg)
+    np.testing.assert_array_equal(full.trace_iterations, np.arange(cfg.iterations))
+    stop = rule_stop(full.objective_trace, cfg)
+    assert stop < cfg.iterations - 1  # the rule stops both maps early
+    res = tsne(x, cfg)
+    np.testing.assert_array_equal(res.trace_iterations, np.arange(stop + 1))
+    assert np.array_equal(res.objective_trace, full.objective_trace[: stop + 1])
+    capped = without_stop(x, replace(cfg, iterations=stop + 1))
+    assert np.array_equal(res.coords, capped.coords)
+
+
+def test_a_stopped_map_keeps_the_quality_of_the_full_run():
+    make_x, cfg = STOP_CASES["gaussian_pair"]
+    x = make_x()
+    full, res = without_stop(x, cfg), tsne(x, cfg)
+    assert res.trace_iterations[-1] <= cfg.iterations // 2
+    # stopped at 450 of 1000: KL 0.1646 against 0.1632, 10-NN 0.630 against
+    # 0.628, and 99.6% of the full map's 10-NN kept
+    assert res.objective_trace[-1] <= 1.02 * full.objective_trace[-1]
+    assert knn_overlap(x, res.coords) >= knn_overlap(x, full.coords) - 0.01
+    assert knn_overlap(res.coords, full.coords) >= 0.95
+
+
+@pytest.mark.parametrize("trace_every", [7, KL_WINDOW])
+def test_the_stop_does_not_depend_on_the_trace_schedule(trace_every):
+    make_x, cfg = STOP_CASES["gaussian_pair"]
+    x = make_x()
+    every, sched = tsne(x, cfg), tsne(x, cfg, trace_every=trace_every)
+    stop = every.trace_iterations[-1]
+    assert stop < cfg.iterations - 1
+    assert sched.trace_iterations[-1] == stop
+    assert np.array_equal(sched.coords, every.coords)
+    assert np.array_equal(sched.objective_trace, every.objective_trace[sched.trace_iterations])
+
+
+def scripted_objective(monkeypatch, kl_at):
+    """Make kl_objective return kl_at(i) at its i-th call instead of the KL."""
+    calls = itertools.count()
+    monkeypatch.setattr(tsne_module(), "kl_objective", lambda *a, **k: kl_at(next(calls)))
+
+
+@pytest.mark.parametrize("exaggeration_iters, stop", [(60, 150), (100, 150), (101, 200)])
+def test_the_first_window_compared_ends_after_the_exaggeration_phase(monkeypatch,
+                                                                     exaggeration_iters,
+                                                                     stop):
+    # a flat objective stops the map at the first window the rule compares,
+    # whose start is the first grid iteration at or after the phase
+    scripted_objective(monkeypatch, lambda i: 1.0)
+    cfg = TsneConfig(perplexity=5.0, iterations=400, exaggeration_iters=exaggeration_iters)
+    res = tsne(np.random.default_rng(0).normal(size=(30, 4)), cfg, trace_every=KL_WINDOW)
+    assert res.trace_iterations[-1] == stop
+
+
+@pytest.mark.parametrize("kl_at, stop", [
+    (lambda i: 1.0 + i, 399),  # rising: never stops
+    (lambda i: 0.98 ** i, 399),  # falls 2% a window, above 50 * 2e-4 = 1%
+    (lambda i: 0.995 ** i, 150),  # falls 0.5% a window
+    (lambda i: 1.0, 150),  # a fall of 0 stops
+])
+def test_only_a_small_fall_of_the_objective_stops_the_map(monkeypatch, kl_at, stop):
+    # with trace_every=KL_WINDOW, the i-th evaluation is at iteration 50 i
+    scripted_objective(monkeypatch, kl_at)
+    cfg = TsneConfig(perplexity=5.0, iterations=400, exaggeration_iters=100)
+    res = tsne(np.random.default_rng(0).normal(size=(30, 4)), cfg, trace_every=KL_WINDOW)
+    assert res.trace_iterations[-1] == stop
+    off = without_stop(np.random.default_rng(0).normal(size=(30, 4)), cfg,
+                       trace_every=KL_WINDOW)
+    assert off.trace_iterations[-1] == 399
 
 
 @pytest.mark.parametrize("bad", [0, -1, 1.5, True, 50.0, "50", None])
@@ -487,7 +605,9 @@ def test_objective_decreases_after_exaggeration():
     x, _ = gaussian_pair()
     res = tsne(x, BENCH_CFG)
     trace = res.objective_trace
-    assert trace.shape == (BENCH_CFG.iterations,)
+    # every iteration up to the one the map stopped at
+    np.testing.assert_array_equal(res.trace_iterations, np.arange(len(trace)))
+    assert len(trace) <= BENCH_CFG.iterations
     boundary = BENCH_CFG.exaggeration_iters
     assert trace[-1] < trace[boundary]
     assert trace[-1] < trace[boundary - 1]

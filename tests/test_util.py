@@ -1,5 +1,6 @@
 """Stamped JSON records and stamp lines: util.write_record writes what
-util.read_record reads, and util.stamp names the same hash."""
+util.read_record reads, and util.stamp names the same hash; util.open_text
+reads text as open() does."""
 
 import json
 
@@ -9,7 +10,7 @@ from test_train import base_record
 from eegimage.model import ModelConfig
 from eegimage.preprocess import FilterSpec
 from eegimage.synthgen import SynthConfig
-from eegimage.util import config_hash, read_record, stamp, write_record
+from eegimage.util import config_hash, open_text, read_record, stamp, write_record
 
 EXTRA = dict(fold=2, best_val_loss=0.1234567891, fold_sizes=[3, 4], note="x")
 
@@ -39,3 +40,12 @@ def test_extra_keys_cannot_displace_the_record_or_its_hash(tmp_path):
 def test_stamp_names_the_records_hash_and_the_seed():
     cfg = SynthConfig(seed=5)
     assert stamp(cfg, 9) == f"config_hash={config_hash(cfg)} seed=9"
+
+
+@pytest.mark.parametrize("newline", [None, ""])
+def test_open_text_reads_lines_as_open_does(tmp_path, newline):
+    path = tmp_path / "t.csv"
+    path.write_bytes("a,b\r\nc,\u00e9\rd\n\ne".encode())
+    with open(path, newline=newline, encoding="utf-8") as f:
+        want = list(f)
+    assert list(open_text(path, newline)) == want
