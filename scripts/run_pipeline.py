@@ -11,10 +11,10 @@ import time
 
 from cli_step import step
 
-FULL = dict(patients=60, segments=20, folds=5, stage1=6, stage2=2,
-            backbone="16,32,64,128", batch=32)
+# FULL trains at train's own backbone and batch size
+FULL = dict(patients=60, segments=20, folds=5, stage1=6, stage2=2, train=())
 QUICK = dict(patients=12, segments=6, folds=3, stage1=2, stage2=1,
-             backbone="8,16,32", batch=16)
+             train=("--batch-size", 16, "--backbone", "8,16,32"))
 
 
 def run(out, seed, p):
@@ -23,7 +23,7 @@ def run(out, seed, p):
          "--patients", p["patients"], "--segments", p["segments"])
     step("train", "--data-dir", data, "--out-dir", train, "--folds", p["folds"],
          "--stage1-epochs", p["stage1"], "--stage2-epochs", p["stage2"],
-         "--batch-size", p["batch"], "--backbone", p["backbone"], "--seed", seed, "-v")
+         *p["train"], "--seed", seed, "-v")
     step("evaluate", "--data-dir", data, "--run-dir", train, "--out-dir", f"{out}/eval")
     step("predict", "--data-dir", data, "--run-dir", train,
          "--out", f"{out}/predictions.csv")

@@ -164,6 +164,10 @@ def run_ablation(
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    for i, tag in enumerate(variants):
+        if tag not in ABLATION_VARIANTS or tag in variants[:i]:
+            raise ValueError(f"{'repeated' if tag in ABLATION_VARIANTS else 'unknown'} ablation "
+                             f"variant {tag!r}; the variants are {','.join(ABLATION_VARIANTS)}")
     if "full" not in variants:
         raise ValueError("ablation requires the full variant as reference")
     backbones = {}

@@ -36,9 +36,9 @@ from .data import (
     write_signal,
 )
 from .metrics import evaluate
-from .model import (ModelConfig, central_cone, checkpoint_sidecar, load_checkpoint,
-                    variant_config)
-from .preprocess import PREPROCESS_META, FilterSpec
+from .model import (ABLATION_VARIANTS, ROW_LAYOUTS, ModelConfig, central_cone,
+                    checkpoint_sidecar, load_checkpoint, variant_config)
+from .preprocess import FILTER_MODES, PREPROCESS_META, FilterSpec
 from .synthgen import SynthConfig, generate
 from .train import (
     PREDICT_BATCH,
@@ -123,19 +123,21 @@ def _data_dir(args) -> Path:
 
 
 def _setup_logging(verbosity: int) -> None:
-    level = logging.WARNING
-    if verbosity == 1:
-        level = logging.INFO
-    elif verbosity >= 2:
-        level = logging.DEBUG
+    level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(verbosity, 2)]
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s",
                         stream=sys.stderr, force=True)
 
 
-def _field_defaults(kind: type, names: dict[str, str]) -> dict:
-    """Each config key's default: the default of the `kind` field it names."""
-    fields = {f.name: f.default for f in dataclasses.fields(kind)}
-    return {key: fields[name] for key, name in names.items()}
+def _field_defaults(source, names: dict[str, str]) -> dict:
+    """Each config key's default: the field it names of `source`, a dataclass
+    or an instance such as default_stage1()."""
+    return {key: getattr(source, name) for key, name in names.items()}
+
+
+def _build(kind, names: dict[str, str], cfg_d: dict, **fixed):
+    """`kind(**fixed)`, a dataclass or a builder such as default_stage1, with
+    each field that a config key names set to the key's value."""
+    return kind(**{name: cfg_d[key] for key, name in names.items()}, **fixed)
 
 
 # gen's config keys and the SynthConfig fields they set
@@ -148,7 +150,7 @@ GEN_DEFAULTS = _field_defaults(SynthConfig, GEN_FIELDS)
 def cmd_gen(args) -> int:
     cfg_d = _effective(args, GEN_DEFAULTS)
     out = args.out_dir or _data_dir(args)
-    cfg = SynthConfig(**{name: cfg_d[key] for key, name in GEN_FIELDS.items()})
+    cfg = _build(SynthConfig, GEN_FIELDS, cfg_d)
     generate(cfg, out, header_comment=stamp(cfg, cfg.seed))
     write_record(Path(out) / "gen_meta.json", cfg, "config", seed=cfg.seed)
     log.info("generated %d patients x %d segments into %s",
@@ -156,8 +158,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-PREPROCESS_DEFAULTS = {"seed": 0, **_field_defaults(
-    FilterSpec, dict(filter_mode="mode", low_hz="low_hz", high_hz="high_hz", order="order"))}
+# train's and preprocess's config keys and the FilterSpec fields they set
+FILTER_FIELDS = dict(filter_mode="mode")
+PREPROCESS_FIELDS = dict(FILTER_FIELDS, low_hz="low_hz", high_hz="high_hz", order="order")
+PREPROCESS_DEFAULTS = {"seed": 0, **_field_defaults(FilterSpec, PREPROCESS_FIELDS)}
 
 
 def cmd_preprocess(args) -> int:
@@ -167,8 +171,7 @@ def cmd_preprocess(args) -> int:
         raise ValueError("preprocess requires --out-dir")
     manifest = load_manifest(_data_dir(args) / "manifest.csv")
     first = read_signal(manifest.segment_path(manifest.entries[0]))
-    spec = FilterSpec(fs=first.fs, order=cfg_d["order"], low_hz=cfg_d["low_hz"],
-                      high_hz=cfg_d["high_hz"], mode=cfg_d["filter_mode"])
+    spec = _build(FilterSpec, PREPROCESS_FIELDS, cfg_d, fs=first.fs)
     # every segment is checked against the first, and a directory this command
     # wrote is copied, or refused under another spec, before anything is written
     ds = load_dataset(manifest, spec)
@@ -182,18 +185,19 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-TRAIN_DEFAULTS = dict(
-    seed=0, folds=5, variant="full",
-    stage1_epochs=15, stage2_epochs=5, batch_size=32,
-    lr1=1e-3, lr2=3e-4, dropout=0.2, row_layout="channel_major",
-    backbone="16,32,64,128", pretrain=True, augment=True,
-    filter_mode="zero_phase",
-)
-
-
-def _backbone_tuple(s) -> tuple[int, ...]:
-    """A flag's or default's "16,32" as ints; a config file's list is read as a tuple."""
-    return s if isinstance(s, tuple) else tuple(int(v) for v in s.split(","))
+# train's config keys and the fields they set; batch_size sets both stages'
+MODEL_FIELDS = dict(backbone="backbone_channels", dropout="dropout_rate",
+                    row_layout="row_layout", pretrain="pretrained")
+STAGE1_FIELDS = dict(stage1_epochs="epochs", lr1="lr_base", batch_size="batch_size")
+STAGE2_FIELDS = dict(stage2_epochs="epochs", lr2="lr_base", batch_size="batch_size")
+# seed, folds, variant and augment are train's own, the rest the library's
+TRAIN_DEFAULTS = {"seed": 0, "folds": 5, "variant": "full", "augment": True,
+                  **_field_defaults(ModelConfig, MODEL_FIELDS),
+                  # the "16,32" string a flag gives
+                  "backbone": ",".join(map(str, ModelConfig.backbone_channels)),
+                  **_field_defaults(default_stage1(), STAGE1_FIELDS),
+                  **_field_defaults(default_stage2(), STAGE2_FIELDS),
+                  **_field_defaults(FilterSpec, FILTER_FIELDS)}
 
 
 # what the caller can change when its segments are too short for the backbone
@@ -232,26 +236,18 @@ def _training_setup(args, defaults: dict, variant: str | None = None):
     segment, and the record's model must fit its shape before anything is
     loaded."""
     cfg_d = _effective(args, defaults)
+    if isinstance(cfg_d["backbone"], str):  # a config file's list is read as a tuple
+        cfg_d["backbone"] = tuple(int(v) for v in cfg_d["backbone"].split(","))
     manifest = load_manifest(_data_dir(args) / "manifest.csv")
     first_path = manifest.segment_path(manifest.entries[0])
     first = read_signal(first_path)
     variant = variant or cfg_d["variant"]
     record = RunRecord(
-        model=variant_config(
-            ModelConfig(
-                backbone_channels=_backbone_tuple(cfg_d["backbone"]),
-                dropout_rate=cfg_d["dropout"],
-                row_layout=cfg_d["row_layout"],
-                pretrained=cfg_d["pretrain"],
-            ),
-            variant,
-        ),
-        stage1=default_stage1(lr_base=cfg_d["lr1"], epochs=cfg_d["stage1_epochs"],
-                              batch_size=cfg_d["batch_size"]),
-        stage2=default_stage2(lr_base=cfg_d["lr2"], epochs=cfg_d["stage2_epochs"],
-                              batch_size=cfg_d["batch_size"]),
+        model=variant_config(_build(ModelConfig, MODEL_FIELDS, cfg_d), variant),
+        stage1=_build(default_stage1, STAGE1_FIELDS, cfg_d),
+        stage2=_build(default_stage2, STAGE2_FIELDS, cfg_d),
         augment=AugmentConfig() if cfg_d["augment"] else None,
-        filter=FilterSpec(fs=first.fs, mode=cfg_d["filter_mode"]),
+        filter=_build(FilterSpec, FILTER_FIELDS, cfg_d, fs=first.fs),
         k=cfg_d["folds"],
         seed=cfg_d["seed"],
         variant=variant,
@@ -301,14 +297,17 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     run_dir = Path(args.run_dir)
     out = Path(args.out_dir or run_dir / "eval")
-    manifest = load_manifest(_data_dir(args) / "manifest.csv")
+    manifest_path = _data_dir(args) / "manifest.csv"
+    manifest = load_manifest(manifest_path)
     rec = _read_summary(run_dir)
     pred_path = run_dir / "oof_predictions.csv"
     ids, probs = load_predictions(pred_path)
     expected = [e.segment_id for e in manifest.entries]
-    if ids != expected:  # None stands for a row past the end of the shorter list
-        i, got, want = next((i, a, b) for i, (a, b) in
-                            enumerate(zip(ids + [None], expected + [None])) if a != b)
+    if len(ids) != len(expected):
+        raise ValueError(f"{pred_path}: {len(ids)} prediction rows, {manifest_path} "
+                         f"lists {len(expected)} segments")
+    if ids != expected:
+        i, got, want = next((i, a, b) for i, (a, b) in enumerate(zip(ids, expected)) if a != b)
         raise ValueError(f"{pred_path}: prediction row {i + 1} is segment {got!r}, "
                          f"the manifest lists {want!r}")
     folds = split_folds(manifest, k=rec.k, seed=rec.seed)
@@ -322,20 +321,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# defaults follow the short schedule validated on the high-noise synthetic set
-ABLATE_DEFAULTS = dict(
-    seed=0, seeds=5, folds=3, stage1_epochs=6, stage2_epochs=2, batch_size=16,
-    lr1=1e-3, lr2=3e-4, dropout=0.2, row_layout="channel_major",
-    backbone="8,16,32", pretrain=True, augment=True, filter_mode="zero_phase",
-    variants=",".join(("full", "no_central", "no_pretrain", "no_eeg2img")),
-)
+# train's keys but variant; the short schedule validated on the high-noise
+# synthetic set, on a narrower net, over every variant and several seeds
+ABLATE_DEFAULTS = {**{k: v for k, v in TRAIN_DEFAULTS.items() if k != "variant"},
+                   "folds": 3, "stage1_epochs": 6, "stage2_epochs": 2, "batch_size": 16,
+                   "backbone": "8,16,32", "seeds": 5, "variants": ",".join(ABLATION_VARIANTS)}
 
 
 def cmd_ablate(args) -> int:
     cfg_d, rec, ds = _training_setup(args, ABLATE_DEFAULTS, variant="full")
     out = Path(args.out_dir or "runs/ablation")
     seeds = [rec.seed + i for i in range(cfg_d["seeds"])]
-    variants = tuple(str(cfg_d["variants"]).split(","))
+    variants = tuple(cfg_d["variants"].split(","))
     rows = run_ablation(ds, rec.model, rec.stage1, rec.stage2, rec.augment,
                         seeds=seeds, k=rec.k, variants=variants,
                         log=lambda r: log.info("epoch %s", json.dumps(r, sort_keys=True)))
@@ -346,15 +343,14 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-TSNE_DEFAULTS = {**_field_defaults(TsneConfig, dict(seed="seed", perplexity="perplexity",
-                                                   iterations="iterations")),
-                 "use_probs": False}
+# tsne's config keys and the TsneConfig fields they set
+TSNE_FIELDS = dict(seed="seed", perplexity="perplexity", iterations="iterations")
+TSNE_DEFAULTS = {**_field_defaults(TsneConfig, TSNE_FIELDS), "use_probs": False}
 
 
 def cmd_tsne(args) -> int:
     cfg_d = _effective(args, TSNE_DEFAULTS)
-    cfg = TsneConfig(perplexity=cfg_d["perplexity"], iterations=cfg_d["iterations"],
-                     seed=cfg_d["seed"])
+    cfg = _build(TsneConfig, TSNE_FIELDS, cfg_d)
     run_dir = Path(args.run_dir)
     out = Path(args.out_dir or run_dir / "eval")
     manifest, rec, ckpts, inputs = _load_run(args)
@@ -517,24 +513,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "preprocess", cmd_preprocess,
                     help="write a bandpass-filtered copy of a dataset to --out-dir")
-    p.add_argument("--filter-mode", dest="filter_mode",
-                   choices=("zero_phase", "causal"), default=None)
+    p.add_argument("--filter-mode", dest="filter_mode", choices=FILTER_MODES, default=None)
     p.add_argument("--low-hz", dest="low_hz", type=float, default=None)
     p.add_argument("--high-hz", dest="high_hz", type=float, default=None)
     p.add_argument("--order", type=int, default=None)
 
     p = _subcommand(sub, "train", cmd_train, help="two-stage k-fold cross-validated training")
     _add_training(p)
-    p.add_argument("--variant", choices=("full", "no_central", "no_pretrain",
-                                         "no_eeg2img"), default=None)
+    p.add_argument("--variant", choices=ABLATION_VARIANTS, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--lr1", type=float, default=None, help="stage-1 base lr")
     p.add_argument("--lr2", type=float, default=None, help="stage-2 base lr")
     p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--row-layout", dest="row_layout",
-                   choices=("channel_major", "kernel_major"), default=None)
-    p.add_argument("--filter-mode", dest="filter_mode",
-                   choices=("zero_phase", "causal"), default=None)
+    p.add_argument("--row-layout", dest="row_layout", choices=ROW_LAYOUTS, default=None)
+    p.add_argument("--filter-mode", dest="filter_mode", choices=FILTER_MODES, default=None)
 
     p = _subcommand(sub, "evaluate", cmd_evaluate, help="metrics report from a training run",
                     configurable=False)
@@ -544,8 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_training(p)
     p.add_argument("--seeds", type=int, default=None, help="number of seeds")
     p.add_argument("--variants", type=str, default=None,
-                   help="comma-separated subset of "
-                        "full,no_central,no_pretrain,no_eeg2img")
+                   help=f"comma-separated subset of {','.join(ABLATION_VARIANTS)}")
 
     p = _subcommand(sub, "tsne", cmd_tsne, help="2-D embedding of model outputs")
     p.add_argument("--run-dir", type=Path, required=True)

@@ -21,6 +21,7 @@ CHECKPOINT_MAGIC = b"EEGIMG01"
 CHECKPOINT_VERSION = 1
 _DTYPE_CODES = {"float32": 0, "float64": 1}
 _DTYPE_FROM_CODE = {0: "<f4", 1: "<f8"}
+ROW_LAYOUTS = ("channel_major", "kernel_major")
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class ModelConfig:
     conv_stride: int = 2
     dropout_rate: float = 0.2
     n_classes: int = 6
-    row_layout: str = "channel_major"  # or "kernel_major"
+    row_layout: str = "channel_major"
     central_fraction: int = 5
     pool_full_width: bool = False
     learnable_embedding: bool = True
@@ -44,7 +45,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.row_layout not in ("channel_major", "kernel_major"):
+        if self.row_layout not in ROW_LAYOUTS:
             raise ValueError(f"unknown row_layout {self.row_layout!r}")
         if self.kernel_len > self.stride:
             raise ValueError("kernel_len must not exceed stride")

@@ -17,6 +17,7 @@ CLIP_UV = 1024.0
 SCALE_MAX = 255.0
 # the preprocess command's record of the FilterSpec its output went through
 PREPROCESS_META = "preprocess_meta.json"
+FILTER_MODES = ("zero_phase", "causal")
 
 
 @dataclass(frozen=True)
@@ -25,14 +26,14 @@ class FilterSpec:
     order: int = 3
     low_hz: float = 0.5
     high_hz: float = 45.0
-    mode: str = "zero_phase"  # or "causal"
+    mode: str = "zero_phase"
 
     def __post_init__(self):
         if not (0 < self.low_hz < self.high_hz < self.fs / 2):
             raise ValueError(
                 f"band edges must satisfy 0 < {self.low_hz} < {self.high_hz} < fs/2={self.fs / 2}"
             )
-        if self.mode not in ("zero_phase", "causal"):
+        if self.mode not in FILTER_MODES:
             raise ValueError(f"unknown filter mode {self.mode!r}")
         if self.order < 1:
             raise ValueError("order must be >= 1")

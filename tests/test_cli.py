@@ -1058,6 +1058,28 @@ def test_ablate_no_pretrain_and_no_augment_flags(tmp_path, monkeypatch):
     assert "full," in text and "no_central," in text
 
 
+@pytest.mark.parametrize("variants,bad", [("full,bogus", "unknown ablation variant 'bogus'"),
+                                          ("full,full", "repeated ablation variant 'full'")],
+                         ids=["unknown", "repeated"])
+def test_ablate_refuses_a_bad_variant_list_before_pretraining(tmp_path, monkeypatch, capsys,
+                                                             variants, bad):
+    import eegimage.analysis as analysis
+
+    def forbidden(*a, **k):
+        raise AssertionError("trained before the variant list was checked")
+
+    monkeypatch.setattr(analysis, "pretrain_backbone", forbidden)
+    monkeypatch.setattr(analysis, "run_cv", forbidden)
+    data, out = tmp_path / "d", tmp_path / "abl"
+    assert run_gen(data, patients=6, segments=3) == 0
+    capsys.readouterr()
+    assert main(["ablate", "--data-dir", str(data), "--out-dir", str(out), "--backbone", "6,8",
+                 "--variants", variants]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}; the variants are full,no_central,no_pretrain,no_eeg2img\n")
+    assert not out.exists()
+
+
 # --- option strings ---
 
 
@@ -1133,7 +1155,7 @@ def test_config_value_of_the_wrong_type_exits_1_before_any_output(tmp_path, caps
 def test_config_values_of_the_default_type_are_accepted(tmp_path):
     import argparse
 
-    from eegimage.cli import TRAIN_DEFAULTS, TSNE_DEFAULTS, _effective
+    from eegimage.cli import ABLATE_DEFAULTS, TRAIN_DEFAULTS, TSNE_DEFAULTS, _effective
 
     cfg = tmp_path / "c.json"
     values = {"backbone": [6, 8], "dropout": 0, "lr1": 0.002, "pretrain": False,
@@ -1145,6 +1167,65 @@ def test_config_values_of_the_default_type_are_accepted(tmp_path):
     cfg.write_text(json.dumps({"perplexity": 5, "use_probs": True}))
     merged = _effective(argparse.Namespace(config=cfg, perplexity=7.5), TSNE_DEFAULTS)
     assert merged["perplexity"] == 7.5 and merged["use_probs"] is True
+    # ablate takes these only from a config file; it has no variant key, train no seeds
+    values = {"batch_size": 8, "lr1": 1, "lr2": 0.001, "dropout": 0.5,
+              "row_layout": "kernel_major", "filter_mode": "causal", "seeds": 2}
+    cfg.write_text(json.dumps(values))
+    merged = _effective(argparse.Namespace(config=cfg), ABLATE_DEFAULTS)
+    assert merged == {**ABLATE_DEFAULTS, **values} and type(merged["lr1"]) is float
+    for defaults, key in ((ABLATE_DEFAULTS, "variant"), (TRAIN_DEFAULTS, "seeds")):
+        cfg.write_text(json.dumps({key: "full"}))
+        with pytest.raises(ValueError, match=f"unknown config keys in .*: \\['{key}'\\]"):
+            _effective(argparse.Namespace(config=cfg), defaults)
+
+
+def test_each_commands_defaults_are_the_librarys(tmp_path, monkeypatch):
+    import eegimage.cli as cli
+    from eegimage.augment import AugmentConfig
+    from eegimage.model import ABLATION_VARIANTS, ROW_LAYOUTS, ModelConfig
+    from eegimage.preprocess import FILTER_MODES
+    from eegimage.train import RunRecord, default_stage1, default_stage2
+
+    training = {"seed", "folds", "stage1_epochs", "stage2_epochs", "batch_size", "lr1", "lr2",
+                "dropout", "row_layout", "backbone", "pretrain", "augment", "filter_mode"}
+    assert set(cli.TRAIN_DEFAULTS) == training | {"variant"}
+    assert set(cli.ABLATE_DEFAULTS) == training | {"seeds", "variants"}
+    assert set(cli.GEN_DEFAULTS) == {"patients", "segments", "fs", "duration", "label_noise",
+                                     "noise_rms", "seed"}
+    assert set(cli.PREPROCESS_DEFAULTS) == {"seed", "filter_mode", "low_hz", "high_hz", "order"}
+    assert set(cli.TSNE_DEFAULTS) == {"seed", "perplexity", "iterations", "use_probs"}
+    assert cli.ABLATE_DEFAULTS["seeds"] == 5
+    assert cli.ABLATE_DEFAULTS["variants"] == ",".join(ABLATION_VARIANTS)
+
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    choices = {(cmd, a.dest): tuple(a.choices) for cmd, p in sub.choices.items()
+               for a in p._actions if a.choices is not None}
+    assert choices == {("train", "variant"): ABLATION_VARIANTS,
+                       ("train", "row_layout"): ROW_LAYOUTS,
+                       ("train", "filter_mode"): FILTER_MODES,
+                       ("preprocess", "filter_mode"): FILTER_MODES}
+
+    # the record each command builds with no flag, caught before it loads or trains
+    records, setup = {}, cli._training_setup
+
+    def capture(args, defaults, variant=None):
+        records[args.command] = setup(args, defaults, variant)[1]
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(cli, "_training_setup", capture)
+    monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: None)
+    data = tmp_path / "d"
+    assert run_gen(data, patients=6, segments=3, extra=("--duration", "10")) == 0
+    for command in ("train", "ablate"):
+        assert main([command, "--data-dir", str(data)]) == 1
+    train = RunRecord(model=ModelConfig(), stage1=default_stage1(), stage2=default_stage2(),
+                      augment=AugmentConfig(), filter=FilterSpec(100.0), k=5, seed=0,
+                      variant="full")
+    assert records["train"] == train
+    assert records["ablate"] == replace(
+        train, model=replace(ModelConfig(), backbone_channels=(8, 16, 32)),
+        stage1=default_stage1(epochs=6, batch_size=16),
+        stage2=default_stage2(epochs=2, batch_size=16), k=3)
 
 
 # --- damaged inputs name their file ---
@@ -1211,6 +1292,28 @@ def test_evaluate_names_the_first_prediction_off_the_manifest_order(trained_run,
     assert capsys.readouterr().err == (
         f"error: {path}: prediction row 3 is segment 's000004', "
         "the manifest lists 's000002'\n")
+
+
+@pytest.mark.parametrize("cut", ["manifest", "predictions"])
+def test_evaluate_names_both_files_and_counts_when_the_rows_differ(trained_run, tmp_path,
+                                                                  capsys, cut):
+    data, run = trained_run
+    if cut == "manifest":
+        data = tmp_path / "data"
+        shutil.copytree(trained_run[0], data)
+        lines = (data / "manifest.csv").read_text().splitlines(keepends=True)
+        (data / "manifest.csv").write_text("".join(lines[:2 + 8]))  # stamp, header, 8 rows
+        path = run / "oof_predictions.csv"
+    else:
+        run, path = _damaged_run(run, tmp_path, lambda lines: lines[:2 + 10])
+    capsys.readouterr()
+    rc = main(["evaluate", "--data-dir", str(data), "--run-dir", str(run),
+               "--out-dir", str(tmp_path / "eval")])
+    assert rc == 1
+    rows = (18, 8) if cut == "manifest" else (10, 18)
+    assert capsys.readouterr().err == (
+        f"error: {path}: {rows[0]} prediction rows, {data / 'manifest.csv'} lists "
+        f"{rows[1]} segments\n")
 
 
 SUMMARY_FAULTS = [("drop", "filter"), ("drop", "config_hash"), ("drop", "k"),
